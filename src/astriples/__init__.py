@@ -22,6 +22,7 @@ from .finfield import (FiniteField, agl1_group, agl2_group, asl2_group,
                        point_index, psl2_group)
 from .hypermatrix import (AlgebraElement, CubicHypermatrix, adjacency,
                           associativity_counterexample,
+                          class_product_mismatch,
                           commutativity_counterexample,
                           is_associative_subalgebra, is_commutative_subalgebra,
                           product_in_coefficients, ternary_field_certificate,

@@ -19,7 +19,8 @@ from .constructions import ast_from_group
 from .core import AstScheme
 from .errors import ConsistencyError, PreconditionError
 from .finfield import FiniteField, asl2_group, field_from_order, point_index
-from .hypermatrix import AlgebraElement, adjacency, is_commutative_subalgebra, ternary_product
+from .hypermatrix import (AlgebraElement, adjacency, class_product_mismatch,
+                          is_commutative_subalgebra, ternary_product)
 
 ORACLE_Q_CAP = 8
 
@@ -232,7 +233,13 @@ def _trivial_families(scheme, labeling):
 
 
 def _run_families(scheme, families, hypermatrix_all=False):
-    """Compare tensor slices (and optionally full products) per family."""
+    """Compare tensor slices (and optionally full products) per family.
+
+    Hypermatrix products are checked by the class kernel.  The first one of
+    each family is also run through the public pipeline (``ternary_product``
+    against the expanded expectation); a disagreement between the two is a
+    :class:`ConsistencyError`, not a counterexample.
+    """
     tensor = scheme.tensor
     results = {}
     spot_done = set()
@@ -243,15 +250,22 @@ def _run_families(scheme, families, hypermatrix_all=False):
         if actual != expected:
             stats[1].append((desc, expected, actual))
             continue
-        if hypermatrix_all or family not in spot_done:
+        if not hypermatrix_all and family in spot_done:
+            continue
+        mismatch = class_product_mismatch(scheme, i, j, k, expected)
+        if family not in spot_done:
             spot_done.add(family)
             product = ternary_product(adjacency(scheme, i),
                                       adjacency(scheme, j),
                                       adjacency(scheme, k))
             target = AlgebraElement(scheme, expected).expand()
-            if product != target:
-                stats[1].append(
-                    (desc + " [hypermatrix]", expected, "product mismatch"))
+            if (product == target) != (mismatch is None):
+                raise ConsistencyError(
+                    f"class kernel and ternary_product disagree on "
+                    f"A_{i} A_{j} A_{k} ({family}, {desc})")
+        if mismatch is not None:
+            stats[1].append(
+                (desc + " [hypermatrix]", expected, "product mismatch"))
     return tuple(OracleCheck(name=name, checked=stats[0],
                              counterexamples=tuple(stats[1]))
                  for name, stats in sorted(results.items()))
@@ -260,8 +274,9 @@ def _run_families(scheme, families, hypermatrix_all=False):
 def check_asl2_nontrivial_products(q: int) -> tuple[OracleCheck, ...]:
     """The six product families on nontrivial classes, against the tensor.
 
-    Runs in coefficient space with one full hypermatrix product per family
-    as a pipeline spot check.
+    Runs in coefficient space.  The first instance of each family is also
+    checked in hypermatrix space, by the class kernel and, as a
+    cross-check, by the public ``ternary_product`` pipeline.
     """
     scheme, labeling = _context(q)
     return _run_families(scheme, _nontrivial_families(scheme, labeling))
@@ -269,7 +284,12 @@ def check_asl2_nontrivial_products(q: int) -> tuple[OracleCheck, ...]:
 
 def check_asl2_trivial_products(q: int) -> tuple[OracleCheck, ...]:
     """The seven families with exactly one trivial factor, checked in
-    hypermatrix space (their instance counts stay small)."""
+    hypermatrix space.
+
+    Every instance goes through the class kernel on the scheme's cached
+    z-fibers; the first instance of each family is also run through the
+    public ``ternary_product`` pipeline as a cross-check.
+    """
     scheme, labeling = _context(q)
     return _run_families(scheme, _trivial_families(scheme, labeling),
                          hypermatrix_all=True)

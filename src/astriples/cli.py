@@ -219,6 +219,8 @@ def _cmd_designs(args):
 
 
 def _cmd_twograph(args):
+    if args.action != "find" and args.path is None:
+        raise StructuralError(f"twograph {args.action} needs a PATH")
     if args.action == "verify":
         tg = two_graph_from_json(_read_text(args.path))
         print(f"two-graph: v={tg.v} triples={len(tg.triples)} "

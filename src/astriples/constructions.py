@@ -244,8 +244,12 @@ def grouping_from_json(text: str) -> FusionGrouping:
         raise StructuralError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "groups" not in data:
         raise StructuralError("grouping JSON needs 'groups'")
-    return FusionGrouping(tuple(tuple(int(i) for i in g)
-                                for g in data["groups"]))
+    try:
+        groups = tuple(tuple(int(i) for i in g) for g in data["groups"])
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(
+            f"'groups' must be a list of label lists: {exc}") from exc
+    return FusionGrouping(groups)
 
 
 def fuse(scheme: AstScheme, grouping: FusionGrouping):

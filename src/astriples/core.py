@@ -239,6 +239,17 @@ class AstScheme:
         return self.labels[self.ground.index(t)]
 
     @cached_property
+    def zfibers(self) -> tuple[tuple[int, ...], ...]:
+        """Per-class z-fibers: ``zfibers[l][x*nu + y]`` is the bitmask of
+        the z with ``label(x, y, z) == l``.  Built on first use only."""
+        nu = self.nu
+        out = [[0] * (nu * nu) for _ in range(self.m + 1)]
+        for idx, label in enumerate(self.labels):
+            xy, z = divmod(idx, nu)
+            out[label][xy] |= 1 << z
+        return tuple(tuple(fib) for fib in out)
+
+    @cached_property
     def tensor(self) -> IntersectionTensor:
         """Intersection numbers under the default constancy policy."""
         return _compute_tensor(self, None)

@@ -38,10 +38,24 @@ class TwoGraph:
         return frozenset(self.triples)
 
 
+def _json_int(data, key):
+    try:
+        return int(data[key])
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"bad {key!r}: {data[key]!r}") from exc
+
+
 def _clean_subsets(v, raw, size, what):
     cleaned = []
-    for entry in raw:
-        block = tuple(sorted(entry))
+    try:
+        entries = list(raw)
+    except TypeError as exc:
+        raise StructuralError(f"{what}s must be a list") from exc
+    for entry in entries:
+        try:
+            block = tuple(sorted(int(p) for p in entry))
+        except (TypeError, ValueError) as exc:
+            raise StructuralError(f"bad {what} entry: {entry!r}") from exc
         if len(set(block)) != len(block):
             raise StructuralError(f"{what} {entry!r} repeats a point")
         if size is not None and len(block) != size:
@@ -182,7 +196,7 @@ def design_from_json(text: str) -> TwoDesign:
         raise StructuralError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "v" not in data or "blocks" not in data:
         raise StructuralError("design JSON needs 'v' and 'blocks'")
-    return verify_design(int(data["v"]), data["blocks"])
+    return verify_design(_json_int(data, "v"), data["blocks"])
 
 
 def two_graph_to_json(tg: TwoGraph) -> str:
@@ -197,4 +211,4 @@ def two_graph_from_json(text: str) -> TwoGraph:
         raise StructuralError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "v" not in data or "triples" not in data:
         raise StructuralError("two-graph JSON needs 'v' and 'triples'")
-    return verify_two_graph(int(data["v"]), data["triples"])
+    return verify_two_graph(_json_int(data, "v"), data["triples"])

@@ -8,8 +8,14 @@ hypermatrix D with
 Adjacency hypermatrices of a verified scheme multiply according to its
 intersection numbers: A_i A_j A_k = sum over l of p_ijk^l A_l.  All
 arithmetic is exact (ints and Fractions); 0/1 inputs take a bitset kernel
-that ANDs per-fiber masks and popcounts, which is what makes the larger
-ground sets tractable.
+that ANDs per-fiber masks and popcounts.
+
+Checking that law for one class triple does not need any nu^3 array:
+:func:`class_product_mismatch` works on the scheme's cached per-class
+z-fibers (:attr:`AstScheme.zfibers`), one row (x, y) at a time, with the
+counts held in bit planes.  The structure-constant check and the ASL(2, q)
+oracle use it for every product; the oracle also runs the public
+:func:`ternary_product` pipeline once per family as a cross-check.
 """
 
 from __future__ import annotations
@@ -175,6 +181,93 @@ def ternary_product(a: CubicHypermatrix, b: CubicHypermatrix,
     return _product_dense(a, b, c)
 
 
+def class_product_mismatch(scheme: AstScheme, i: int, j: int, k: int,
+                           expected):
+    """First cell where A_i A_j A_k differs from sum_l expected[l] A_l.
+
+    Returns None when the two agree everywhere, else ``(cell, got, want)``
+    for the first differing triple in flat index order, where ``got`` is
+    the product's entry and ``want = expected[label(cell)]``.
+
+    Row (x, y) of the product, as a vector over z, is the sum over
+    w in zfib[k][x, y] of zfib[i][w, y] & zfib[j][x, w].  The sum is kept
+    in bit planes (plane b holds bit b of every count) by carry-save adds.
+    Classes are disjoint, so plane b of the expected row is the OR of
+    zfib[l][x, y] over the l whose coefficient has bit b set.
+    """
+    m = scheme.m
+    for label in (i, j, k):
+        if not 0 <= label <= m:
+            raise PreconditionError(
+                f"relation label {label} out of range 0..{m}")
+    if len(expected) != m + 1:
+        raise PreconditionError(
+            f"need {m + 1} coefficients, got {len(expected)}")
+    nu = scheme.nu
+    fibers = scheme.zfibers
+    # Expected planes per row; a row stays [] when its expectation is 0
+    # and becomes None when it meets a class no count can equal.
+    wants = [[]] * (nu * nu)
+    unreachable = []    # fibers of negative or fractional coefficients
+    for label, want in enumerate(expected):
+        if not want:
+            continue
+        n = int(want)
+        if n != want or n < 0:
+            unreachable.append(fibers[label])
+            continue
+        bits = [b for b in range(n.bit_length()) if n >> b & 1]
+        for xy, f in enumerate(fibers[label]):
+            if f:
+                row = wants[xy] + [0] * (bits[-1] + 1 - len(wants[xy]))
+                for b in bits:
+                    row[b] |= f
+                wants[xy] = row
+    for fib in unreachable:
+        for xy, f in enumerate(fib):
+            if f:
+                wants[xy] = None
+    fi, fj, fk = fibers[i], fibers[j], fibers[k]
+    icols = [fi[y::nu] for y in range(nu)]   # icols[y][w] = zfib[i][w, y]
+    xy = 0
+    for x in range(nu):
+        jrow = fj[x * nu:x * nu + nu]        # jrow[w] = zfib[j][x, w]
+        for icol in icols:
+            got = []
+            ws = fk[xy]
+            while ws:
+                low = ws & -ws
+                ws ^= low
+                w = low.bit_length() - 1
+                carry = icol[w] & jrow[w]
+                if not carry:
+                    continue
+                for b, plane in enumerate(got):
+                    got[b] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    got.append(carry)
+            # Both plane lists end in a nonzero plane, so they are equal
+            # exactly when every count in the row matches.
+            if got != wants[xy]:
+                return _first_row_mismatch(scheme, expected, xy, got)
+            xy += 1
+    return None
+
+
+def _first_row_mismatch(scheme, expected, xy, got):
+    """Decode the first cell of row ``xy`` whose count is not expected."""
+    for idx in range(xy * scheme.nu, (xy + 1) * scheme.nu):
+        z = idx % scheme.nu
+        count = sum((plane >> z & 1) << b for b, plane in enumerate(got))
+        want = expected[scheme.labels[idx]]
+        if count != want:
+            return scheme.ground.triple(idx), count, want
+    raise ConsistencyError(f"row {xy} planes differ but no count does")
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
     """A linear combination sum_i coeffs[i] * A_i over a scheme's classes."""
@@ -298,36 +391,34 @@ def verify_structure_constants(scheme: AstScheme,
                                scope: str = "all") -> StructureConstantReport:
     """Compare hypermatrix products against the tensor for index triples.
 
-    ``scope`` is ``"all"`` or ``"nontrivial"``.  Failures on triples of
-    nontrivial labels contradict the closure of the nontrivial subalgebra
-    and raise :class:`ConsistencyError`; any other failure is reported.
+    Every product is checked entrywise by :func:`class_product_mismatch`;
+    a failure records the first differing cell.  ``scope`` is ``"all"`` or
+    ``"nontrivial"``.  Failures on triples of nontrivial labels contradict
+    the closure of the nontrivial subalgebra and raise
+    :class:`ConsistencyError`; any other failure is reported.
     """
     if scope not in ("all", "nontrivial"):
         raise PreconditionError(f"unknown scope {scope!r}")
     tensor = scheme.tensor
-    labels = scheme.labels
     idx_range = (range(scheme.m + 1) if scope == "all"
                  else scheme.nontrivial_labels)
-    adj = {i: adjacency(scheme, i) for i in idx_range}
     failures = []
     checked = 0
     for i in idx_range:
         for j in idx_range:
             for k in idx_range:
-                product = ternary_product(adj[i], adj[j], adj[k])
-                expected = tensor.slice(i, j, k)
                 checked += 1
-                for idx, got in enumerate(product.entries):
-                    want = expected[labels[idx]]
-                    if got != want:
-                        cell = scheme.ground.triple(idx)
-                        failures.append((i, j, k, cell, got, want))
-                        if i >= 4 and j >= 4 and k >= 4:
-                            raise ConsistencyError(
-                                f"product A_{i} A_{j} A_{k} breaks the "
-                                f"structure-constant law at {cell}: "
-                                f"{got} != {want}")
-                        break
+                mismatch = class_product_mismatch(scheme, i, j, k,
+                                                  tensor.slice(i, j, k))
+                if mismatch is None:
+                    continue
+                cell, got, want = mismatch
+                failures.append((i, j, k, cell, got, want))
+                if i >= 4 and j >= 4 and k >= 4:
+                    raise ConsistencyError(
+                        f"product A_{i} A_{j} A_{k} breaks the "
+                        f"structure-constant law at {cell}: "
+                        f"{got} != {want}")
     return StructureConstantReport(checked=checked, failures=tuple(failures))
 
 

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -149,8 +148,6 @@ def test_oracle_reports(asl2_schemes):
     assert observed == {2: True, 3: True, 4: False, 5: False}
 
 
-@pytest.mark.skipif(not os.environ.get("ASTRIPLES_SLOW"),
-                    reason="about 50 s; set ASTRIPLES_SLOW=1 to run")
 def test_oracle_guard_boundary_q8():
     report = run_asl2_oracle(8)
     assert report.passed

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import astriples as at
 from astriples.cli import run
@@ -196,6 +200,53 @@ def test_twograph_commands(tmp_path, capsys):
                 "--mode", "strict"]) == 1
     err = capsys.readouterr().err
     assert "p_554" in err
+
+
+def _cli_process(*args):
+    src = str(Path(at.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "astriples.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_twograph_without_path_exits_two():
+    for action in ("verify", "to-ast", "from-ast"):
+        proc = _cli_process("twograph", action)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "needs a PATH" in proc.stderr
+
+
+def test_fuse_grouping_of_bare_labels_exits_two(tmp_path, capsys):
+    scheme_path = tmp_path / "s.json"
+    assert run(["construct", "--group", "asl2:2",
+                "--out", str(scheme_path)]) == 0
+    grouping_path = tmp_path / "g.json"
+    grouping_path.write_text(json.dumps({"groups": [0, 1, 2]}),
+                             encoding="utf-8")
+    capsys.readouterr()
+    assert run(["fuse", str(scheme_path),
+                "--grouping", str(grouping_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "'groups'" in err
+
+
+def test_design_loader_type_errors_exit_two(tmp_path, capsys):
+    blocks = [list(b) for b in fano_blocks()]
+    for payload in ({"v": "abc", "blocks": blocks},
+                    {"v": 7, "blocks": [[0, 1, "x"]]},
+                    {"v": 7, "blocks": [0, 1, 2]}):
+        design_path = tmp_path / "d.json"
+        design_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(["designs", "verify", str(design_path)]) == 2, payload
+        assert capsys.readouterr().err.startswith("usage error:")
+    tg_path = tmp_path / "tg.json"
+    tg_path.write_text(json.dumps({"v": None, "triples": []}),
+                       encoding="utf-8")
+    assert run(["twograph", "verify", str(tg_path)]) == 2
+    assert "bad 'v'" in capsys.readouterr().err
 
 
 def test_output_determinism(tmp_path, capsys):

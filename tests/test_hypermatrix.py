@@ -148,6 +148,113 @@ def test_structure_constants_corruption_signal(three_point):
         at.verify_structure_constants(fresh, scope="nontrivial")
 
 
+def _naive_first_mismatch(scheme, naive, expected):
+    """First (cell, got, want) in flat order where the four-loop product
+    differs from sum_l expected[l] A_l, or None."""
+    label = {t: l for l, rel in enumerate(scheme.classes) for t in rel.triples}
+    for cell in product(range(scheme.nu), repeat=3):
+        want = expected[label[cell]]
+        if naive[cell] != want:
+            return cell, naive[cell], want
+    return None
+
+
+def test_class_kernel_matches_naive_product(three_point, fano_scheme,
+                                            asl2_schemes):
+    rng = random.Random(4242)
+    schemes = (three_point, fano_scheme, asl2_schemes[3][0],
+               at.ast_from_group(at.agl1_group(7)))
+    rejected = 0
+    for scheme in schemes:
+        nu = scheme.nu
+        n = scheme.m + 1
+        adj = [at.adjacency(scheme, l).entries for l in range(n)]
+        for i, j, k in product(range(n), repeat=3):
+            naive = naive_ternary_product(nu, adj[i], adj[j], adj[k])
+            exact = list(scheme.tensor.slice(i, j, k))
+            moved = list(exact)
+            moved[rng.randrange(n)] += rng.choice((-1, 1))
+            reassigned = list(exact)
+            src, dst = rng.sample(range(n), 2)
+            reassigned[dst], reassigned[src] = reassigned[src] or 1, 0
+            for expected in (exact, moved, reassigned):
+                want = _naive_first_mismatch(scheme, naive, expected)
+                got = at.class_product_mismatch(scheme, i, j, k, expected)
+                assert got == want, (i, j, k, expected)
+                rejected += want is not None
+    assert rejected > 0
+
+
+def test_class_kernel_guards(three_point):
+    with pytest.raises(at.PreconditionError):
+        at.class_product_mismatch(three_point, 4, 4, 5, (0,) * 5)
+    with pytest.raises(at.PreconditionError):
+        at.class_product_mismatch(three_point, 4, 4, 4, (0,) * 4)
+
+
+def test_class_kernel_fractional_expectation(three_point):
+    # A_0 A_0 A_0 = A_0; a non-integral coefficient can never be met
+    expected = [0] * 5
+    expected[0] = Fraction(1, 2)
+    assert at.class_product_mismatch(three_point, 0, 0, 0, expected) == \
+        ((0, 0, 0), 1, Fraction(1, 2))
+    expected[0] = Fraction(1)
+    assert at.class_product_mismatch(three_point, 0, 0, 0, expected) is None
+
+
+def test_zfibers_built_on_first_product_check_only(three_point):
+    fresh = at.ensure_ast(three_point.partition)
+    assert "zfibers" not in fresh.__dict__
+    at.verify_structure_constants(fresh, scope="nontrivial")
+    assert "zfibers" in fresh.__dict__
+    nu = fresh.nu
+    for l, fib in enumerate(fresh.zfibers):
+        cells = {(xy // nu, xy % nu, z) for xy, mask in enumerate(fib)
+                 for z in range(nu) if mask >> z & 1}
+        assert cells == set(fresh.relation(l).triples)
+
+
+def _tampered_asl2_3(asl2_schemes):
+    """A fresh asl2:3 scheme whose cached tensor claims p_{1,a,a}^1 = 2,
+    with the trivial-family instance (1, a, a) for the point class a."""
+    scheme, labeling = asl2_schemes[3]
+    fresh = at.ensure_ast(scheme.partition)
+    a = labeling.point_labels[2]
+    c = fresh.tensor.classes
+    values = list(fresh.tensor.values)
+    values[((1 * c + a) * c + a) * c + 1] = 2
+    fresh.__dict__["tensor"] = at.IntersectionTensor(classes=c,
+                                                     values=tuple(values))
+    return fresh, (1, a, a)
+
+
+def test_oracle_flags_tampered_tensor_once(asl2_schemes):
+    from astriples.asl2 import _run_families
+    fresh, ijk = _tampered_asl2_3(asl2_schemes)
+    tampered = fresh.tensor.slice(*ijk)
+    # once as the family's cross-checked first instance, once behind a
+    # sound first instance so that only the class kernel sees it
+    sound = (2, 4, 4)
+    for instances in ([ijk], [sound, ijk]):
+        families = [("t: tampered", f"#{n}", t, fresh.tensor.slice(*t))
+                    for n, t in enumerate(instances)]
+        (check,) = _run_families(fresh, families, hypermatrix_all=True)
+        assert check.checked == len(instances)
+        assert check.counterexamples == (
+            (f"#{len(instances) - 1} [hypermatrix]", tampered,
+             "product mismatch"),)
+
+
+def test_oracle_cross_check_catches_kernel_disagreement(asl2_schemes,
+                                                        monkeypatch):
+    from astriples import asl2
+    fresh, ijk = _tampered_asl2_3(asl2_schemes)
+    monkeypatch.setattr(asl2, "class_product_mismatch", lambda *args: None)
+    families = [("t: tampered", "a", ijk, fresh.tensor.slice(*ijk))]
+    with pytest.raises(at.ConsistencyError):
+        asl2._run_families(fresh, families, hypermatrix_all=True)
+
+
 def test_product_in_coefficients_basis_triple(three_point):
     e4 = at.AlgebraElement.basis(three_point, 4)
     out = at.product_in_coefficients(e4, e4, e4)

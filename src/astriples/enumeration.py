@@ -26,7 +26,7 @@ from .core import (COORD_PERMS, AstScheme, GroundSet, TernaryRelation,
                    TriplePartition, ViolationReport, trivial_relations,
                    verify_ast)
 from .errors import PreconditionError, SizeGuardError
-from .permgroup import (PermutationGroup, _UnionFind, close, cycle_type,
+from .permgroup import (PermutationGroup, _transversals, close, cycle_type,
                         is_transitive)
 
 #: Guards: full search with no invariance, and with a transitive group.
@@ -75,21 +75,15 @@ def _orbit_blocks(nu, group, triples, symmetric):
     """Orbits of the invariance group on the given triples, optionally
     merged with their coordinate-permutation images."""
     index = {t: i for i, t in enumerate(triples)}
-    uf = _UnionFind(len(triples))
-    gens = group.generators if group is not None else ()
-    for g in gens:
-        for i, (x, y, z) in enumerate(triples):
-            uf.union(i, index[g[x], g[y], g[z]])
+    acts = [[index[g[x], g[y], g[z]] for x, y, z in triples]
+            for g in (group.generators if group is not None else ())]
     if symmetric:
-        for a, b, c in COORD_PERMS[1:]:
-            for i, t in enumerate(triples):
-                uf.union(i, index[t[a], t[b], t[c]])
-    buckets = {}
-    for i, t in enumerate(triples):
-        buckets.setdefault(uf.find(i), []).append(t)
-    blocks = sorted((tuple(sorted(ts)) for ts in buckets.values()),
-                    key=lambda ts: ts[0])
-    return blocks
+        acts += [[index[t[a], t[b], t[c]] for t in triples]
+                 for a, b, c in COORD_PERMS[1:]]
+    orbits, _ = _transversals(range(len(triples)), acts, list.__getitem__,
+                              len(triples))
+    return sorted((tuple(sorted(triples[i] for i in orbit))
+                   for orbit in orbits), key=lambda ts: ts[0])
 
 
 def _check_guards(task: EnumerationTask):

@@ -130,3 +130,32 @@ def all_set_partitions(items):
         for i in range(len(partition)):
             yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
         yield [[first]] + partition
+
+
+def naive_closure(gens):
+    """Every product of a non-empty generator list, by breadth-first
+    search over a set of image tuples."""
+    n = len(gens[0])
+    identity = tuple(range(n))
+    seen = {identity}
+    queue = [identity]
+    for p in queue:
+        for g in gens:
+            q = tuple(g[p[i]] for i in range(n))
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return seen
+
+
+def naive_triple_orbits(elements, n):
+    """Orbits of the diagonal action on the cube, as a set of frozensets:
+    each orbit is the image of its least triple under every element."""
+    remaining = set(product(range(n), repeat=3))
+    orbits = set()
+    while remaining:
+        x, y, z = min(remaining)
+        orbit = frozenset((g[x], g[y], g[z]) for g in elements)
+        remaining -= orbit
+        orbits.add(orbit)
+    return orbits

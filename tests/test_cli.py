@@ -257,3 +257,30 @@ def test_output_determinism(tmp_path, capsys):
                 "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_tiny_file_with_huge_nu_exits_two(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"nu": 1000000, "relations": [[[0, 0, 0]]]}),
+                    encoding="utf-8")
+    proc = _cli_process("verify", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "the cube has" in proc.stderr
+
+
+def test_construct_refuses_degree_over_orbit_guard(tmp_path, capsys):
+    cycle = tmp_path / "cycle300.txt"
+    cycle.write_text(" ".join(str((i + 1) % 300) for i in range(300)) + "\n",
+                     encoding="utf-8")
+    for spec in ("agl1:257", f"file:{cycle}"):
+        assert run(["construct", "--group", spec]) == 1
+        err = capsys.readouterr().err
+        assert "refused" in err and "degree <= 256" in err
+
+
+def test_construct_asl2_9(capsys):
+    assert run(["construct", "--group", "asl2:9"]) == 0
+    out = capsys.readouterr().out
+    assert "group order 58320 on 81 points" in out
+    assert "nu=81 classes=19 " in out

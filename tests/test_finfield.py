@@ -122,6 +122,25 @@ def test_psl2_order_and_degree():
     assert at.psl2_group(5).order == 60
 
 
+def test_constructor_orders_match_formulas():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        g = at.asl2_group(q)
+        assert (g.degree, g.order) == (q * q, q**3 * (q * q - 1))
+        g = at.agl2_group(q, max_elements=10**8)
+        assert g.order == q * q * (q * q - 1) * (q * q - q)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 31, 32):
+        g = at.psl2_group(q)
+        assert (g.degree, g.order) == (q + 1,
+                                       q * (q * q - 1) // (2 if q % 2 else 1))
+
+
+def test_constructors_list_no_elements():
+    g = at.asl2_group(8)
+    assert g.order == 32256
+    assert len(g.generators) == 12
+    assert "elements" not in g.__dict__
+
+
 def test_asl2_subset_of_agl2():
     for q in (2, 3):
         small = at.asl2_group(q)

@@ -1,16 +1,25 @@
+import random
+from itertools import permutations
+
 import pytest
 
 import astriples as at
 from astriples.permgroup import (compose, cycle_type, generators_from_text,
-                                 identity_perm, inverse_perm,
-                                 parse_permutation_line, permutation_to_line)
+                                 group_from_elements, identity_perm,
+                                 inverse_perm, parse_permutation_line,
+                                 permutation_to_line)
 
 from conftest import PSL11_CYCLE
+from naive import naive_closure, naive_trivial_relations, naive_triple_orbits
+
+
+def _symmetric_gens(n):
+    return [at.perm_from_cycles(n, [(0, 1)]),
+            at.perm_from_cycles(n, [tuple(range(n))])]
 
 
 def symmetric_group(n):
-    return at.close([at.perm_from_cycles(n, [(0, 1)]),
-                     at.perm_from_cycles(n, [tuple(range(n))])])
+    return at.close(_symmetric_gens(n))
 
 
 def test_perm_utilities():
@@ -200,7 +209,114 @@ def test_thin_decomposition_psl11(psl11_scheme):
 
 
 def test_group_from_elements_rejects_unclosed():
+    # one transposition generates a proper subgroup of S3
     with pytest.raises(at.ConsistencyError):
-        from astriples.permgroup import group_from_elements
-        group_from_elements(3, [(0, 1, 2), (1, 0, 2), (1, 2, 0)],
-                            [(1, 0, 2)])
+        group_from_elements(3, [(1, 0, 2)], 6)
+    with pytest.raises(at.SizeGuardError):
+        group_from_elements(3, [(1, 0, 2), (1, 2, 0)], 3)
+    assert group_from_elements(3, [(1, 0, 2), (1, 2, 0)], 6).order == 6
+
+
+def _random_perm(rng, n, parts=None):
+    """A random permutation of 0..n-1; with parts, one preserving each."""
+    images = list(range(n))
+    for part in parts or [range(n)]:
+        part = list(part)
+        for a, b in zip(part, rng.sample(part, len(part))):
+            images[a] = b
+    return tuple(images)
+
+
+def _cross_check_groups():
+    """(name, generators) of the groups checked against tests/naive.py."""
+    groups = [(f"S{n}", _symmetric_gens(n)) for n in (3, 4, 5)]
+    groups += [("psl2:11", list(at.psl2_group(11).generators)),
+               ("trivial", [identity_perm(4)]),
+               ("C6", [at.perm_from_cycles(6, [tuple(range(6))])]),
+               ("agl1:7", list(at.agl1_group(7).generators)),
+               ("asl2:3", list(at.asl2_group(3).generators))]
+    rng = random.Random(4711)
+    for n in (4, 5, 6, 7):
+        for k in (1, 2, 3):
+            groups.append((f"random{n}.{k}",
+                           [_random_perm(rng, n) for _ in range(k)]))
+        split = [range(n // 2), range(n // 2, n)]
+        groups.append((f"intransitive{n}",
+                       [_random_perm(rng, n, split) for _ in range(2)]))
+    return groups
+
+
+CROSS_CHECK_GROUPS = _cross_check_groups()
+
+
+@pytest.mark.parametrize("name,gens", CROSS_CHECK_GROUPS,
+                         ids=[name for name, _ in CROSS_CHECK_GROUPS])
+def test_chain_order_and_elements_match_naive_closure(name, gens):
+    group = at.close(gens)
+    elements = naive_closure(gens)
+    assert group.order == len(elements)
+    assert group.elements == elements
+
+
+@pytest.mark.parametrize("name,gens", CROSS_CHECK_GROUPS,
+                         ids=[name for name, _ in CROSS_CHECK_GROUPS])
+def test_orbits_on_triples_match_naive(name, gens):
+    group = at.close(gens)
+    n = group.degree
+    elements = naive_closure(gens)
+    partition = at.orbits_on_triples(group)
+    got = {rel.triple_set for rel in partition.classes}
+    assert got == naive_triple_orbits(elements, n)
+    firsts = [rel.triples[0] for rel in partition.classes]
+    pairs = {frozenset((g[x], g[y]) for g in elements)
+             for x in range(n) for y in range(n) if x != y}
+    assert at.is_two_transitive(group) == (len(pairs) == 1)
+    assert {frozenset(o) for o in at.pair_orbits(group)} == pairs
+    if len(pairs) == 1:
+        assert [rel.triple_set for rel in partition.classes[:4]] == \
+            naive_trivial_relations(n)
+        firsts = firsts[4:]
+    assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("name,gens", [
+    (name, gens) for name, gens in CROSS_CHECK_GROUPS
+    if name in ("S3", "S4", "S5", "psl2:11", "agl1:7", "asl2:3")])
+def test_two_point_stabilizer_orbits_match_element_filter(name, gens):
+    group = at.close(gens)
+    n = group.degree
+    elements = naive_closure(gens)
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            stab = [g for g in elements if g[x] == x and g[y] == y]
+            orbits = {tuple(sorted({g[z] for g in stab}))
+                      for z in range(n) if z not in (x, y)}
+            assert at.two_point_stabilizer_orbits(group, x, y) == sorted(orbits)
+
+
+def test_membership_by_sifting_matches_naive_closure():
+    def cyc(n, *cycles):
+        return at.perm_from_cycles(n, list(cycles))
+
+    subgroups = {
+        4: [_symmetric_gens(4), [cyc(4, (0, 1, 2)), cyc(4, (1, 2, 3))],
+            [cyc(4, (0, 1, 2, 3)), cyc(4, (0, 2))],
+            [cyc(4, (0, 1), (2, 3)), cyc(4, (0, 2), (1, 3))],
+            [cyc(4, (0, 1, 2, 3))], [cyc(4, (0, 1)), cyc(4, (0, 1, 2))],
+            [identity_perm(4)]],
+        5: [_symmetric_gens(5), [cyc(5, (0, 1, 2)), cyc(5, (0, 1, 2, 3, 4))],
+            [cyc(5, (0, 1, 2, 3, 4)), cyc(5, (1, 4), (2, 3))],
+            list(at.agl1_group(5).generators), [cyc(5, (0, 1, 2, 3, 4))],
+            [cyc(5, (0, 1)), cyc(5, (0, 1, 2, 3))],
+            [cyc(5, (0, 1)), cyc(5, (2, 3, 4))]],
+    }
+    for n, gen_lists in subgroups.items():
+        for gens in gen_lists:
+            group = at.close(gens)
+            elements = naive_closure(gens)
+            for p in permutations(range(n)):
+                assert (p in group) == (p in elements)
+            assert (0,) * n not in group
+            assert identity_perm(n + 1) not in group

@@ -9,7 +9,7 @@ from .core import (AstScheme, GroundSet, IntersectionTensor, TernaryRelation,
                    coordinate_class_action, ensure_ast, intersection_numbers,
                    is_symmetric_ast, is_symmetric_relation, partition_from_json,
                    permute_relation, scheme_to_json, trivial_relations,
-                   valencies, verify_ast)
+                   verify_ast)
 from .designs import (TwoDesign, TwoGraph, complement_two_graph,
                       find_regular_two_graphs, is_regular, pair_coverage,
                       two_graph_from_graph, verify_design, verify_two_graph)

@@ -34,15 +34,6 @@ class Asl2Labeling:
     point_labels: dict     # a (a != 0, 1) -> class label of R^a
     line_labels: dict      # a (a != 0)    -> class label of aR
 
-    def kind_of(self, label: int):
-        for a, lab in self.point_labels.items():
-            if lab == label:
-                return ("point", a)
-        for a, lab in self.line_labels.items():
-            if lab == label:
-                return ("line", a)
-        raise PreconditionError(f"label {label} is not nontrivial")
-
 
 @lru_cache(maxsize=None)
 def _context(q: int):
@@ -99,18 +90,14 @@ def check_asl2_valencies(q: int) -> OracleCheck:
     scheme, labeling = _context(q)
     bad = []
     checked = 0
-    for a, lab in sorted(labeling.point_labels.items()):
-        checked += 1
-        got = scheme.valencies.third(lab)
-        if got != 1:
-            bad.append((f"point class a={labeling.field.format_element(a)}",
-                        1, got))
-    for a, lab in sorted(labeling.line_labels.items()):
-        checked += 1
-        got = scheme.valencies.third(lab)
-        if got != q:
-            bad.append((f"line class a={labeling.field.format_element(a)}",
-                        q, got))
+    for kind, labels, want in (("point", labeling.point_labels, 1),
+                               ("line", labeling.line_labels, q)):
+        for a, lab in sorted(labels.items()):
+            checked += 1
+            got = scheme.valencies.third(lab)
+            if got != want:
+                bad.append((f"{kind} class a="
+                            f"{labeling.field.format_element(a)}", want, got))
     return OracleCheck(name="valencies", checked=checked,
                        counterexamples=tuple(bad))
 

@@ -45,6 +45,13 @@ def _write_text(path, text):
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _write_out(path, to_text, obj):
+    """Write ``to_text(obj)`` to ``path`` when a path was given."""
+    if path:
+        _write_text(path, to_text(obj))
+        print(f"wrote {path}")
+
+
 def _load_scheme(path) -> AstScheme:
     partition = partition_from_json(_read_text(path))
     result = verify_ast(partition)
@@ -59,7 +66,7 @@ def _print_scheme_summary(scheme: AstScheme):
           f"nontrivial={scheme.m - 3} symmetric={is_symmetric_ast(scheme)}")
     for i in range(scheme.m + 1):
         n1, n2, n3 = scheme.valencies.rows[i]
-        print(f"  R_{i}: size={len(scheme.relation(i))} "
+        print(f"  R_{i}: size={scheme.partition.sizes[i]} "
               f"valencies=({n1},{n2},{n3})")
 
 
@@ -68,9 +75,7 @@ def _cmd_construct(args):
     scheme = ast_from_group(group)
     print(f"group order {group.order} on {group.degree} points")
     _print_scheme_summary(scheme)
-    if args.out:
-        _write_text(args.out, scheme_to_json(scheme))
-        print(f"wrote {args.out}")
+    _write_out(args.out, scheme_to_json, scheme)
     return 0
 
 
@@ -106,9 +111,7 @@ def _cmd_fuse(args):
         return REFUSAL_EXIT
     print("fused scheme:")
     _print_scheme_summary(result)
-    if args.out:
-        _write_text(args.out, scheme_to_json(result))
-        print(f"wrote {args.out}")
+    _write_out(args.out, scheme_to_json, result)
     return 0
 
 
@@ -121,9 +124,7 @@ def _cmd_fission_check(args):
         return REFUSAL_EXIT
     print("fission grouping: " +
           " ".join("{" + ",".join(map(str, g)) + "}" for g in grouping.groups))
-    if args.out:
-        _write_text(args.out, grouping_to_json(grouping))
-        print(f"wrote {args.out}")
+    _write_out(args.out, grouping_to_json, grouping)
     return 0
 
 
@@ -202,18 +203,14 @@ def _cmd_designs(args):
         design = design_from_json(_read_text(args.path))
         scheme = ast_from_design(design)
         _print_scheme_summary(scheme)
-        if args.out:
-            _write_text(args.out, scheme_to_json(scheme))
-            print(f"wrote {args.out}")
+        _write_out(args.out, scheme_to_json, scheme)
         return 0
     if args.action == "from-ast":
         scheme = _load_scheme(args.path)
         design = design_from_symmetric_relation(scheme, args.label)
         print(f"2-design from R_{args.label}: b={design.b} v={design.v} "
               f"k={design.k} lambda={design.lam}")
-        if args.out:
-            _write_text(args.out, design_to_json(design))
-            print(f"wrote {args.out}")
+        _write_out(args.out, design_to_json, design)
         return 0
     raise StructuralError(f"unknown designs action {args.action!r}")
 
@@ -230,17 +227,13 @@ def _cmd_twograph(args):
         tg = two_graph_from_json(_read_text(args.path))
         scheme = ast_from_two_graph(tg)
         _print_scheme_summary(scheme)
-        if args.out:
-            _write_text(args.out, scheme_to_json(scheme))
-            print(f"wrote {args.out}")
+        _write_out(args.out, scheme_to_json, scheme)
         return 0
     if args.action == "from-ast":
         scheme = _load_scheme(args.path)
         tg = two_graph_from_ast(scheme, mode=args.mode)
         print(f"two-graph: v={tg.v} triples={len(tg.triples)}")
-        if args.out:
-            _write_text(args.out, two_graph_to_json(tg))
-            print(f"wrote {args.out}")
+        _write_out(args.out, two_graph_to_json, tg)
         return 0
     if args.action == "find":
         found = find_regular_two_graphs(args.nu)
@@ -260,10 +253,6 @@ def _build_parser():
     parser.add_argument("--version", action="version",
                         version=f"astriples {__version__} "
                                 f"(scheme format {SCHEME_FORMAT_VERSION})")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted for interface stability; the current "
-                             "implementation is sequential and its output "
-                             "does not depend on this value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="orbit scheme of a group spec")
@@ -337,9 +326,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    if args.threads < 1:
-        print("--threads must be positive", file=sys.stderr)
-        return USAGE_EXIT
     try:
         return args.func(args)
     except (StructuralError,) as exc:

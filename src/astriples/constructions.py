@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
-from .core import (AstScheme, GroundSet, TernaryRelation, TriplePartition,
-                   ViolationReport, is_symmetric_relation, trivial_relations,
+from .core import (AstScheme, GroundSet, TriplePartition, ViolationReport,
+                   is_symmetric_relation, json_object, trivial_cube,
                    verify_ast)
 from .designs import TwoDesign, TwoGraph, is_regular, verify_design, verify_two_graph
 from .errors import (ConsistencyError, PreconditionError, RefusalError,
@@ -53,14 +53,14 @@ def ast_from_group(group: PermutationGroup) -> AstScheme:
     return _scheme_or_bug(partition, "orbit partition of a two-transitive group")
 
 
-def _distinct_triples(nu):
-    for x in range(nu):
-        for y in range(nu):
-            if y == x:
-                continue
-            for z in range(nu):
-                if z != x and z != y:
-                    yield (x, y, z)
+def _two_class_partition(nu, triples) -> TriplePartition:
+    """Trivial relations, the orderings of the given 3-subsets as class 4
+    and the remaining all-distinct triples as class 5."""
+    labels = trivial_cube(nu, 5)
+    for subset in triples:
+        for x, y, z in permutations(subset):
+            labels[(x * nu + y) * nu + z] = 4
+    return TriplePartition.from_labels(GroundSet(nu), labels)
 
 
 def ast_from_design(design: TwoDesign) -> AstScheme:
@@ -76,17 +76,9 @@ def ast_from_design(design: TwoDesign) -> AstScheme:
         raise RefusalError("blocks of size < 3 contain no triples")
     if design.k >= design.v:
         raise RefusalError("a single all-covering block leaves class 5 empty")
-    ground = GroundSet(design.v)
-    in_block = set()
-    for block in design.blocks:
-        for subset in combinations(block, 3):
-            for order in permutations(subset):
-                in_block.add(order)
-    rest = tuple(t for t in _distinct_triples(design.v) if t not in in_block)
-    classes = tuple(trivial_relations(ground)) + (
-        TernaryRelation(ground, tuple(sorted(in_block))),
-        TernaryRelation(ground, rest))
-    return _scheme_or_bug(TriplePartition(ground, classes),
+    partition = _two_class_partition(
+        design.v, (s for block in design.blocks for s in combinations(block, 3)))
+    return _scheme_or_bug(partition,
                           "block construction from a lambda = 1 design")
 
 
@@ -119,16 +111,7 @@ def ast_from_two_graph(tg: TwoGraph) -> AstScheme:
     n_all = tg.v * (tg.v - 1) * (tg.v - 2) // 6
     if not tg.triples or len(tg.triples) == n_all:
         raise RefusalError("degenerate two-graph: one class would be empty")
-    ground = GroundSet(tg.v)
-    delta = set()
-    for t in tg.triples:
-        for order in permutations(t):
-            delta.add(order)
-    rest = tuple(s for s in _distinct_triples(tg.v) if s not in delta)
-    classes = tuple(trivial_relations(ground)) + (
-        TernaryRelation(ground, tuple(sorted(delta))),
-        TernaryRelation(ground, rest))
-    scheme = _scheme_or_bug(TriplePartition(ground, classes),
+    scheme = _scheme_or_bug(_two_class_partition(tg.v, tg.triples),
                             "construction from a regular two-graph")
     report = vanishing_report(scheme)
     bad = {entry: value for entry, value in report["lenient"].items() if value}
@@ -238,12 +221,7 @@ def grouping_to_json(grouping: FusionGrouping) -> str:
 
 
 def grouping_from_json(text: str) -> FusionGrouping:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "groups" not in data:
-        raise StructuralError("grouping JSON needs 'groups'")
+    data = json_object(text, "grouping", "groups")
     try:
         groups = tuple(tuple(int(i) for i in g) for g in data["groups"])
     except (TypeError, ValueError) as exc:
@@ -260,14 +238,12 @@ def fuse(scheme: AstScheme, grouping: FusionGrouping):
     not raised.
     """
     grouping.validate(scheme.m)
-    ground = scheme.ground
-    classes = []
-    for group in grouping.groups:
-        triples = []
+    coarse = [0] * (scheme.m + 1)
+    for alpha, group in enumerate(grouping.groups):
         for i in group:
-            triples.extend(scheme.relation(i).triples)
-        classes.append(TernaryRelation(ground, tuple(triples)))
-    return verify_ast(TriplePartition(ground, tuple(classes)))
+            coarse[i] = alpha
+    labels = map(coarse.__getitem__, scheme.labels)
+    return verify_ast(TriplePartition.from_labels(scheme.ground, labels))
 
 
 def is_fission_of(fine: AstScheme, coarse: AstScheme):
@@ -277,14 +253,13 @@ def is_fission_of(fine: AstScheme, coarse: AstScheme):
     """
     if fine.ground != coarse.ground:
         raise PreconditionError("schemes live on different ground sets")
-    coarse_labels = coarse.labels
-    ground = fine.ground
+    pairs = set(zip(fine.labels, coarse.labels))
+    coarse_of = dict(pairs)
+    if len(coarse_of) != len(pairs):
+        return None
     groups = [[] for _ in range(coarse.m + 1)]
-    for i, rel in enumerate(fine.classes):
-        targets = {coarse_labels[ground.index(t)] for t in rel.triples}
-        if len(targets) != 1:
-            return None
-        groups[targets.pop()].append(i)
+    for i in range(fine.m + 1):
+        groups[coarse_of[i]].append(i)
     return FusionGrouping(tuple(tuple(g) for g in groups))
 
 
@@ -320,26 +295,14 @@ def verify_fusion_theorem(scheme: AstScheme,
     n = fused.m
     mismatches = []
     checked = 0
-    for alpha in range(n + 1):
-        ga = grouping.fine_of(alpha)
-        for beta in range(n + 1):
-            gb = grouping.fine_of(beta)
-            for gamma in range(n + 1):
-                gg = grouping.fine_of(gamma)
-                for delta in range(n + 1):
-                    checked += 1
-                    sums = []
-                    for l in grouping.fine_of(delta):
-                        total = 0
-                        for i in ga:
-                            for j in gb:
-                                for k in gg:
-                                    total += fine_t.get(i, j, k, l)
-                        sums.append(total)
-                    direct = coarse_t.get(alpha, beta, gamma, delta)
-                    if len(set(sums)) != 1 or sums[0] != direct:
-                        mismatches.append(
-                            ((alpha, beta, gamma, delta), tuple(sums), direct))
+    for coarse in product(range(n + 1), repeat=4):
+        checked += 1
+        ga, gb, gg, gd = map(grouping.fine_of, coarse)
+        sums = [sum(fine_t.get(i, j, k, l) for i, j, k in product(ga, gb, gg))
+                for l in gd]
+        direct = coarse_t.get(*coarse)
+        if len(set(sums)) != 1 or sums[0] != direct:
+            mismatches.append((coarse, tuple(sums), direct))
     valency_failures = []
     for eps in range(n + 1):
         want = sum(scheme.valencies.third(i) for i in grouping.fine_of(eps))
@@ -381,16 +344,11 @@ def two_graph_fusion(scheme: AstScheme, j_labels) -> TwoGraphFusionResult:
         if not is_symmetric_relation(scheme.relation(i)):
             raise PreconditionError(f"relation {i} is not symmetric")
     tensor = scheme.tensor
-    labels = sorted(nontrivial)
-    for i in labels:
-        for j in labels:
-            for k in labels:
-                for l in labels:
-                    members = ((i in j_set) + (j in j_set)
-                               + (k in j_set) + (l in j_set))
-                    if members % 2 and tensor.get(i, j, k, l):
-                        return TwoGraphFusionResult(
-                            two_graph=None, failing_quadruple=(i, j, k, l))
+    for quadruple in product(sorted(nontrivial), repeat=4):
+        members = sum(i in j_set for i in quadruple)
+        if members % 2 and tensor.get(*quadruple):
+            return TwoGraphFusionResult(two_graph=None,
+                                        failing_quadruple=quadruple)
     delta = sorted({tuple(sorted(t))
                     for i in sorted(j_set)
                     for t in scheme.relation(i).triples})

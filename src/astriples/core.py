@@ -14,6 +14,13 @@ R_0..R_m (m >= 4) satisfying four conditions:
    R_0 = {(x,x,x)} and the three repeated-coordinate patterns
    R_1 = {(x,y,y)}, R_2 = {(y,x,y)}, R_3 = {(y,y,x)} with x != y.
 
+A partition is stored as one flat cube of nu^3 class labels,
+``labels[(x*nu + y)*nu + z]``, in an ``array('H')``.  Every condition is
+checked on the cube: a fiber or a coordinate-permuted copy of it is a
+strided slice.  Relations as sets of triples (:class:`TernaryRelation`)
+are read at the boundary, by ``TriplePartition(ground, classes)`` and the
+JSON reader, and are otherwise built from the cube only when asked for.
+
 Everything here is exact: points are 0-based integers, counts are ints.
 All types are immutable after construction and safe to share.
 """
@@ -21,9 +28,11 @@ All types are immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
 
 from .errors import ConsistencyError, PreconditionError, StructuralError
 
@@ -39,6 +48,10 @@ FULL_CHECK_LIMIT = 30
 
 #: Version tag of the JSON scheme interchange format.
 SCHEME_FORMAT_VERSION = "1"
+
+#: Labels are unsigned 16-bit; the top value marks an uncovered cell while
+#: a cube is read, so a partition has at most this many classes.
+LABEL_LIMIT = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -85,6 +98,14 @@ class TernaryRelation:
                 raise StructuralError(f"triple {t!r} out of range for nu={nu}")
         object.__setattr__(self, "triples", tuple(cleaned))
 
+    @classmethod
+    def _view(cls, ground: GroundSet, triples: tuple) -> TernaryRelation:
+        """A relation on triples already sorted, distinct and in range."""
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "ground", ground)
+        object.__setattr__(rel, "triples", triples)
+        return rel
+
     def __len__(self):
         return len(self.triples)
 
@@ -95,37 +116,121 @@ class TernaryRelation:
     def triple_set(self) -> frozenset:
         return frozenset(self.triples)
 
-    @cached_property
-    def mask(self) -> int:
-        """Occupancy bitset: bit ground.index(t) set for each triple."""
-        nu = self.ground.nu
-        m = 0
-        for x, y, z in self.triples:
-            m |= 1 << ((x * nu + y) * nu + z)
-        return m
 
-
-@dataclass(frozen=True)
 class TriplePartition:
-    """An ordered list of relations meant to partition Omega^3.
+    """An ordered partition of Omega^3 into nonempty classes R_0..R_m.
 
-    Partition-ness itself is checked by :func:`verify_ast`; this type only
-    guarantees a common ground set.
+    The only stored state is the label cube ``labels`` (an ``array('H')``,
+    not to be mutated).  ``TriplePartition(ground, classes)`` reads
+    relations, given as :class:`TernaryRelation` objects or sequences of
+    triples, and raises :class:`StructuralError` unless they partition the
+    cube; :meth:`from_labels` takes a cube written by a producer.  Whether
+    the partition is a scheme is decided by :func:`verify_ast`.
     """
 
-    ground: GroundSet
-    classes: tuple[TernaryRelation, ...]
+    def __init__(self, ground: GroundSet, classes):
+        self.ground = ground
+        self.labels = _cube_from_relations(ground, classes)
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        for rel in self.classes:
-            if rel.ground != self.ground:
-                raise StructuralError("relation on a different ground set")
+    @classmethod
+    def from_labels(cls, ground: GroundSet, labels) -> TriplePartition:
+        """The partition with the given flat label cube; every label from
+        0 to the largest must occur."""
+        try:
+            labels = array("H", labels)
+        except OverflowError as exc:
+            raise StructuralError(
+                f"labels must lie in 0..{LABEL_LIMIT - 1}") from exc
+        if len(labels) != ground.nu**3:
+            raise StructuralError(
+                f"{len(labels)} labels for a cube of {ground.nu**3} cells")
+        part = object.__new__(cls)
+        part.ground, part.labels = ground, labels
+        if len(part.sizes) > LABEL_LIMIT:
+            raise StructuralError(f"labels must lie in 0..{LABEL_LIMIT - 1}")
+        if 0 in part.sizes:
+            raise StructuralError(f"class {part.sizes.index(0)} is empty")
+        return part
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """Number of triples in each class."""
+        counts = Counter(self.labels)
+        return tuple(counts[i] for i in range(max(counts) + 1))
 
     @property
     def m(self) -> int:
         """Largest relation label."""
-        return len(self.classes) - 1
+        return len(self.sizes) - 1
+
+    def cells(self) -> list[list[int]]:
+        """The flat indices of each class, ascending."""
+        out = [[] for _ in self.sizes]
+        appends = [cells.append for cells in out]
+        for idx, label in enumerate(self.labels):
+            appends[label](idx)
+        return out
+
+    @cached_property
+    def classes(self) -> tuple[TernaryRelation, ...]:
+        """Each class as a relation, built from the cube on first use."""
+        ground = self.ground
+        return tuple(TernaryRelation._view(ground, tuple(map(ground.triple,
+                                                             cells)))
+                     for cells in self.cells())
+
+    def __eq__(self, other):
+        return (isinstance(other, TriplePartition)
+                and self.ground == other.ground and self.labels == other.labels)
+
+    def __hash__(self):
+        return hash((self.ground, self.labels.tobytes()))
+
+
+def _cube_from_relations(ground: GroundSet, classes) -> array:
+    """The label cube of relations that must partition the cube; the
+    first problem found raises :class:`StructuralError`."""
+    nu = ground.nu
+    rels, total = [], 0
+    for i, rel in enumerate(classes):
+        if isinstance(rel, TernaryRelation):
+            if rel.ground != ground:
+                raise StructuralError("relation on a different ground set")
+            rel = rel.triples
+        try:
+            total += len(rel)
+        except TypeError:
+            raise StructuralError(f"bad relation entry: {rel!r}") from None
+        rels.append(rel)
+    if len(rels) > LABEL_LIMIT:
+        raise StructuralError(f"{len(rels)} classes; a partition holds at "
+                              f"most {LABEL_LIMIT}")
+    # The count comes first, so a tiny input with a huge nu allocates
+    # nothing.
+    if total < nu**3:
+        raise StructuralError(
+            f"the classes hold {total} triples, the cube has {nu**3}")
+    # Then, with at least nu^3 triples and none placed twice, every cell is
+    # covered.
+    labels = array("H", [LABEL_LIMIT]) * nu**3
+    for i, triples in enumerate(rels):
+        if not triples:
+            raise StructuralError(f"class {i} is empty")
+        for t in triples:
+            try:
+                x, y, z = t
+            except (TypeError, ValueError):
+                raise StructuralError(
+                    f"class {i}: {t!r} is not a triple") from None
+            if not (type(x) is type(y) is type(z) is int
+                    and 0 <= x < nu and 0 <= y < nu and 0 <= z < nu):
+                raise StructuralError(f"triple {t!r} out of range for nu={nu}")
+            idx = (x * nu + y) * nu + z
+            if labels[idx] != LABEL_LIMIT:
+                raise StructuralError(f"triple {(x, y, z)} lies in classes "
+                                      f"{labels[idx]} and {i}")
+            labels[idx] = i
+    return labels
 
 
 @dataclass(frozen=True)
@@ -167,16 +272,10 @@ class IntersectionTensor:
 
     def nonzero(self):
         """Yield (i, j, k, l, p) for every nonzero entry, in index order."""
-        c = self.classes
-        for flat, p in enumerate(self.values):
+        for ijkl, p in zip(product(range(self.classes), repeat=4),
+                           self.values):
             if p:
-                l = flat % c
-                rest = flat // c
-                k = rest % c
-                rest //= c
-                j = rest % c
-                i = rest // c
-                yield (i, j, k, l, p)
+                yield ijkl + (p,)
 
 
 @dataclass(frozen=True)
@@ -225,15 +324,10 @@ class AstScheme:
     def nontrivial_labels(self) -> range:
         return range(4, self.m + 1)
 
-    @cached_property
-    def labels(self) -> tuple[int, ...]:
+    @property
+    def labels(self) -> array:
         """Flat class-label lookup over all nu^3 triple indices."""
-        nu = self.nu
-        out = [-1] * nu**3
-        for i, rel in enumerate(self.classes):
-            for x, y, z in rel.triples:
-                out[(x * nu + y) * nu + z] = i
-        return tuple(out)
+        return self.partition.labels
 
     def label_of(self, t: Triple) -> int:
         return self.labels[self.ground.index(t)]
@@ -252,35 +346,35 @@ class AstScheme:
     @cached_property
     def tensor(self) -> IntersectionTensor:
         """Intersection numbers under the default constancy policy."""
-        return _compute_tensor(self, None)
-
-    def diagonal_third_counts(self, i: int) -> tuple[int, ...]:
-        """Per-point counts |{z : (x,x,z) in R_i}|.
-
-        The defining conditions only constrain counts over distinct pairs;
-        diagonal counts are recorded but not required to be constant.
-        """
-        nu = self.nu
-        counts = [0] * nu
-        for x, y, z in self.relation(i).triples:
-            if x == y:
-                counts[x] += 1
-        return tuple(counts)
+        return intersection_numbers(self, self.nu <= FULL_CHECK_LIMIT)
 
     def serialized(self) -> tuple:
-        """Hashable canonical form: (nu, per-class triple tuples)."""
-        return (self.nu, tuple(rel.triples for rel in self.classes))
+        """Hashable canonical form: (nu, per-class ascending flat indices),
+        ordered as the per-class sorted triple lists are."""
+        return (self.nu, tuple(map(tuple, self.partition.cells())))
+
+
+def trivial_cube(nu: int, distinct: int) -> array:
+    """A label cube holding R_0..R_3 and ``distinct`` on every all-distinct
+    cell, for producers to fill in."""
+    nu2 = nu * nu
+    labels = array("H", [distinct]) * nu**3
+    for x in range(nu):
+        for y in range(nu):
+            labels[x * nu2 + y * nu + y] = 1
+            labels[y * nu2 + x * nu + y] = 2
+            labels[y * nu2 + y * nu + x] = 3
+        labels[x * nu2 + x * nu + x] = 0
+    return labels
 
 
 def trivial_relations(ground: GroundSet) -> list[TernaryRelation]:
     """The four fixed relations R_0..R_3 on a ground set."""
-    nu = ground.nu
-    pts = range(nu)
-    r0 = [(x, x, x) for x in pts]
-    r1 = [(x, y, y) for x in pts for y in pts if x != y]
-    r2 = [(y, x, y) for x in pts for y in pts if x != y]
-    r3 = [(y, y, x) for x in pts for y in pts if x != y]
-    return [TernaryRelation(ground, tuple(r)) for r in (r0, r1, r2, r3)]
+    cells = [[], [], [], []]
+    for idx, label in enumerate(trivial_cube(ground.nu, 4)):
+        if label < 4:
+            cells[label].append(ground.triple(idx))
+    return [TernaryRelation._view(ground, tuple(c)) for c in cells]
 
 
 def permute_relation(rel: TernaryRelation, sigma) -> TernaryRelation:
@@ -308,8 +402,9 @@ def is_symmetric_relation(rel: TernaryRelation) -> bool:
 
 def is_symmetric_ast(scheme: AstScheme) -> bool:
     """True iff every nontrivial relation is symmetric."""
-    return all(is_symmetric_relation(scheme.relation(i))
-               for i in scheme.nontrivial_labels)
+    images = (_class_images(scheme.labels, scheme.nu, sigma)
+              for sigma in COORD_PERMS[1:])
+    return all(image[4:] == tuple(scheme.nontrivial_labels) for image in images)
 
 
 def coordinate_class_action(scheme: AstScheme) -> dict:
@@ -318,53 +413,76 @@ def coordinate_class_action(scheme: AstScheme) -> dict:
     Returns {sigma: label_map} where label_map[i] is the class that the
     sigma-image of class i equals.  Well-defined on any verified scheme.
     """
-    index = {rel.triples: i for i, rel in enumerate(scheme.classes)}
-    action = {}
-    for sigma in COORD_PERMS:
-        a, b, c = sigma
-        row = []
-        for rel in scheme.classes:
-            image = tuple(sorted((t[a], t[b], t[c]) for t in rel.triples))
-            row.append(index[image])
-        action[sigma] = tuple(row)
-    return action
+    return {sigma: _class_images(scheme.labels, scheme.nu, sigma)
+            for sigma in COORD_PERMS}
 
 
-def _slot_counts(classes, nu, slot):
-    """counts[i][pair_id] = completions of each distinct ordered pair.
-
-    ``slot`` is the varying coordinate: 0 counts (z,x,y), 1 counts (x,z,y),
-    2 counts (x,y,z) completions of the pair (x, y).
-    """
-    counts = [[0] * (nu * nu) for _ in classes]
-    for i, rel in enumerate(classes):
-        row = counts[i]
-        for t in rel.triples:
-            if slot == 2:
-                x, y = t[0], t[1]
-            elif slot == 1:
-                x, y = t[0], t[2]
-            else:
-                x, y = t[1], t[2]
-            if x != y:
-                row[x * nu + y] += 1
-    return counts
-
-
-def _constancy(counts_row, nu):
-    """(constant, witness) over distinct pairs; witness on failure."""
-    value = None
-    first_pair = None
+def _permuted(labels, nu, sigma):
+    """The cube whose cell (x_0, x_1, x_2) holds the label of
+    (x_sigma[0], x_sigma[1], x_sigma[2]); its rows are strided slices."""
+    strides = (nu * nu, nu, 1)
+    s0, s1, s2 = (strides[sigma.index(p)] for p in range(3))
+    out = array("H")
     for x in range(nu):
         for y in range(nu):
-            if x == y:
-                continue
-            c = counts_row[x * nu + y]
-            if value is None:
-                value, first_pair = c, (x, y)
-            elif c != value:
-                return None, (first_pair, value, (x, y), c)
-    return value, None
+            start = x * s0 + y * s1
+            out += labels[start:start + s2 * nu:s2]
+    return out
+
+
+def _class_images(labels, nu, sigma):
+    """The label map i -> j with sigma(R_i) = R_j, as a tuple, or the least
+    class i whose sigma-image meets two classes, as an int.
+
+    sigma permutes the cells, so every class is hit: once the image label
+    is a function of the label, it is a bijection.
+    """
+    pairs = set(zip(labels, _permuted(labels, nu, sigma)))
+    image = dict(pairs)
+    if len(image) == len(pairs):
+        return tuple(image[i] for i in range(len(image)))
+    return min(i for i, j in pairs if image[i] != j)
+
+
+def _constant_valencies(labels, nu, sigma, n):
+    """Per-class valencies over the fibers (x, y, .) of the sigma-permuted
+    cube, x != y, as (values, None) when every fiber has the same counts,
+    else (None, (i, p1, c1, p2, c2)): class i has c1 cells in the fiber of
+    the first pair p1 and c2 in that of the first pair p2 that differs."""
+    cube = _permuted(labels, nu, sigma)
+    pairs = [(x, y) for x in range(nu) for y in range(nu) if x != y]
+    first = sorted(cube[nu:2 * nu])     # the fiber of pairs[0] = (0, 1)
+    for x, y in pairs[1:]:
+        fiber = sorted(cube[(x * nu + y) * nu:(x * nu + y + 1) * nu])
+        if fiber != first:
+            i = min(i for i in set(fiber) | set(first)
+                    if fiber.count(i) != first.count(i))
+            return None, (i, pairs[0], first.count(i), (x, y), fiber.count(i))
+    return tuple(map(first.count, range(n))), None
+
+
+def _signatures(labels, nu, n, cells):
+    """Condition-2 signatures: for cell (x, y, z), the sorted list of the
+    label triples (label(w,y,z), label(x,w,z), label(x,y,w)) over w.
+
+    Returns (sigs, None), sigs[l] being the signature of the first of
+    ``cells`` in class l, or (sigs, (idx, sig)) for the first cell whose
+    signature differs from its class's.
+    """
+    nu2 = nu * nu
+    sigs = [None] * n
+    for idx in cells:
+        xy, z = divmod(idx, nu)
+        x0 = idx - idx % nu2
+        sig = sorted(zip(labels[xy % nu * nu + z::nu2],
+                         labels[x0 + z:x0 + nu2:nu],
+                         labels[xy * nu:xy * nu + nu]))
+        label = labels[idx]
+        if sigs[label] is None:
+            sigs[label] = sig
+        elif sig != sigs[label]:
+            return sigs, (idx, sig)
+    return sigs, None
 
 
 def verify_ast(partition: TriplePartition, full_check=None):
@@ -372,8 +490,9 @@ def verify_ast(partition: TriplePartition, full_check=None):
 
     Returns a validated :class:`AstScheme` on success and a
     :class:`ViolationReport` naming the violated condition otherwise.
-    Structural problems (input not a partition of the cube, empty classes,
-    fewer than five classes) raise :class:`StructuralError` instead.
+    Fewer than five classes raise :class:`StructuralError`; a partition
+    of the cube into nonempty classes is guaranteed by
+    :class:`TriplePartition`.
 
     ``full_check`` controls condition 2: ``True`` verifies the constancy of
     every intersection number on every representative, ``False`` computes
@@ -382,127 +501,85 @@ def verify_ast(partition: TriplePartition, full_check=None):
     """
     ground = partition.ground
     nu = ground.nu
-    classes = partition.classes
+    labels = partition.labels
+    n = partition.m + 1
     if full_check is None:
         full_check = nu <= FULL_CHECK_LIMIT
-
-    # Structural: nonempty classes forming a partition of the cube.  The
-    # count comes first, so a tiny input with a huge nu allocates nothing;
-    # with at least nu^3 triples and no overlap, every triple is covered.
-    total = sum(len(rel.triples) for rel in classes)
-    if total < nu**3:
-        raise StructuralError(
-            f"the classes hold {total} triples, the cube has {nu**3}")
-    labels = [-1] * nu**3
-    for i, rel in enumerate(classes):
-        if not rel.triples:
-            raise StructuralError(f"class {i} is empty")
-        for t in rel.triples:
-            idx = (t[0] * nu + t[1]) * nu + t[2]
-            if labels[idx] != -1:
-                raise StructuralError(
-                    f"triple {t} lies in classes {labels[idx]} and {i}")
-            labels[idx] = i
-    if len(classes) < 5:
+    if n < 5:
         raise StructuralError(
             "a scheme needs the four trivial relations plus at least one "
-            f"nontrivial relation, got {len(classes)} classes")
+            f"nontrivial relation, got {n} classes")
 
-    # Condition 4: the first four classes are the trivial relations.
-    for i, expected in enumerate(trivial_relations(ground)):
-        if classes[i].triples != expected.triples:
-            diff = min(classes[i].triple_set ^ expected.triple_set)
-            return ViolationReport(
-                condition=4, relations=(i,), witness=(diff,),
-                message=f"class {i} is not trivial relation R_{i}; "
-                        f"witness triple {diff}")
+    # Condition 4: the first four classes are the trivial relations.  A
+    # wrong cell is one where the label and the trivial label differ and
+    # one of them is trivial; the witness is the least wrong cell of the
+    # least such trivial label.
+    trivial = trivial_cube(nu, LABEL_LIMIT)
+    wrong = [min(pair) for pair in set(zip(labels, trivial))
+             if pair[0] != pair[1] and min(pair) < 4]
+    if wrong:
+        i = min(wrong)
+        t = ground.triple(next(idx for idx, (a, b) in
+                               enumerate(zip(labels, trivial))
+                               if a != b and i in (a, b)))
+        return ViolationReport(
+            condition=4, relations=(i,), witness=(t,),
+            message=f"class {i} is not trivial relation R_{i}; "
+                    f"witness triple {t}")
 
     # Condition 1: third-valency constancy over distinct pairs.
-    third_counts = _slot_counts(classes, nu, slot=2)
-    thirds = []
-    for i in range(len(classes)):
-        value, bad = _constancy(third_counts[i], nu)
-        if bad:
-            (p1, c1, p2, c2) = bad
-            return ViolationReport(
-                condition=1, relations=(i,), witness=(p1, c1, p2, c2),
-                message=f"relation {i}: pair {p1} has {c1} completions "
-                        f"but pair {p2} has {c2}")
-        thirds.append(value)
+    thirds, bad = _constant_valencies(labels, nu, (0, 1, 2), n)
+    if bad:
+        (i, p1, c1, p2, c2) = bad
+        return ViolationReport(
+            condition=1, relations=(i,), witness=(p1, c1, p2, c2),
+            message=f"relation {i}: pair {p1} has {c1} completions "
+                    f"but pair {p2} has {c2}")
 
     # Condition 3: coordinate permutations map classes onto classes.
-    index = {rel.triples: i for i, rel in enumerate(classes)}
-    for sigma in COORD_PERMS:
-        a, b, c = sigma
-        for i, rel in enumerate(classes):
-            image = tuple(sorted((t[a], t[b], t[c]) for t in rel.triples))
-            if image not in index:
-                return ViolationReport(
-                    condition=3, relations=(i,), witness=(sigma,),
-                    message=f"image of relation {i} under coordinate "
-                            f"permutation {sigma} is not a class")
+    for sigma in COORD_PERMS[1:]:
+        image = _class_images(labels, nu, sigma)
+        if isinstance(image, int):
+            return ViolationReport(
+                condition=3, relations=(image,), witness=(sigma,),
+                message=f"image of relation {image} under coordinate "
+                        f"permutation {sigma} is not a class")
 
-    # First and second valencies now exist; a failure here would mean the
-    # checks above are broken, not the input.
-    firsts, seconds = [], []
-    for slot, out in ((0, firsts), (1, seconds)):
-        cnts = _slot_counts(classes, nu, slot)
-        for i in range(len(classes)):
-            value, bad = _constancy(cnts[i], nu)
-            if bad:
-                raise ConsistencyError(
-                    f"slot-{slot} valency not constant on relation {i} "
-                    "despite conditions 1 and 3 holding")
-            out.append(value)
+    # First and second valencies (fibers (w, x, y) and (x, w, y)) now
+    # exist; a failure here would mean the checks above are broken.
+    columns = []
+    for slot, sigma in enumerate(((2, 0, 1), (0, 2, 1))):
+        values, bad = _constant_valencies(labels, nu, sigma, n)
+        if bad:
+            raise ConsistencyError(
+                f"slot-{slot} valency not constant on relation {bad[0]} "
+                "despite conditions 1 and 3 holding")
+        columns.append(values)
 
     # Condition 2: intersection numbers, constant per class.
-    nu2 = nu * nu
-    rep_sigs = []
-    for rel in classes:
-        x, y, z = rel.triples[0]
-        sig = {}
-        xbase = x * nu2
-        yz = y * nu + z
-        xy = xbase + y * nu
-        for w in range(nu):
-            key = (labels[w * nu2 + yz], labels[xbase + w * nu + z],
-                   labels[xy + w])
-            sig[key] = sig.get(key, 0) + 1
-        rep_sigs.append(sig)
+    # After condition 1 every class meets the first rows of the cube.
+    cells = range(nu**3) if full_check else map(labels.index, range(n))
+    sigs, bad = _signatures(labels, nu, n, cells)
+    if bad:
+        idx, sig = bad
+        l = labels[idx]
+        sig, want = Counter(sig), Counter(sigs[l])
+        key = min(k for k in sig.keys() | want.keys() if sig[k] != want[k])
+        t = ground.triple(idx)
+        return ViolationReport(
+            condition=2, relations=(l,) + key,
+            witness=(t, key, sig[key], want[key]),
+            message=f"count for pattern {key} at {t} in relation {l} is "
+                    f"{sig[key]}, expected {want[key]}")
 
-    if full_check:
-        for x in range(nu):
-            xbase = x * nu2
-            for y in range(nu):
-                xy = xbase + y * nu
-                for z in range(nu):
-                    l = labels[xy + z]
-                    yz = y * nu + z
-                    sig = {}
-                    for w in range(nu):
-                        key = (labels[w * nu2 + yz],
-                               labels[xbase + w * nu + z], labels[xy + w])
-                        sig[key] = sig.get(key, 0) + 1
-                    if sig != rep_sigs[l]:
-                        bad = next(k for k in set(sig) | set(rep_sigs[l])
-                                   if sig.get(k, 0) != rep_sigs[l].get(k, 0))
-                        return ViolationReport(
-                            condition=2, relations=(l,) + bad,
-                            witness=((x, y, z), bad, sig.get(bad, 0),
-                                     rep_sigs[l].get(bad, 0)),
-                            message=f"count for pattern {bad} at {(x, y, z)} "
-                                    f"in relation {l} is {sig.get(bad, 0)}, "
-                                    f"expected {rep_sigs[l].get(bad, 0)}")
-
-    rows = tuple(zip(firsts, seconds, thirds))
+    rows = tuple(zip(*columns, thirds))
     forced = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
     if rows[:4] != forced:
         raise ConsistencyError(
             f"trivial valency rows {rows[:4]} differ from forced {forced}")
 
     scheme = AstScheme(partition=partition, valencies=ValencyTable(rows))
-    scheme.__dict__["labels"] = tuple(labels)
-    scheme.__dict__["tensor"] = _tensor_from_sigs(len(classes), rep_sigs)
+    scheme.__dict__["tensor"] = _tensor_from_sigs(n, sigs)
     return scheme
 
 
@@ -514,46 +591,13 @@ def ensure_ast(partition: TriplePartition, full_check=None) -> AstScheme:
     return result
 
 
-def _tensor_from_sigs(n_classes, rep_sigs) -> IntersectionTensor:
+def _tensor_from_sigs(n_classes, sigs) -> IntersectionTensor:
     c = n_classes
     values = [0] * c**4
-    for l, sig in enumerate(rep_sigs):
-        for (i, j, k), count in sig.items():
+    for l, sig in enumerate(sigs):
+        for (i, j, k), count in Counter(sig).items():
             values[((i * c + j) * c + k) * c + l] = count
     return IntersectionTensor(classes=c, values=tuple(values))
-
-
-def _compute_tensor(scheme: AstScheme, full_check) -> IntersectionTensor:
-    nu = scheme.nu
-    nu2 = nu * nu
-    labels = scheme.labels
-    if full_check is None:
-        full_check = nu <= FULL_CHECK_LIMIT
-    n_classes = scheme.m + 1
-    rep_sigs = [None] * n_classes
-    if full_check:
-        cells = range(nu**3)
-    else:
-        cells = [scheme.ground.index(rel.triples[0]) for rel in scheme.classes]
-    for idx in cells:
-        l = labels[idx]
-        xy, z = divmod(idx, nu)
-        x, y = divmod(xy, nu)
-        xbase = x * nu2
-        yz = y * nu + z
-        xyb = xbase + y * nu
-        sig = {}
-        for w in range(nu):
-            key = (labels[w * nu2 + yz], labels[xbase + w * nu + z],
-                   labels[xyb + w])
-            sig[key] = sig.get(key, 0) + 1
-        if rep_sigs[l] is None:
-            rep_sigs[l] = sig
-        elif rep_sigs[l] != sig:
-            raise ConsistencyError(
-                f"intersection numbers not constant on relation {l}; "
-                "the scheme was not verified")
-    return _tensor_from_sigs(n_classes, rep_sigs)
 
 
 def intersection_numbers(scheme: AstScheme, full_check=None) -> IntersectionTensor:
@@ -566,12 +610,14 @@ def intersection_numbers(scheme: AstScheme, full_check=None) -> IntersectionTens
     """
     if full_check is None:
         return scheme.tensor
-    return _compute_tensor(scheme, full_check)
-
-
-def valencies(scheme: AstScheme) -> ValencyTable:
-    """The cached valency table of a verified scheme."""
-    return scheme.valencies
+    nu, labels, n = scheme.nu, scheme.labels, scheme.m + 1
+    cells = range(nu**3) if full_check else map(labels.index, range(n))
+    sigs, bad = _signatures(labels, nu, n, cells)
+    if bad:
+        raise ConsistencyError(
+            f"intersection numbers not constant on relation "
+            f"{labels[bad[0]]}; the scheme was not verified")
+    return _tensor_from_sigs(n, sigs)
 
 
 # ---------------------------------------------------------------------------
@@ -580,42 +626,41 @@ def valencies(scheme: AstScheme) -> ValencyTable:
 # {"nu": nu, "relations": [[[x, y, z], ...], ...]} with relations ordered
 # R_0..R_m, triples lexicographic, all integers 0-based.
 
-def scheme_to_dict(obj) -> dict:
-    partition = obj.partition if isinstance(obj, AstScheme) else obj
-    return {
-        "nu": partition.ground.nu,
-        "relations": [[list(t) for t in rel.triples]
-                      for rel in partition.classes],
-    }
-
-
 def scheme_to_json(obj) -> str:
-    return json.dumps(scheme_to_dict(obj), sort_keys=True) + "\n"
+    """The JSON text of a scheme or partition, each class in cube order."""
+    partition = obj.partition if isinstance(obj, AstScheme) else obj
+    nu = partition.ground.nu
+    nu2 = nu * nu
+    relations = [[[idx // nu2, idx // nu % nu, idx % nu] for idx in cells]
+                 for cells in partition.cells()]
+    return json.dumps({"nu": nu, "relations": relations},
+                      sort_keys=True) + "\n"
 
 
-def partition_from_dict(data) -> TriplePartition:
-    if not isinstance(data, dict) or "nu" not in data or "relations" not in data:
-        raise StructuralError("scheme JSON needs 'nu' and 'relations'")
-    try:
-        ground = GroundSet(int(data["nu"]))
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"bad 'nu': {data['nu']!r}") from exc
-    rels = data["relations"]
-    if not isinstance(rels, list):
-        raise StructuralError("'relations' must be a list")
-    classes = []
-    for raw in rels:
-        try:
-            triples = tuple(tuple(int(c) for c in t) for t in raw)
-        except (TypeError, ValueError) as exc:
-            raise StructuralError(f"bad relation entry: {raw!r}") from exc
-        classes.append(TernaryRelation(ground, triples))
-    return TriplePartition(ground, tuple(classes))
-
-
-def partition_from_json(text: str) -> TriplePartition:
+def json_object(text: str, what: str, *keys) -> dict:
+    """The JSON object in ``text``, which must hold ``keys``; anything else
+    raises :class:`StructuralError`."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"invalid JSON: {exc}") from exc
-    return partition_from_dict(data)
+    if not isinstance(data, dict) or any(key not in data for key in keys):
+        raise StructuralError(
+            f"{what} JSON needs {' and '.join(map(repr, keys))}")
+    return data
+
+
+def json_int(data: dict, key: str) -> int:
+    try:
+        return int(data[key])
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"bad {key!r}: {data[key]!r}") from exc
+
+
+def partition_from_json(text: str) -> TriplePartition:
+    """Read scheme JSON; malformed input raises :class:`StructuralError`."""
+    data = json_object(text, "scheme", "nu", "relations")
+    ground = GroundSet(json_int(data, "nu"))
+    if not isinstance(data["relations"], list):
+        raise StructuralError("'relations' must be a list")
+    return TriplePartition(ground, data["relations"])

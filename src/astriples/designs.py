@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+from .core import json_int, json_object
 from .errors import PreconditionError, RefusalError, SizeGuardError, StructuralError
 
 #: Bound on the exhaustive regular-two-graph search.
@@ -36,13 +37,6 @@ class TwoGraph:
     @property
     def triple_set(self):
         return frozenset(self.triples)
-
-
-def _json_int(data, key):
-    try:
-        return int(data[key])
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"bad {key!r}: {data[key]!r}") from exc
 
 
 def _clean_subsets(v, raw, size, what):
@@ -190,13 +184,8 @@ def design_to_json(d: TwoDesign) -> str:
 
 
 def design_from_json(text: str) -> TwoDesign:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "v" not in data or "blocks" not in data:
-        raise StructuralError("design JSON needs 'v' and 'blocks'")
-    return verify_design(_json_int(data, "v"), data["blocks"])
+    data = json_object(text, "design", "v", "blocks")
+    return verify_design(json_int(data, "v"), data["blocks"])
 
 
 def two_graph_to_json(tg: TwoGraph) -> str:
@@ -205,10 +194,5 @@ def two_graph_to_json(tg: TwoGraph) -> str:
 
 
 def two_graph_from_json(text: str) -> TwoGraph:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "v" not in data or "triples" not in data:
-        raise StructuralError("two-graph JSON needs 'v' and 'triples'")
-    return verify_two_graph(_json_int(data, "v"), data["triples"])
+    data = json_object(text, "two-graph", "v", "triples")
+    return verify_two_graph(json_int(data, "v"), data["triples"])

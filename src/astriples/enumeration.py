@@ -19,15 +19,16 @@ Survivors are verified outright and reduced modulo point relabeling.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import permutations as _point_perms
+from itertools import product
 
-from .core import (COORD_PERMS, AstScheme, GroundSet, TernaryRelation,
-                   TriplePartition, ViolationReport, trivial_relations,
-                   verify_ast)
+from .core import (COORD_PERMS, AstScheme, GroundSet, TriplePartition,
+                   ViolationReport, trivial_cube, verify_ast)
 from .errors import PreconditionError, SizeGuardError
 from .permgroup import (PermutationGroup, _transversals, close, cycle_type,
-                        is_transitive)
+                        is_circulant_ast, is_transitive)
 
 #: Guards: full search with no invariance, and with a transitive group.
 TRIVIAL_GROUP_NU_LIMIT = 6
@@ -59,31 +60,22 @@ class AstIsomorphism:
     class_map: tuple[int, ...]
 
 
-def _distinct_triples(nu):
-    out = []
-    for x in range(nu):
-        for y in range(nu):
-            if y == x:
-                continue
-            for z in range(nu):
-                if z != x and z != y:
-                    out.append((x, y, z))
-    return out
-
-
-def _orbit_blocks(nu, group, triples, symmetric):
-    """Orbits of the invariance group on the given triples, optionally
-    merged with their coordinate-permutation images."""
-    index = {t: i for i, t in enumerate(triples)}
-    acts = [[index[g[x], g[y], g[z]] for x, y, z in triples]
+def _orbit_blocks(ground, group, cells, symmetric):
+    """Orbits of the invariance group on the given flat cell indices,
+    optionally merged with their coordinate-permutation images; each
+    block ascending, blocks ordered by least cell."""
+    nu = ground.nu
+    position = {idx: i for i, idx in enumerate(cells)}
+    triples = list(map(ground.triple, cells))
+    acts = [[position[(g[x] * nu + g[y]) * nu + g[z]] for x, y, z in triples]
             for g in (group.generators if group is not None else ())]
     if symmetric:
-        acts += [[index[t[a], t[b], t[c]] for t in triples]
+        acts += [[position[(t[a] * nu + t[b]) * nu + t[c]] for t in triples]
                  for a, b, c in COORD_PERMS[1:]]
-    orbits, _ = _transversals(range(len(triples)), acts, list.__getitem__,
-                              len(triples))
-    return sorted((tuple(sorted(triples[i] for i in orbit))
-                   for orbit in orbits), key=lambda ts: ts[0])
+    orbits, _ = _transversals(range(len(cells)), acts, list.__getitem__,
+                              len(cells))
+    return sorted((tuple(sorted(cells[i] for i in orbit))
+                   for orbit in orbits), key=lambda block: block[0])
 
 
 def _check_guards(task: EnumerationTask):
@@ -109,10 +101,10 @@ def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
     n_pairs = nu * nu
     block_pairs = []
     remaining = [0] * n_pairs
-    for ts in blocks:
+    for block in blocks:
         counts = {}
-        for x, y, _z in ts:
-            pid = x * nu + y
+        for idx in block:
+            pid = idx // nu
             counts[pid] = counts.get(pid, 0) + 1
             remaining[pid] += 1
         block_pairs.append(tuple(counts.items()))
@@ -237,35 +229,32 @@ def enumerate_asts(task: EnumerationTask) -> list[AstScheme]:
     cycle = None
     if task.circulant_only:
         cycle = _transitive_cycle(group, nu)
-    triples = _distinct_triples(nu)
-    blocks = _orbit_blocks(nu, group, triples, task.symmetric_only)
+    # The trivial relations, with 4 on the all-distinct cells to be colored.
+    base = trivial_cube(nu, 4)
+    cells = [idx for idx, label in enumerate(base) if label == 4]
+    blocks = _orbit_blocks(task.ground, group, cells, task.symmetric_only)
 
     sigma_block_images = []
     if not task.symmetric_only:
-        block_of = {}
-        for i, ts in enumerate(blocks):
-            for t in ts:
-                block_of[t] = i
+        block_of = {idx: i for i, block in enumerate(blocks) for idx in block}
+        leads = [task.ground.triple(block[0]) for block in blocks]
         for a, b, c in COORD_PERMS[1:]:
-            sigma_block_images.append(
-                tuple(block_of[t[a], t[b], t[c]] for t in (ts[0] for ts in blocks)))
+            sigma_block_images.append(tuple(
+                block_of[(t[a] * nu + t[b]) * nu + t[c]] for t in leads))
 
-    trivial = tuple(trivial_relations(task.ground))
     found = []
     seen_keys = {}
     for coloring in _search_colorings(nu, blocks, sigma_block_images,
                                       task.max_nontrivial_classes,
                                       task.node_limit):
-        n_classes = max(coloring) + 1
-        grouped = [[] for _ in range(n_classes)]
-        for b, color in enumerate(coloring):
-            grouped[color].extend(blocks[b])
-        classes = trivial + tuple(
-            TernaryRelation(task.ground, tuple(sorted(ts))) for ts in grouped)
-        result = verify_ast(TriplePartition(task.ground, classes))
+        labels = array("H", base)
+        for block, color in zip(blocks, coloring):
+            for idx in block:
+                labels[idx] = 4 + color
+        result = verify_ast(TriplePartition.from_labels(task.ground, labels))
         if isinstance(result, ViolationReport):
             continue
-        if cycle is not None and not _all_invariant(result, cycle):
+        if cycle is not None and not is_circulant_ast(result, cycle):
             continue
         if nu <= CANONICAL_NU_LIMIT:
             key = canonical_key(result)
@@ -276,16 +265,8 @@ def enumerate_asts(task: EnumerationTask) -> list[AstScheme]:
             if all(are_isomorphic(result, other) is None
                    for _k, other in found):
                 found.append((result.serialized(), result))
-    found.sort(key=lambda pair: (len(pair[1].classes), pair[0]))
+    found.sort(key=lambda pair: (pair[1].m, pair[0]))
     return [scheme for _key, scheme in found]
-
-
-def _all_invariant(scheme, cycle):
-    for i in scheme.nontrivial_labels:
-        ts = scheme.relation(i).triple_set
-        if any((cycle[x], cycle[y], cycle[z]) not in ts for x, y, z in ts):
-            return False
-    return True
 
 
 def _transitive_cycle(group, nu):
@@ -320,9 +301,8 @@ def enumerate_circulant(nu: int) -> list[AstScheme]:
 
 
 def _class_profiles(scheme):
-    table = scheme.valencies
-    return [(len(rel.triples),) + table.rows[i]
-            for i, rel in enumerate(scheme.classes)]
+    return [(size,) + row for size, row in
+            zip(scheme.partition.sizes, scheme.valencies.rows)]
 
 
 def are_isomorphic(s: AstScheme, t: AstScheme):
@@ -346,24 +326,20 @@ def are_isomorphic(s: AstScheme, t: AstScheme):
 
     def check_new_point(depth):
         # all triples inside the assigned prefix that involve the new point
-        pts = range(depth + 1)
-        for x in pts:
-            for y in pts:
-                for z in pts:
-                    if depth not in (x, y, z):
-                        continue
-                    li = labels_s[(x * nu + y) * nu + z]
-                    image = (point_map[x] * nu + point_map[y]) * nu + point_map[z]
-                    lj = labels_t[image]
-                    if li in class_map:
-                        if class_map[li] != lj:
-                            return False
-                    elif lj in class_inv or profiles_s[li] != profiles_t[lj]:
-                        return False
-                    else:
-                        class_map[li] = lj
-                        class_inv[lj] = li
-                        map_log.append((li, lj))
+        for x, y, z in product(range(depth + 1), repeat=3):
+            if depth not in (x, y, z):
+                continue
+            li = labels_s[(x * nu + y) * nu + z]
+            lj = labels_t[(point_map[x] * nu + point_map[y]) * nu + point_map[z]]
+            if li in class_map:
+                if class_map[li] != lj:
+                    return False
+            elif lj in class_inv or profiles_s[li] != profiles_t[lj]:
+                return False
+            else:
+                class_map[li] = lj
+                class_inv[lj] = li
+                map_log.append((li, lj))
         return True
 
     def backtrack(depth):
@@ -405,9 +381,7 @@ def canonical_key(scheme: AstScheme) -> tuple:
     best = None
     for perm in _point_perms(range(nu)):
         relabeled = [0] * (nu * nu2)
-        for idx, lab in enumerate(labels):
-            xy, z = divmod(idx, nu)
-            x, y = divmod(xy, nu)
+        for (x, y, z), lab in zip(product(range(nu), repeat=3), labels):
             relabeled[(perm[x] * nu + perm[y]) * nu + perm[z]] = lab
         rename = {0: 0, 1: 1, 2: 2, 3: 3}
         out = []

@@ -111,31 +111,15 @@ class FiniteField:
             total = total * self.p + (c % self.p)
         return total
 
-    def elements(self):
-        return range(self.q)
-
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        total, mult = 0, 1
-        for _ in range(self.k):
-            total += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return total
+        return self.element(map(int.__add__, self.coeffs(a), self.coeffs(b)))
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        p = self.p
-        total, mult = 0, 1
-        for _ in range(self.k):
-            total += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return total
+        return self.element(-c for c in self.coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -170,13 +154,7 @@ class FiniteField:
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result = 1
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+        return self._pow_raw(a, n)
 
     def inv(self, a: int) -> int:
         if a == 0:

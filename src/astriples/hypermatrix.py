@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .core import COORD_PERMS, AstScheme, TernaryRelation, is_symmetric_ast
+from .core import COORD_PERMS, AstScheme, is_symmetric_ast
 from .errors import ConsistencyError, PreconditionError
 
 #: Dense storage bound; products above this are refused.
@@ -49,14 +50,6 @@ class CubicHypermatrix:
     @classmethod
     def zeros(cls, nu):
         return cls(nu, (0,) * nu**3)
-
-    @classmethod
-    def from_relation(cls, rel: TernaryRelation):
-        nu = rel.ground.nu
-        entries = [0] * nu**3
-        for x, y, z in rel.triples:
-            entries[(x * nu + y) * nu + z] = 1
-        return cls(nu, entries)
 
     def __getitem__(self, xyz):
         x, y, z = xyz
@@ -107,7 +100,8 @@ def adjacency(scheme: AstScheme, i: int) -> CubicHypermatrix:
     """The 0/1 adjacency hypermatrix of relation i."""
     if not 0 <= i <= scheme.m:
         raise PreconditionError(f"relation label {i} out of range 0..{scheme.m}")
-    return CubicHypermatrix.from_relation(scheme.relation(i))
+    return CubicHypermatrix(scheme.nu, [1 if label == i else 0
+                                        for label in scheme.labels])
 
 
 def _product_bitset(a, b, c):
@@ -287,13 +281,6 @@ class AlgebraElement:
         coeffs[i] = 1
         return cls(scheme, tuple(coeffs))
 
-    @classmethod
-    def from_support(cls, scheme, support: dict):
-        coeffs = [0] * (scheme.m + 1)
-        for i, v in support.items():
-            coeffs[i] = v
-        return cls(scheme, tuple(coeffs))
-
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.coeffs) if v)
@@ -304,21 +291,11 @@ class AlgebraElement:
     def scaled(self, c):
         return AlgebraElement(self.scheme, tuple(c * v for v in self.coeffs))
 
-    def __add__(self, other):
-        if not isinstance(other, AlgebraElement) or other.scheme is not self.scheme:
-            return NotImplemented
-        return AlgebraElement(
-            self.scheme, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def expand(self) -> CubicHypermatrix:
         """The hypermatrix sum of the scaled adjacency hypermatrices."""
-        nu = self.scheme.nu
-        out = [0] * nu**3
-        for i, coeff in enumerate(self.coeffs):
-            if coeff:
-                for x, y, z in self.scheme.relation(i).triples:
-                    out[(x * nu + y) * nu + z] = coeff
-        return CubicHypermatrix(nu, out)
+        coeffs = [c if c else 0 for c in self.coeffs]
+        return CubicHypermatrix(self.scheme.nu,
+                                map(coeffs.__getitem__, self.scheme.labels))
 
 
 def product_in_coefficients(x: AlgebraElement, y: AlgebraElement,
@@ -353,26 +330,6 @@ def product_in_coefficients(x: AlgebraElement, y: AlgebraElement,
             "nontrivial product produced support on a trivial label; "
             "the tensor is corrupt")
     return AlgebraElement(scheme, tuple(out))
-
-
-def _basis_product(scheme, vec_x, vec_y, vec_z):
-    """Dense-vector trilinear product used by the nesting checks."""
-    tensor = scheme.tensor
-    out = [0] * (scheme.m + 1)
-    for i, xi in enumerate(vec_x):
-        if not xi:
-            continue
-        for j, yj in enumerate(vec_y):
-            if not yj:
-                continue
-            xy = xi * yj
-            for k, zk in enumerate(vec_z):
-                if zk:
-                    coeff = xy * zk
-                    for l, p in enumerate(tensor.slice(i, j, k)):
-                        if p:
-                            out[l] += coeff * p
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -449,37 +406,19 @@ def associativity_counterexample(scheme: AstScheme):
     The ternary notion compared is the three placements of the inner
     product in a 5-factor expression: (xyz)uv, x(yzu)v and xy(zuv).
     """
-    nontrivial = list(scheme.nontrivial_labels)
-    n = scheme.m + 1
-
-    def basis(i):
-        vec = [0] * n
-        vec[i] = 1
-        return tuple(vec)
-
-    tensor = scheme.tensor
-    inner = {}
-    for a in nontrivial:
-        for b in nontrivial:
-            for c in nontrivial:
-                inner[a, b, c] = tensor.slice(a, b, c)
-    for a in nontrivial:
-        ea = basis(a)
-        for b in nontrivial:
-            eb = basis(b)
-            for c in nontrivial:
-                ec = basis(c)
-                for d in nontrivial:
-                    ed = basis(d)
-                    for e in nontrivial:
-                        ee = basis(e)
-                        left = _basis_product(scheme, inner[a, b, c], ed, ee)
-                        mid = _basis_product(scheme, ea, inner[b, c, d], ee)
-                        if left != mid:
-                            return ((a, b, c, d, e), left, mid, None)
-                        right = _basis_product(scheme, ea, eb, inner[c, d, e])
-                        if mid != right:
-                            return ((a, b, c, d, e), left, mid, right)
+    nontrivial = scheme.nontrivial_labels
+    basis = {i: AlgebraElement.basis(scheme, i) for i in nontrivial}
+    # Products of nontrivial basis elements have nontrivial support only.
+    inner = {abc: AlgebraElement(scheme, scheme.tensor.slice(*abc))
+             for abc in product(nontrivial, repeat=3)}
+    for a, b, c, d, e in product(nontrivial, repeat=5):
+        left = product_in_coefficients(inner[a, b, c], basis[d], basis[e])
+        mid = product_in_coefficients(basis[a], inner[b, c, d], basis[e])
+        if left.coeffs != mid.coeffs:
+            return ((a, b, c, d, e), left.coeffs, mid.coeffs, None)
+        right = product_in_coefficients(basis[a], basis[b], inner[c, d, e])
+        if mid.coeffs != right.coeffs:
+            return ((a, b, c, d, e), left.coeffs, mid.coeffs, right.coeffs)
     return None
 
 
@@ -492,25 +431,17 @@ def weak_associativity_check(scheme: AstScheme) -> bool:
     if not is_symmetric_ast(scheme):
         raise PreconditionError(
             "the weak associative law is only claimed for symmetric schemes")
-    n = scheme.m + 1
     tensor = scheme.tensor
-
-    def basis(i):
-        vec = [0] * n
-        vec[i] = 1
-        return tuple(vec)
-
     for i in scheme.nontrivial_labels:
-        ei = basis(i)
+        ei = AlgebraElement.basis(scheme, i)
         for j in scheme.nontrivial_labels:
-            ej = basis(j)
-            iij = tensor.slice(i, i, j)
-            iji = tensor.slice(i, j, i)
-            jii = tensor.slice(j, i, i)
-            left = _basis_product(scheme, iij, ei, ei)
-            mid = _basis_product(scheme, ei, iji, ei)
-            right = _basis_product(scheme, ei, ei, jii)
-            if not (left == mid == right):
+            iij = AlgebraElement(scheme, tensor.slice(i, i, j))
+            iji = AlgebraElement(scheme, tensor.slice(i, j, i))
+            jii = AlgebraElement(scheme, tensor.slice(j, i, i))
+            left = product_in_coefficients(iij, ei, ei)
+            mid = product_in_coefficients(ei, iji, ei)
+            right = product_in_coefficients(ei, ei, jii)
+            if not (left.coeffs == mid.coeffs == right.coeffs):
                 return False
     return True
 

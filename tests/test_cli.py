@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import astriples as at
 from astriples.cli import run
@@ -72,11 +75,6 @@ def test_malformed_json_exits_two(tmp_path, capsys):
 
 def test_unknown_command_exits_two(capsys):
     assert run(["frobnicate"]) == 2
-    capsys.readouterr()
-
-
-def test_bad_threads_exits_two(capsys):
-    assert run(["--threads", "0", "oracle", "asl2", "--q", "2"]) == 2
     capsys.readouterr()
 
 
@@ -253,8 +251,7 @@ def test_output_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     assert run(["construct", "--group", "psl2:5", "--out", str(a)]) == 0
-    assert run(["--threads", "4", "construct", "--group", "psl2:5",
-                "--out", str(b)]) == 0
+    assert run(["construct", "--group", "psl2:5", "--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
 
@@ -284,3 +281,80 @@ def test_construct_asl2_9(capsys):
     out = capsys.readouterr().out
     assert "group order 58320 on 81 points" in out
     assert "nu=81 classes=19 " in out
+
+
+def _tree_digest(path):
+    """sha256 of a file, or of a directory's sorted (name, sha256) lines."""
+    if path.is_file():
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    lines = sorted(f"{p.relative_to(path).as_posix()}\t{_tree_digest(p)}\n"
+                   for p in path.rglob("*") if p.is_file())
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+# Artefact digests pinned so that any drift of the file formats fails here.
+GOLDEN = {
+    "construct_asl2_3":
+        "006da8de17a74c97b68c53b34d2dfe716cefcf4f17e06f4e84e1f6f7936b0102",
+    "params_tensor_asl2_3":
+        "1d5e3b90faeb9b2230495514834cc06917902d8b6be84a5a3000605cf083623a",
+    "enumerate_nu5_dir":
+        "6968b56c00e98e01a43bc1e98c8f8e112240715dae17e2bcdd4ee8f85302a421",
+}
+
+
+def test_golden_artefact_digests(tmp_path, capsys):
+    scheme_path = tmp_path / "s.json"
+    tensor_path = tmp_path / "t.json"
+    census_dir = tmp_path / "e5"
+    assert run(["construct", "--group", "asl2:3",
+                "--out", str(scheme_path)]) == 0
+    assert run(["params", str(scheme_path),
+                "--tensor", str(tensor_path)]) == 0
+    assert run(["enumerate", "--nu", "5", "--out", str(census_dir)]) == 0
+    capsys.readouterr()
+    assert {"construct_asl2_3": _tree_digest(scheme_path),
+            "params_tensor_asl2_3": _tree_digest(tensor_path),
+            "enumerate_nu5_dir": _tree_digest(census_dir)} == GOLDEN
+
+
+def _three_point_relations():
+    from conftest import THREE_POINT_RELATIONS
+    return [[list(t) for t in rel] for rel in THREE_POINT_RELATIONS]
+
+
+def _reader_cases():
+    overlap = _three_point_relations()
+    overlap[1].append([0, 1, 2])
+    uncovered = _three_point_relations()
+    uncovered[4].pop()
+    out_of_range = _three_point_relations()
+    out_of_range[4][0] = [0, 1, 3]
+    short = _three_point_relations()
+    short[4][0] = [0, 1]
+    # 41^3 = 68921 singleton classes: a partition of the cube, but more
+    # labels than the 16-bit cube holds
+    singletons = [[[x, y, z]] for x in range(41) for y in range(41)
+                  for z in range(41)]
+    return [("overlap", {"nu": 3, "relations": overlap}, "lies in classes"),
+            ("uncovered", {"nu": 3, "relations": uncovered}, "the cube has"),
+            ("out_of_range", {"nu": 3, "relations": out_of_range},
+             "out of range"),
+            ("two_coordinates", {"nu": 3, "relations": short},
+             "is not a triple"),
+            ("too_many_labels", {"nu": 41, "relations": singletons},
+             "at most 65535"),
+            ("huge_nu", {"nu": 10**6, "relations": [[[0, 0, 0]]]},
+             "the cube has")]
+
+
+@pytest.mark.parametrize("name, payload, message", _reader_cases(),
+                         ids=[case[0] for case in _reader_cases()])
+def test_scheme_reader_refuses_malformed_files(tmp_path, name, payload,
+                                               message):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    proc = _cli_process("verify", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage error:") and message in proc.stderr

@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -389,3 +390,79 @@ def test_vanishing_entry_tables():
     assert VANISHING_STRICT[:7] == VANISHING_LENIENT[:7]
     assert VANISHING_STRICT[7] == (5, 5, 4, 4)
     assert VANISHING_LENIENT[7] == (5, 5, 4, 5)
+
+
+def test_ast_from_group_builds_one_pair_transversal(monkeypatch):
+    # is_two_transitive and orbits_on_triples share the group's cached
+    # pair transversal
+    from astriples import permgroup
+    calls = []
+    real = permgroup._pair_transversal
+    monkeypatch.setattr(permgroup, "_pair_transversal",
+                        lambda group: calls.append(group) or real(group))
+    for group in (at.asl2_group(3), at.agl1_group(7), at.psl2_group(5)):
+        calls.clear()
+        at.ast_from_group(group)
+        assert calls == [group]
+
+
+def _random_grouping(rng, m):
+    """A random set partition of the nontrivial labels 4..m."""
+    blocks = []
+    for label in range(4, m + 1):
+        k = rng.randrange(len(blocks) + 1)
+        if k == len(blocks):
+            blocks.append([])
+        blocks[k].append(label)
+    return at.FusionGrouping(((0,), (1,), (2,), (3,)) + tuple(map(tuple, blocks)))
+
+
+def _naive_fission(fine, coarse):
+    """The grouping putting each fine class into the one coarse class that
+    contains it, or None when some fine class lies in none."""
+    groups = [[] for _ in coarse]
+    for i, rel in enumerate(fine):
+        hits = [alpha for alpha, c in enumerate(coarse) if rel <= c]
+        if len(hits) != 1:
+            return None
+        groups[hits[0]].append(i)
+    return at.FusionGrouping(tuple(map(tuple, groups)))
+
+
+def test_fuse_fission_and_tensor_match_naive_on_random_groupings(
+        three_point, fano_scheme, asl2_schemes):
+    # differential fuzz: fuse, is_fission_of and the tensor against the
+    # brute-force reference, on seeded random groupings
+    from naive import naive_full_tensor, naive_is_ast
+    rng = random.Random(4401)
+    schemes = {"three_point": three_point, "fano": fano_scheme,
+               "asl2:3": asl2_schemes[3][0],
+               "agl1:7": at.ast_from_group(at.agl1_group(7))}
+    verdicts = set()
+    for name, scheme in schemes.items():
+        nu = scheme.nu
+        fine = [rel.triple_set for rel in scheme.classes]
+        want = naive_full_tensor(nu, fine)
+        assert {key: v for key, v in zip(product(range(scheme.m + 1),
+                                                 repeat=4),
+                                         scheme.tensor.values) if v} == want
+        for _ in range(6):
+            grouping = _random_grouping(rng, scheme.m)
+            coarse = [frozenset().union(*(fine[i] for i in group))
+                      for group in grouping.groups]
+            ok, _reason = naive_is_ast(nu, coarse)
+            fused = at.fuse(scheme, grouping)
+            assert isinstance(fused, at.AstScheme) == ok, (name, grouping)
+            verdicts.add(ok)
+            if not ok:
+                continue
+            assert [rel.triple_set for rel in fused.classes] == coarse
+            want = naive_full_tensor(nu, coarse)
+            assert {key: v for key, v in zip(product(range(fused.m + 1),
+                                                     repeat=4),
+                                             fused.tensor.values) if v} == want
+            assert at.is_fission_of(scheme, fused) == grouping == \
+                _naive_fission(fine, coarse)
+            assert at.is_fission_of(fused, scheme) == \
+                _naive_fission(coarse, fine)
+    assert verdicts == {True, False}

@@ -44,7 +44,6 @@ def test_relation_normalization_and_membership():
     rel = at.TernaryRelation(ground, ((2, 1, 0), (0, 1, 2), (2, 1, 0)))
     assert rel.triples == ((0, 1, 2), (2, 1, 0))
     assert (0, 1, 2) in rel and (1, 1, 1) not in rel
-    assert rel.mask == (1 << 5) | (1 << 21)  # indices 0*9+1*3+2small, 2*9+1*3
     with pytest.raises(at.StructuralError):
         at.TernaryRelation(ground, ((0, 1, 3),))
 
@@ -251,12 +250,6 @@ def test_condition_three_closure_on_labels(three_point):
     assert swap_first_last[4] == 4
 
 
-def test_diagonal_counts_recorded(three_point):
-    assert three_point.diagonal_third_counts(0) == (1, 1, 1)
-    assert three_point.diagonal_third_counts(3) == (2, 2, 2)
-    assert three_point.diagonal_third_counts(4) == (0, 0, 0)
-
-
 def test_partition_property(constructed_schemes):
     for name, scheme in constructed_schemes.items():
         assert sum(len(rel) for rel in scheme.classes) == scheme.nu**3, name
@@ -345,3 +338,87 @@ def test_full_check_default_matches_explicit(three_point):
         at.intersection_numbers(three_point, full_check=True).values
     assert at.intersection_numbers(three_point, full_check=False).values == \
         three_point.tensor.values
+
+
+def test_partition_stores_only_the_label_cube(three_point):
+    ground = at.GroundSet(3)
+    partition = at.TriplePartition(ground, THREE_POINT_RELATIONS)
+    assert set(vars(partition)) == {"ground", "labels"}
+    assert partition.labels.typecode == "H"
+    assert list(partition.labels) == [
+        next(i for i, rel in enumerate(THREE_POINT_RELATIONS) if t in rel)
+        for t in product(range(3), repeat=3)]
+    assert partition.sizes == (3, 6, 6, 6, 6) and partition.m == 4
+    assert partition == three_point.partition
+    assert hash(partition) == hash(three_point.partition)
+    assert three_point.labels is three_point.partition.labels
+    assert [rel.triples for rel in partition.classes] == \
+        [tuple(sorted(rel)) for rel in THREE_POINT_RELATIONS]
+    same = at.TriplePartition.from_labels(ground, list(partition.labels))
+    assert same == partition
+
+
+def test_partition_boundary_errors():
+    ground = at.GroundSet(3)
+    rels = [list(rel) for rel in THREE_POINT_RELATIONS]
+    cases = {
+        "on a different ground set":
+            [at.TernaryRelation(at.GroundSet(4), ((0, 0, 0),))] + rels,
+        "bad relation entry": rels + [5],
+        "the cube has 27": rels[:4],
+        "lies in classes 1 and 4":
+            rels[:4] + [rels[4] + [(0, 1, 1)]],
+        "class 5 is empty": rels + [[]],
+        "is not a triple": rels[:4] + [[(0, 1)] + rels[4][1:]],
+        "out of range": rels[:4] + [[(0, 1, 3)] + rels[4][1:]],
+        "lies in classes 4 and 4": rels[:4] + [rels[4] + rels[4][:1]],
+    }
+    for message, classes in cases.items():
+        with pytest.raises(at.StructuralError, match=message):
+            at.TriplePartition(ground, classes)
+    with pytest.raises(at.StructuralError, match="at most 65535"):
+        at.TriplePartition(at.GroundSet(41),
+                           [[t] for t in product(range(41), repeat=3)])
+
+
+def test_from_labels_checks_the_cube():
+    ground = at.GroundSet(3)
+    with pytest.raises(at.StructuralError, match="26 labels"):
+        at.TriplePartition.from_labels(ground, [0] * 26)
+    with pytest.raises(at.StructuralError, match="class 1 is empty"):
+        at.TriplePartition.from_labels(ground, [0] * 26 + [2])
+    for label in (65535, 70000):
+        with pytest.raises(at.StructuralError, match="labels must lie"):
+            at.TriplePartition.from_labels(ground, [0] * 26 + [label])
+
+
+def test_class_action_matches_relation_images(constructed_schemes):
+    # the cube routine behind condition 3 agrees with imaging the triples
+    for name, scheme in constructed_schemes.items():
+        index = {rel.triples: i for i, rel in enumerate(scheme.classes)}
+        action = at.coordinate_class_action(scheme)
+        for sigma in COORD_PERMS:
+            assert action[sigma] == tuple(
+                index[at.permute_relation(rel, sigma).triples]
+                for rel in scheme.classes), (name, sigma)
+        assert at.is_symmetric_ast(scheme) == all(
+            at.is_symmetric_relation(scheme.relation(i))
+            for i in scheme.nontrivial_labels), name
+
+
+def test_verify_ast_condition_three_failure():
+    # (x, y, z) in class 4 iff z is the smaller of the two points left by
+    # (x, y): both classes have third valency 1, but swapping the last two
+    # coordinates splits class 4 between the classes
+    ground = at.GroundSet(4)
+    distinct = [t for t in product(range(4), repeat=3) if len(set(t)) == 3]
+    low = [t for t in distinct if t[2] == min({0, 1, 2, 3} - set(t[:2]))]
+    high = [t for t in distinct if t not in low]
+    classes = at.trivial_relations(ground) + [low, high]
+    ok, _reason = naive_is_ast(4, [set(r.triples) for r in classes[:4]]
+                               + [set(low), set(high)])
+    assert not ok
+    report = at.verify_ast(at.TriplePartition(ground, classes))
+    assert isinstance(report, at.ViolationReport)
+    assert (report.condition, report.relations, report.witness) == \
+        (3, (4,), ((0, 2, 1),))

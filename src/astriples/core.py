@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
@@ -627,14 +627,23 @@ def intersection_numbers(scheme: AstScheme, full_check=None) -> IntersectionTens
 # R_0..R_m, triples lexicographic, all integers 0-based.
 
 def scheme_to_json(obj) -> str:
-    """The JSON text of a scheme or partition, each class in cube order."""
+    """The JSON text of a scheme or partition, each class in cube order:
+    the bytes of ``json.dumps``, written per pair from ``"[x, y, "``."""
     partition = obj.partition if isinstance(obj, AstScheme) else obj
     nu = partition.ground.nu
-    nu2 = nu * nu
-    relations = [[[idx // nu2, idx // nu % nu, idx % nu] for idx in cells]
-                 for cells in partition.cells()]
-    return json.dumps({"nu": nu, "relations": relations},
-                      sort_keys=True) + "\n"
+    labels = partition.labels
+    ends = [f"{z}]" for z in range(nu)]
+    chunks = [[] for _ in partition.sizes]
+    for pair in range(nu * nu):
+        start, parts = f"[{pair // nu}, {pair % nu}, ", defaultdict(list)
+        for label, text in zip(labels[pair * nu:(pair + 1) * nu],
+                               map(start.__add__, ends)):
+            parts[label].append(text)
+        for label, texts in parts.items():
+            chunks[label].append(", ".join(texts))
+    relations = ", ".join("[" + ", ".join(chunks.pop(0)) + "]"
+                          for _ in partition.sizes)
+    return f'{{"nu": {nu}, "relations": [{relations}]}}\n'
 
 
 def json_object(text: str, what: str, *keys) -> dict:

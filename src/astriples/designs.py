@@ -8,6 +8,7 @@ from itertools import combinations
 
 from .core import json_int, json_object
 from .errors import PreconditionError, RefusalError, SizeGuardError, StructuralError
+from .permgroup import ORBIT_DEGREE_LIMIT
 
 #: Bound on the exhaustive regular-two-graph search.
 TWO_GRAPH_SEARCH_LIMIT = 8
@@ -40,6 +41,10 @@ class TwoGraph:
 
 
 def _clean_subsets(v, raw, size, what):
+    # The checks scan all point pairs or 4-subsets: refuse before that.
+    if v > ORBIT_DEGREE_LIMIT:
+        raise SizeGuardError(f"{what}s are checked on at most "
+                             f"{ORBIT_DEGREE_LIMIT} points, got {v}")
     cleaned = []
     try:
         entries = list(raw)
@@ -149,8 +154,11 @@ def find_regular_two_graphs(nu: int, proper: bool = True) -> list[TwoGraph]:
     Every switching class contains exactly one graph in which the last
     point is isolated, so scanning all graphs on the first nu - 1 points
     visits each two-graph once; that is the symmetry pruning that keeps
-    the search at 2^C(nu-1, 2) candidates.  ``proper`` drops the empty and
-    complete families.
+    the search at 2^C(nu-1, 2) candidates, walked in Gray-code order as
+    neighbour bitmasks N.  {a, b} lies in |N(a) ^ N(b) - {a, b}| triples,
+    or in nu - 2 minus that when a ~ b; a graph is dropped at its first
+    pair off the count, and hits are confirmed by :func:`is_regular`.
+    ``proper`` drops the empty and complete families (counts 0, nu - 2).
     """
     if nu < 4:
         raise PreconditionError("search needs at least four points")
@@ -158,17 +166,28 @@ def find_regular_two_graphs(nu: int, proper: bool = True) -> list[TwoGraph]:
         raise SizeGuardError(
             f"two-graph search is guarded to nu <= {TWO_GRAPH_SEARCH_LIMIT}")
     pairs = list(combinations(range(nu - 1), 2))
-    all_triples = list(combinations(range(nu), 3))
-    triple_pairs = [tuple(combinations(t, 2)) for t in all_triples]
-    n_triples = len(all_triples)
+    flips = [(a, b, 1 << a | 1 << b) for a, b in pairs]
+    cap = nu - 2
+    nbr = [0] * nu
     found = []
-    for mask in range(1 << len(pairs)):
-        edges = {pairs[i] for i in range(len(pairs)) if mask >> i & 1}
-        triples = tuple(
-            t for t, tp in zip(all_triples, triple_pairs)
-            if sum(1 for pair in tp if pair in edges) % 2)
-        if proper and (not triples or len(triples) == n_triples):
+    for step in range(1 << len(pairs)):
+        if step:
+            a, b, ab = flips[(step & -step).bit_length() - 1]
+            nbr[a] ^= 1 << b
+            nbr[b] ^= 1 << a
+        # Pairs with the isolated last point first: their count is a degree.
+        cover = nbr[0].bit_count()
+        if nbr[1].bit_count() != cover or proper and not 0 < cover < cap:
             continue
+        if any(n.bit_count() != cover for n in nbr[2:-1]):
+            continue
+        if any((nbr[a] ^ nbr[b]).bit_count() != cover if not nbr[a] >> b & 1
+               else cap - ((nbr[a] ^ nbr[b]) & ~ab).bit_count() != cover
+               for a, b, ab in flips):
+            continue
+        triples = tuple(t for t in combinations(range(nu), 3)
+                        if (nbr[t[0]] >> t[1] ^ nbr[t[0]] >> t[2]
+                            ^ nbr[t[1]] >> t[2]) & 1)
         tg = TwoGraph(v=nu, triples=triples)
         if is_regular(tg):
             found.append(tg)

@@ -4,12 +4,14 @@ Candidates are built from the invariance group's orbits on the
 all-distinct triples (the nontrivial cells): every scheme whose
 nontrivial relations are unions of those orbits corresponds to a set
 partition of the orbit blocks.  The search walks restricted-growth
-colorings of the blocks in lexicographic order and prunes hard:
+colorings of the blocks in lexicographic order and prunes hard, testing
+before it changes any state:
 
-* third-valency bookkeeping: per-class completion counts of each ordered
-  distinct pair may never exceed the class valency; the first fully
-  assigned pair locks the number of classes and all their valencies, and
-  every later pair must reproduce them exactly;
+* third-valency bookkeeping: each class packs its per-pair completion
+  counts into one int, so the bound test is one addition and one mask;
+  the first block to complete a pair (fixed before the search) locks the
+  classes and their valencies, all nonzero and no count above them, and
+  as they sum to nu - 2 the bound then makes every completed pair exact;
 * coordinate-permutation maps: the image of a block under a coordinate
   permutation is again a block, so colors must induce a partial bijection
   on classes for each of the six permutations.
@@ -20,7 +22,9 @@ Survivors are verified outright and reduced modulo point relabeling.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations as _point_perms
 from itertools import product
 
@@ -97,124 +101,117 @@ def _check_guards(task: EnumerationTask):
 
 def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
     """Yield block colorings (class assignments) surviving the prunes."""
-    n_blocks = len(blocks)
-    n_pairs = nu * nu
-    block_pairs = []
-    remaining = [0] * n_pairs
-    for block in blocks:
-        counts = {}
-        for idx in block:
-            pid = idx // nu
-            counts[pid] = counts.get(pid, 0) + 1
-            remaining[pid] += 1
-        block_pairs.append(tuple(counts.items()))
+    n_blocks, cap = len(blocks), nu - 2
+    # One int per class holds its counts, a field of ``width`` bits per
+    # ordered pair; adding slack[v] sets a field's top bit iff it passes v.
+    per_pair = [Counter(idx // nu for idx in block) for block in blocks]
+    width = max([nu] + [max(c.values()) for c in per_pair]).bit_length() + 1
+    ones = sum(1 << width * pid for pid in range(nu * nu))
+    mask = (1 << width - 1) - 1
+    high = ones * (mask + 1)
+    slack = [(mask - v) * ones for v in range(cap + 1)]
+    vectors = [sum(c << width * pid for pid, c in counts.items())
+               for counts in per_pair]
+    # The first block to complete a pair locks the classes and valencies.
+    remaining = sum(per_pair, Counter())
+    for lock, counts in enumerate(per_pair):
+        remaining.subtract(counts)
+        done = [pid for pid in counts if not remaining[pid]]
+        if done:
+            break
+    first = width * done[0]
+    # Valencies are nonzero and sum to nu - 2, which bounds the classes.
+    limit = cap if max_classes is None else min(max_classes, cap)
+    checks = [[(s, images[b]) for s, images in enumerate(sigma_images)
+               if images[b] <= b] for b in range(n_blocks)]
 
     colors = [-1] * n_blocks
-    counts = []           # per class: per-pair completion counts
-    valency = []          # per class: locked third valency, or None
-    locked = [False]
-    maps = [({}, {}) for _ in sigma_images]  # per sigma: forward, inverse
-    nodes = [0]
-    cap = nu - 2
+    rows, bounds = [], []          # per class: counts, slack of its bound
+    fwd = [[-1] * (limit + 1) for _ in sigma_images]
+    inv = [[-1] * (limit + 1) for _ in sigma_images]
+    logs = [()] * n_blocks         # per block: sigma entries it added
+    lasts = [0] * n_blocks         # per block: the last color to try
+    nodes = 0
 
-    def try_place(b, color):
-        """Apply block b -> color; return an undo closure or None."""
-        new_class = color == len(counts)
-        if new_class:
-            if locked[0]:
-                return None
-            if max_classes is not None and len(counts) >= max_classes:
-                return None
-            counts.append([0] * n_pairs)
-            valency.append(None)
-        row = counts[color]
-        bound = valency[color] if locked[0] else cap
-        touched = []
-        ok = True
-        for pid, c in block_pairs[b]:
-            row[pid] += c
-            remaining[pid] -= c
-            touched.append((pid, c))
-            if row[pid] > bound:
-                ok = False
-                break
-        map_log = []
-        completed = []
-        did_lock = False
-        if ok:
-            colors[b] = color
-            for sidx, images in enumerate(sigma_images):
-                other = images[b]
-                if other > b:
-                    continue
-                fwd, inv = maps[sidx]
-                target = colors[other] if other != b else color
-                if color in fwd:
-                    if fwd[color] != target:
-                        ok = False
-                        break
-                elif target in inv:
-                    ok = False
-                    break
-                else:
-                    fwd[color] = target
-                    inv[target] = color
-                    map_log.append((sidx, color, target))
-        if ok:
-            completed = [pid for pid, _ in block_pairs[b] if remaining[pid] == 0]
-            if completed:
-                if not locked[0]:
-                    did_lock = True
-                    locked[0] = True
-                    first = completed[0]
-                    for c_idx, c_row in enumerate(counts):
-                        valency[c_idx] = c_row[first]
-                        if c_row[first] == 0:
-                            ok = False
-                if ok:
-                    for pid in completed:
-                        if any(c_row[pid] != valency[c_idx]
-                               for c_idx, c_row in enumerate(counts)):
-                            ok = False
-                            break
-
-        def undo():
-            for pid, c in touched:
-                row[pid] -= c
-                remaining[pid] += c
-            for sidx, key, target in map_log:
-                fwd, inv = maps[sidx]
-                del fwd[key]
-                del inv[target]
-            if did_lock:
-                locked[0] = False
-                for c_idx in range(len(valency)):
-                    valency[c_idx] = None
-            colors[b] = -1
-            if new_class:
-                counts.pop()
-                valency.pop()
-
-        if not ok:
-            undo()
-            return None
-        return undo
-
-    def walk(b):
-        nodes[0] += 1
-        if node_limit is not None and nodes[0] > node_limit:
+    def visit(b):
+        """Count a node; return the first color to try at block b."""
+        nonlocal nodes
+        nodes += 1
+        if node_limit is not None and nodes > node_limit:
             raise SizeGuardError(
                 f"enumeration search exceeded {node_limit} nodes")
         if b == n_blocks:
-            yield tuple(colors)
-            return
-        for color in range(len(counts) + 1):
-            undo = try_place(b, color)
-            if undo is not None:
-                yield from walk(b + 1)
-                undo()
+            return 0
+        n = len(rows)
+        start, last = 0, n if b <= lock and n < limit else n - 1
+        # A sigma map already defined on the image's class forces the color.
+        for s, other in checks[b]:
+            if other < b and inv[s][colors[other]] != -1:
+                start = max(start, inv[s][colors[other]])
+                last = min(last, inv[s][colors[other]])
+        lasts[b] = last
+        return start
 
-    yield from walk(0)
+    def unplace(b):
+        color, colors[b] = colors[b], -1
+        rows[color] -= vectors[b]
+        if not rows[color]:
+            del rows[color], bounds[color]
+        for s, target in logs[b]:
+            fwd[s][color] = inv[s][target] = -1
+        if b == lock:
+            bounds[:] = [slack[cap]] * len(bounds)
+        return color
+
+    b, color = 0, visit(0)
+    while True:
+        if color > lasts[b]:
+            b -= 1
+            if b < 0:
+                return
+            color = unplace(b) + 1
+            continue
+        n = len(rows)
+        row = vectors[b] + (rows[color] if color < n else 0)
+        if row + (bounds[color] if color < n else slack[cap]) & high:
+            color += 1
+            continue
+        added = []
+        for s, other in checks[b]:
+            target = colors[other] if other != b else color
+            image = fwd[s][color]
+            if image == -1 and inv[s][target] == -1:
+                added.append((s, target))
+            elif image != target:
+                break
+        else:
+            if b == lock:
+                # No count above its valency: with the sums equal, every
+                # completed pair then holds exactly the valencies.
+                trial = rows[:color] + [row] + rows[color + 1:]
+                valencies = [r >> first & mask for r in trial]
+                if not all(v and not (r + slack[v]) & high
+                           for r, v in zip(trial, valencies)):
+                    color += 1
+                    continue
+            if color < n:
+                rows[color] = row
+            else:
+                rows.append(row)
+                bounds.append(slack[cap])
+            if b == lock:
+                bounds[:] = [slack[v] for v in valencies]
+            for s, target in added:
+                fwd[s][color], inv[s][target] = target, color
+            logs[b], colors[b] = added, color
+            b += 1
+            color = visit(b)
+            if b < n_blocks:
+                continue
+            yield tuple(colors)
+            b -= 1
+            color = unplace(b)
+        color += 1
 
 
 def enumerate_asts(task: EnumerationTask) -> list[AstScheme]:
@@ -367,31 +364,42 @@ def are_isomorphic(s: AstScheme, t: AstScheme):
     return None
 
 
+@lru_cache(maxsize=None)
+def _permuted_indices(nu):
+    """Per point permutation p, the cells (p x, p y, p z) read in place of
+    the all-distinct cells (x, y, z), in cube order; the identity first."""
+    cells = [t for t in product(range(nu), repeat=3) if len(set(t)) == 3]
+    return [tuple((p[x] * nu + p[y]) * nu + p[z] for x, y, z in cells)
+            for p in _point_perms(range(nu))]
+
+
 def canonical_key(scheme: AstScheme) -> tuple:
     """Lexicographically least relabeled form over all point bijections.
 
-    Exact but factorial in nu; guarded to nu <= CANONICAL_NU_LIMIT.
+    Only the all-distinct cells move, read through cached index tables;
+    labels are renamed by first occurrence, and a permutation is dropped
+    once its prefix exceeds the best.  Exact but factorial in nu; guarded
+    to nu <= CANONICAL_NU_LIMIT.
     """
     nu = scheme.nu
     if nu > CANONICAL_NU_LIMIT:
         raise SizeGuardError(
             f"canonical forms are exact only up to nu={CANONICAL_NU_LIMIT}")
     labels = scheme.labels
-    nu2 = nu * nu
-    best = None
-    for perm in _point_perms(range(nu)):
-        relabeled = [0] * (nu * nu2)
-        for (x, y, z), lab in zip(product(range(nu), repeat=3), labels):
-            relabeled[(perm[x] * nu + perm[y]) * nu + perm[z]] = lab
-        rename = {0: 0, 1: 1, 2: 2, 3: 3}
-        out = []
-        next_label = 4
-        for lab in relabeled:
-            if lab not in rename:
-                rename[lab] = next_label
-                next_label += 1
-            out.append(rename[lab])
-        key = tuple(out)
-        if best is None or key < best:
-            best = key
-    return best
+    tables, best = _permuted_indices(nu), None
+    for src in tables:
+        rename, key, tie = {}, [], best is not None
+        for pos, idx in enumerate(src):
+            label = rename.setdefault(labels[idx], len(rename) + 4)
+            if tie and label != best[pos]:
+                if label > best[pos]:
+                    break
+                tie = False
+            key.append(label)
+        else:
+            if not tie:
+                best = key
+    out = list(labels)
+    for idx, label in zip(tables[0], best):
+        out[idx] = label
+    return tuple(out)

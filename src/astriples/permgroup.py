@@ -295,7 +295,6 @@ def _triple_rows(group: PermutationGroup):
     """
     n = group.degree
     orbits, u = group.pair_transversal
-    uinv = {c: inverse_perm(p) for c, p in u.items()}
     rows, orbit_of = [], {}
     for k, orbit in enumerate(orbits):
         orbit_of.update(dict.fromkeys(orbit, k))
@@ -307,7 +306,7 @@ def _triple_rows(group: PermutationGroup):
                 d = g[c // n] * n + g[c % n]
                 h = compose(u[c], g)
                 if h != u[d]:
-                    stab.add(compose(h, uinv[d]))
+                    stab.add(compose(h, inverse_perm(u[d])))
             if i & (i - 1) == 0 and close(
                     stab, degree=n, max_elements=size).order == size:
                 break
@@ -316,7 +315,11 @@ def _triple_rows(group: PermutationGroup):
         rows.append([label[x] for x in range(n)])
 
     def row(c):
-        return list(map(rows[orbit_of[c]].__getitem__, uinv[c]))
+        # u_c carries (r, w) to (c, u_c[w])
+        out = [0] * n
+        for w, label in zip(u[c], rows[orbit_of[c]]):
+            out[w] = label
+        return out
     return sum(1 for orbit in orbits if orbit[0] % (n + 1)) == 1, row
 
 

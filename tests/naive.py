@@ -2,10 +2,18 @@
 
 Everything here is written straight from the defining conditions with
 plain set/dict scans and no reuse of library internals, so a library bug
-cannot hide in a shared code path.
+cannot hide in a shared code path.  The last section is different: it
+holds the first, plain versions of the census kernels, verbatim, so the
+fast kernels can be checked against them output for output.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from itertools import permutations as _point_perms
+
+from astriples.core import AstScheme
+from astriples.designs import TWO_GRAPH_SEARCH_LIMIT, TwoGraph, is_regular
+from astriples.enumeration import CANONICAL_NU_LIMIT
+from astriples.errors import PreconditionError, SizeGuardError
 
 
 def naive_trivial_relations(nu):
@@ -159,3 +167,192 @@ def naive_triple_orbits(elements, n):
         remaining -= orbit
         orbits.add(orbit)
     return orbits
+
+
+# ---------------------------------------------------------------------------
+# The census kernels as first written, kept verbatim as references for the
+# packed-counter search, the Gray-code two-graph scan and the table-driven
+# canonical keys: same arguments, same results, in the same order.
+
+def naive_search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
+    """Yield block colorings (class assignments) surviving the prunes."""
+    n_blocks = len(blocks)
+    n_pairs = nu * nu
+    block_pairs = []
+    remaining = [0] * n_pairs
+    for block in blocks:
+        counts = {}
+        for idx in block:
+            pid = idx // nu
+            counts[pid] = counts.get(pid, 0) + 1
+            remaining[pid] += 1
+        block_pairs.append(tuple(counts.items()))
+
+    colors = [-1] * n_blocks
+    counts = []           # per class: per-pair completion counts
+    valency = []          # per class: locked third valency, or None
+    locked = [False]
+    maps = [({}, {}) for _ in sigma_images]  # per sigma: forward, inverse
+    nodes = [0]
+    cap = nu - 2
+
+    def try_place(b, color):
+        """Apply block b -> color; return an undo closure or None."""
+        new_class = color == len(counts)
+        if new_class:
+            if locked[0]:
+                return None
+            if max_classes is not None and len(counts) >= max_classes:
+                return None
+            counts.append([0] * n_pairs)
+            valency.append(None)
+        row = counts[color]
+        bound = valency[color] if locked[0] else cap
+        touched = []
+        ok = True
+        for pid, c in block_pairs[b]:
+            row[pid] += c
+            remaining[pid] -= c
+            touched.append((pid, c))
+            if row[pid] > bound:
+                ok = False
+                break
+        map_log = []
+        completed = []
+        did_lock = False
+        if ok:
+            colors[b] = color
+            for sidx, images in enumerate(sigma_images):
+                other = images[b]
+                if other > b:
+                    continue
+                fwd, inv = maps[sidx]
+                target = colors[other] if other != b else color
+                if color in fwd:
+                    if fwd[color] != target:
+                        ok = False
+                        break
+                elif target in inv:
+                    ok = False
+                    break
+                else:
+                    fwd[color] = target
+                    inv[target] = color
+                    map_log.append((sidx, color, target))
+        if ok:
+            completed = [pid for pid, _ in block_pairs[b] if remaining[pid] == 0]
+            if completed:
+                if not locked[0]:
+                    did_lock = True
+                    locked[0] = True
+                    first = completed[0]
+                    for c_idx, c_row in enumerate(counts):
+                        valency[c_idx] = c_row[first]
+                        if c_row[first] == 0:
+                            ok = False
+                if ok:
+                    for pid in completed:
+                        if any(c_row[pid] != valency[c_idx]
+                               for c_idx, c_row in enumerate(counts)):
+                            ok = False
+                            break
+
+        def undo():
+            for pid, c in touched:
+                row[pid] -= c
+                remaining[pid] += c
+            for sidx, key, target in map_log:
+                fwd, inv = maps[sidx]
+                del fwd[key]
+                del inv[target]
+            if did_lock:
+                locked[0] = False
+                for c_idx in range(len(valency)):
+                    valency[c_idx] = None
+            colors[b] = -1
+            if new_class:
+                counts.pop()
+                valency.pop()
+
+        if not ok:
+            undo()
+            return None
+        return undo
+
+    def walk(b):
+        nodes[0] += 1
+        if node_limit is not None and nodes[0] > node_limit:
+            raise SizeGuardError(
+                f"enumeration search exceeded {node_limit} nodes")
+        if b == n_blocks:
+            yield tuple(colors)
+            return
+        for color in range(len(counts) + 1):
+            undo = try_place(b, color)
+            if undo is not None:
+                yield from walk(b + 1)
+                undo()
+
+    yield from walk(0)
+
+
+def naive_find_regular_two_graphs(nu: int, proper: bool = True) -> list[TwoGraph]:
+    """Exhaustive list of regular two-graphs on nu points.
+
+    Every switching class contains exactly one graph in which the last
+    point is isolated, so scanning all graphs on the first nu - 1 points
+    visits each two-graph once; that is the symmetry pruning that keeps
+    the search at 2^C(nu-1, 2) candidates.  ``proper`` drops the empty and
+    complete families.
+    """
+    if nu < 4:
+        raise PreconditionError("search needs at least four points")
+    if nu > TWO_GRAPH_SEARCH_LIMIT:
+        raise SizeGuardError(
+            f"two-graph search is guarded to nu <= {TWO_GRAPH_SEARCH_LIMIT}")
+    pairs = list(combinations(range(nu - 1), 2))
+    all_triples = list(combinations(range(nu), 3))
+    triple_pairs = [tuple(combinations(t, 2)) for t in all_triples]
+    n_triples = len(all_triples)
+    found = []
+    for mask in range(1 << len(pairs)):
+        edges = {pairs[i] for i in range(len(pairs)) if mask >> i & 1}
+        triples = tuple(
+            t for t, tp in zip(all_triples, triple_pairs)
+            if sum(1 for pair in tp if pair in edges) % 2)
+        if proper and (not triples or len(triples) == n_triples):
+            continue
+        tg = TwoGraph(v=nu, triples=triples)
+        if is_regular(tg):
+            found.append(tg)
+    return sorted(found, key=lambda tg: tg.triples)
+
+
+def naive_canonical_key(scheme: AstScheme) -> tuple:
+    """Lexicographically least relabeled form over all point bijections.
+
+    Exact but factorial in nu; guarded to nu <= CANONICAL_NU_LIMIT.
+    """
+    nu = scheme.nu
+    if nu > CANONICAL_NU_LIMIT:
+        raise SizeGuardError(
+            f"canonical forms are exact only up to nu={CANONICAL_NU_LIMIT}")
+    labels = scheme.labels
+    nu2 = nu * nu
+    best = None
+    for perm in _point_perms(range(nu)):
+        relabeled = [0] * (nu * nu2)
+        for (x, y, z), lab in zip(product(range(nu), repeat=3), labels):
+            relabeled[(perm[x] * nu + perm[y]) * nu + perm[z]] = lab
+        rename = {0: 0, 1: 1, 2: 2, 3: 3}
+        out = []
+        next_label = 4
+        for lab in relabeled:
+            if lab not in rename:
+                rename[lab] = next_label
+                next_label += 1
+            out.append(rename[lab])
+        key = tuple(out)
+        if best is None or key < best:
+            best = key
+    return best

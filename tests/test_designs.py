@@ -90,6 +90,11 @@ def test_no_proper_regular_two_graphs_on_seven_points():
     assert at.find_regular_two_graphs(7) == []
 
 
+def test_no_proper_regular_two_graphs_on_eight_points():
+    # the full scan at the guard: 2^21 graphs on seven points
+    assert at.find_regular_two_graphs(8) == []
+
+
 def test_find_guard():
     with pytest.raises(at.SizeGuardError):
         at.find_regular_two_graphs(9)

@@ -8,10 +8,11 @@ from itertools import combinations
 
 from .core import json_int, json_object
 from .errors import PreconditionError, RefusalError, SizeGuardError, StructuralError
-from .permgroup import ORBIT_DEGREE_LIMIT
 
-#: Bound on the exhaustive regular-two-graph search.
+#: Bounds on the exhaustive regular-two-graph search and on the points of
+#: a design or two-graph to check.
 TWO_GRAPH_SEARCH_LIMIT = 8
+POINT_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,9 @@ class TwoGraph:
 
 def _clean_subsets(v, raw, size, what):
     # The checks scan all point pairs or 4-subsets: refuse before that.
-    if v > ORBIT_DEGREE_LIMIT:
+    if v > POINT_LIMIT:
         raise SizeGuardError(f"{what}s are checked on at most "
-                             f"{ORBIT_DEGREE_LIMIT} points, got {v}")
+                             f"{POINT_LIMIT} points, got {v}")
     cleaned = []
     try:
         entries = list(raw)

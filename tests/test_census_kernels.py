@@ -56,11 +56,6 @@ def test_search_yields_the_reference_colorings(monkeypatch, run):
     assert want and got == want
 
 
-def test_search_node_limit_still_raises():
-    with pytest.raises(at.SizeGuardError):
-        enumerate_asts(_task(4, node_limit=3))
-
-
 @pytest.mark.parametrize("nu", range(4, 8))
 @pytest.mark.parametrize("proper", (True, False))
 def test_two_graph_finder_matches_reference(nu, proper):

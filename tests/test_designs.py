@@ -95,6 +95,14 @@ def test_no_proper_regular_two_graphs_on_eight_points():
     assert at.find_regular_two_graphs(8) == []
 
 
+def test_loaders_refuse_more_points_than_the_guard():
+    # checked before the pair and 4-subset scans allocate or loop
+    with pytest.raises(at.SizeGuardError):
+        at.verify_design(2**40, [(0, 1)])
+    with pytest.raises(at.SizeGuardError):
+        at.verify_two_graph(257, [(0, 1, 2)])
+
+
 def test_find_guard():
     with pytest.raises(at.SizeGuardError):
         at.find_regular_two_graphs(9)

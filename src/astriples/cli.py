@@ -42,7 +42,10 @@ def _read_text(path):
 
 
 def _write_text(path, text):
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise StructuralError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def _write_out(path, to_text, obj):
@@ -171,7 +174,10 @@ def _cmd_enumerate(args):
           f"by_nontrivial_classes={json.dumps(by_count, sort_keys=True)}")
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StructuralError(f"cannot make {args.out!r}: {exc}") from exc
         names = []
         for idx, scheme in enumerate(schemes):
             name = f"scheme_{idx:03d}.json"

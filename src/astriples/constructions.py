@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .core import (AstScheme, GroundSet, TriplePartition, ViolationReport,
-                   is_symmetric_relation, json_object, trivial_cube,
-                   verify_ast)
+                   json_object, label_map, trivial_cube, verify_ast)
 from .designs import TwoDesign, TwoGraph, is_regular, verify_design, verify_two_graph
 from .errors import (ConsistencyError, PreconditionError, RefusalError,
                      StructuralError)
@@ -82,15 +81,23 @@ def ast_from_design(design: TwoDesign) -> AstScheme:
                           "block construction from a lambda = 1 design")
 
 
+def _symmetric_subsets(scheme: AstScheme, labels) -> list:
+    """The 3-subsets {x < y < z} in the given classes, ascending, read off
+    the cells (x, y, z); each class must be symmetric."""
+    for i in sorted(labels):
+        if any(image[i] != i for image in scheme.action.values()):
+            raise PreconditionError(f"relation {i} is not symmetric")
+    nu, cube = scheme.nu, scheme.labels
+    return [t for t in combinations(range(nu), 3)
+            if cube[(t[0] * nu + t[1]) * nu + t[2]] in labels]
+
+
 def design_from_symmetric_relation(scheme: AstScheme, i: int) -> TwoDesign:
     """The 3-subsets underlying a symmetric nontrivial relation, verified
     as a 2-design (its lambda equals the relation's third valency)."""
     if i < 4 or i > scheme.m:
         raise PreconditionError(f"label {i} is not a nontrivial relation")
-    rel = scheme.relation(i)
-    if not is_symmetric_relation(rel):
-        raise PreconditionError(f"relation {i} is not symmetric")
-    blocks = sorted({tuple(sorted(t)) for t in rel.triples})
+    blocks = _symmetric_subsets(scheme, {i})
     try:
         return verify_design(scheme.nu, blocks)
     except RefusalError as exc:
@@ -145,9 +152,8 @@ def two_graph_from_ast(scheme: AstScheme, mode: str = "strict") -> TwoGraph:
         raise PreconditionError(
             f"extraction needs exactly two nontrivial relations, "
             f"scheme has {scheme.m - 3}")
-    for i in (4, 5):
-        if not is_symmetric_relation(scheme.relation(i)):
-            raise PreconditionError(f"relation {i} is not symmetric")
+    # The action permutes {4, 5}: R_5 is symmetric when R_4 is.
+    delta = _symmetric_subsets(scheme, {4})
     entries = VANISHING_STRICT if mode == "strict" else VANISHING_LENIENT
     tensor = scheme.tensor
     for entry in entries:
@@ -156,7 +162,6 @@ def two_graph_from_ast(scheme: AstScheme, mode: str = "strict") -> TwoGraph:
             i, j, k, l = entry
             raise RefusalError(
                 f"p_{i}{j}{k}^{l} = {value} is nonzero", witness=(entry, value))
-    delta = sorted({tuple(sorted(t)) for t in scheme.relation(4).triples})
     tg = verify_two_graph(scheme.nu, delta)
     if not is_regular(tg):
         raise ConsistencyError(
@@ -253,9 +258,8 @@ def is_fission_of(fine: AstScheme, coarse: AstScheme):
     """
     if fine.ground != coarse.ground:
         raise PreconditionError("schemes live on different ground sets")
-    pairs = set(zip(fine.labels, coarse.labels))
-    coarse_of = dict(pairs)
-    if len(coarse_of) != len(pairs):
+    coarse_of = label_map(fine.labels, coarse.labels)
+    if isinstance(coarse_of, int):
         return None
     groups = [[] for _ in range(coarse.m + 1)]
     for i in range(fine.m + 1):
@@ -340,18 +344,13 @@ def two_graph_fusion(scheme: AstScheme, j_labels) -> TwoGraphFusionResult:
         raise PreconditionError(
             f"index set {sorted(j_set)} must be a nonempty set of "
             "nontrivial labels")
-    for i in sorted(j_set):
-        if not is_symmetric_relation(scheme.relation(i)):
-            raise PreconditionError(f"relation {i} is not symmetric")
+    delta = _symmetric_subsets(scheme, j_set)
     tensor = scheme.tensor
     for quadruple in product(sorted(nontrivial), repeat=4):
         members = sum(i in j_set for i in quadruple)
         if members % 2 and tensor.get(*quadruple):
             return TwoGraphFusionResult(two_graph=None,
                                         failing_quadruple=quadruple)
-    delta = sorted({tuple(sorted(t))
-                    for i in sorted(j_set)
-                    for t in scheme.relation(i).triples})
     try:
         tg = verify_two_graph(scheme.nu, delta)
     except RefusalError as exc:

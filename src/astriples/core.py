@@ -17,9 +17,12 @@ R_0..R_m (m >= 4) satisfying four conditions:
 A partition is stored as one flat cube of nu^3 class labels,
 ``labels[(x*nu + y)*nu + z]``, in an ``array('H')``.  Every condition is
 checked on the cube: a fiber or a coordinate-permuted copy of it is a
-strided slice.  Relations as sets of triples (:class:`TernaryRelation`)
-are read at the boundary, by ``TriplePartition(ground, classes)`` and the
-JSON reader, and are otherwise built from the cube only when asked for.
+strided slice.  Condition 3 reads the copies for (0, 2, 1) and (1, 0, 2)
+only; :func:`verify_ast` composes the other class maps and stores the
+action, which the valencies and symmetry queries read.  Relations as sets
+of triples (:class:`TernaryRelation`) are read at the boundary, by
+``TriplePartition(ground, classes)`` and the JSON reader, and are
+otherwise built from the cube only when asked for.
 
 Everything here is exact: points are 0-based integers, counts are ints.
 All types are immutable after construction and safe to share.
@@ -33,6 +36,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
+from types import MappingProxyType
 
 from .errors import ConsistencyError, PreconditionError, StructuralError
 
@@ -243,12 +247,6 @@ class ValencyTable:
 
     rows: tuple[tuple[int, int, int], ...]
 
-    def first(self, i: int) -> int:
-        return self.rows[i][0]
-
-    def second(self, i: int) -> int:
-        return self.rows[i][1]
-
     def third(self, i: int) -> int:
         return self.rows[i][2]
 
@@ -344,6 +342,11 @@ class AstScheme:
         return tuple(tuple(fib) for fib in out)
 
     @cached_property
+    def action(self) -> MappingProxyType:
+        """Stored by :func:`verify_ast`; see :func:`coordinate_class_action`."""
+        return _coordinate_action(self.labels, self.nu)
+
+    @cached_property
     def tensor(self) -> IntersectionTensor:
         """Intersection numbers under the default constancy policy."""
         return intersection_numbers(self, self.nu <= FULL_CHECK_LIMIT)
@@ -402,9 +405,8 @@ def is_symmetric_relation(rel: TernaryRelation) -> bool:
 
 def is_symmetric_ast(scheme: AstScheme) -> bool:
     """True iff every nontrivial relation is symmetric."""
-    images = (_class_images(scheme.labels, scheme.nu, sigma)
-              for sigma in COORD_PERMS[1:])
-    return all(image[4:] == tuple(scheme.nontrivial_labels) for image in images)
+    nontrivial = tuple(scheme.nontrivial_labels)
+    return all(image[4:] == nontrivial for image in scheme.action.values())
 
 
 def coordinate_class_action(scheme: AstScheme) -> dict:
@@ -413,8 +415,7 @@ def coordinate_class_action(scheme: AstScheme) -> dict:
     Returns {sigma: label_map} where label_map[i] is the class that the
     sigma-image of class i equals.  Well-defined on any verified scheme.
     """
-    return {sigma: _class_images(scheme.labels, scheme.nu, sigma)
-            for sigma in COORD_PERMS}
+    return dict(scheme.action)
 
 
 def _permuted(labels, nu, sigma):
@@ -430,30 +431,45 @@ def _permuted(labels, nu, sigma):
     return out
 
 
-def _class_images(labels, nu, sigma):
-    """The label map i -> j with sigma(R_i) = R_j, as a tuple, or the least
-    class i whose sigma-image meets two classes, as an int.
-
-    sigma permutes the cells, so every class is hit: once the image label
-    is a function of the label, it is a bijection.
-    """
-    pairs = set(zip(labels, _permuted(labels, nu, sigma)))
+def label_map(labels, images):
+    """The map i -> j from ``labels`` (holding 0..m) to ``images`` cell by
+    cell as a tuple, or the least i whose cells meet two images as an int."""
+    pairs = set(zip(labels, images))
     image = dict(pairs)
     if len(image) == len(pairs):
         return tuple(image[i] for i in range(len(image)))
     return min(i for i, j in pairs if image[i] != j)
 
 
-def _constant_valencies(labels, nu, sigma, n):
-    """Per-class valencies over the fibers (x, y, .) of the sigma-permuted
-    cube, x != y, as (values, None) when every fiber has the same counts,
-    else (None, (i, p1, c1, p2, c2)): class i has c1 cells in the fiber of
-    the first pair p1 and c2 in that of the first pair p2 that differs."""
-    cube = _permuted(labels, nu, sigma)
+def _coordinate_action(labels, nu):
+    """The class map i -> j with sigma(R_i) = R_j of each coordinate
+    permutation, in COORD_PERMS order, or ``(sigma, i)`` for the first
+    transposition under which class i has no image.  Only (0, 2, 1) and
+    (1, 0, 2) are read off the cube (a map is a bijection, as sigma permutes
+    the cells); sigma after tau is ``tuple(tau[k] for k in sigma)``."""
+    action = {}
+    for sigma in ((0, 2, 1), (1, 0, 2)):
+        image = label_map(labels, _permuted(labels, nu, sigma))
+        if isinstance(image, int):
+            return sigma, image
+        action[sigma] = image
+    while len(action) < len(COORD_PERMS):
+        for (tau, first), (sigma, then) in product(list(action.items()),
+                                                   repeat=2):
+            action.setdefault(tuple(tau[k] for k in sigma),
+                              tuple(then[i] for i in first))
+    return MappingProxyType({sigma: action[sigma] for sigma in COORD_PERMS})
+
+
+def _constant_valencies(labels, nu, n):
+    """Third valencies over the fibers (x, y, .), x != y, as (values, None)
+    when every fiber has the same counts, else (None, (i, p1, c1, p2, c2)):
+    class i has c1 cells in the fiber of the first pair p1 and c2 in that
+    of the first pair p2 that differs."""
     pairs = [(x, y) for x in range(nu) for y in range(nu) if x != y]
-    first = sorted(cube[nu:2 * nu])     # the fiber of pairs[0] = (0, 1)
+    first = sorted(labels[nu:2 * nu])   # the fiber of pairs[0] = (0, 1)
     for x, y in pairs[1:]:
-        fiber = sorted(cube[(x * nu + y) * nu:(x * nu + y + 1) * nu])
+        fiber = sorted(labels[(x * nu + y) * nu:(x * nu + y + 1) * nu])
         if fiber != first:
             i = min(i for i in set(fiber) | set(first)
                     if fiber.count(i) != first.count(i))
@@ -528,7 +544,7 @@ def verify_ast(partition: TriplePartition, full_check=None):
                     f"witness triple {t}")
 
     # Condition 1: third-valency constancy over distinct pairs.
-    thirds, bad = _constant_valencies(labels, nu, (0, 1, 2), n)
+    thirds, bad = _constant_valencies(labels, nu, n)
     if bad:
         (i, p1, c1, p2, c2) = bad
         return ViolationReport(
@@ -536,25 +552,15 @@ def verify_ast(partition: TriplePartition, full_check=None):
             message=f"relation {i}: pair {p1} has {c1} completions "
                     f"but pair {p2} has {c2}")
 
-    # Condition 3: coordinate permutations map classes onto classes.
-    for sigma in COORD_PERMS[1:]:
-        image = _class_images(labels, nu, sigma)
-        if isinstance(image, int):
-            return ViolationReport(
-                condition=3, relations=(image,), witness=(sigma,),
-                message=f"image of relation {image} under coordinate "
-                        f"permutation {sigma} is not a class")
-
-    # First and second valencies (fibers (w, x, y) and (x, w, y)) now
-    # exist; a failure here would mean the checks above are broken.
-    columns = []
-    for slot, sigma in enumerate(((2, 0, 1), (0, 2, 1))):
-        values, bad = _constant_valencies(labels, nu, sigma, n)
-        if bad:
-            raise ConsistencyError(
-                f"slot-{slot} valency not constant on relation {bad[0]} "
-                "despite conditions 1 and 3 holding")
-        columns.append(values)
+    # Condition 3: coordinate permutations map classes onto classes; a
+    # failure shows under one of the two generating transpositions.
+    action = _coordinate_action(labels, nu)
+    if isinstance(action, tuple):
+        sigma, i = action
+        return ViolationReport(
+            condition=3, relations=(i,), witness=(sigma,),
+            message=f"image of relation {i} under coordinate "
+                    f"permutation {sigma} is not a class")
 
     # Condition 2: intersection numbers, constant per class.
     # After condition 1 every class meets the first rows of the cube.
@@ -572,13 +578,12 @@ def verify_ast(partition: TriplePartition, full_check=None):
             message=f"count for pattern {key} at {t} in relation {l} is "
                     f"{sig[key]}, expected {want[key]}")
 
-    rows = tuple(zip(*columns, thirds))
-    forced = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
-    if rows[:4] != forced:
-        raise ConsistencyError(
-            f"trivial valency rows {rows[:4]} differ from forced {forced}")
-
+    # (w, y, z) lies in R_i iff (y, z, w) lies in its (1, 2, 0)-image, and
+    # (y, w, z) iff (y, z, w) lies in its (0, 2, 1)-image.
+    rows = tuple((thirds[r], thirds[s], thirds[i]) for i, (r, s) in
+                 enumerate(zip(action[(1, 2, 0)], action[(0, 2, 1)])))
     scheme = AstScheme(partition=partition, valencies=ValencyTable(rows))
+    scheme.__dict__["action"] = action
     scheme.__dict__["tensor"] = _tensor_from_sigs(n, sigs)
     return scheme
 

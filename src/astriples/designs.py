@@ -42,7 +42,7 @@ class TwoGraph:
 
 
 def _clean_subsets(v, raw, size, what):
-    # The checks scan all point pairs or 4-subsets: refuse before that.
+    # The checks scan all point pairs or 3-subsets: refuse before that.
     if v > POINT_LIMIT:
         raise SizeGuardError(f"{what}s are checked on at most "
                              f"{POINT_LIMIT} points, got {v}")
@@ -101,20 +101,35 @@ def verify_design(v: int, blocks) -> TwoDesign:
     return TwoDesign(v=v, blocks=cleaned, k=k, lam=lam)
 
 
+def _odd_triples(v, edges):
+    """The 3-subsets spanning an odd number of the edges, ascending, read
+    off neighbour bitmasks."""
+    nbr = [0] * v
+    for a, b in edges:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    return tuple(t for t in combinations(range(v), 3)
+                 if (nbr[t[0]] >> t[1] ^ nbr[t[0]] >> t[2]
+                     ^ nbr[t[1]] >> t[2]) & 1)
+
+
 def verify_two_graph(v: int, triples) -> TwoGraph:
-    """Check the even-intersection condition over all 4-subsets."""
+    """Check the even-intersection condition over all 4-subsets, in O(v^3):
+    the family must be the odd triples of the graph {ab : 0ab in it}.  As
+    {0, a, b, c} is odd exactly when abc lies in one of the two sets only,
+    the least odd 4-subset is 0 followed by the least such abc."""
     if v < 4:
         raise PreconditionError("a two-graph needs at least four points")
     cleaned = _clean_subsets(v, triples, 3, "triple")
     if len(set(cleaned)) != len(cleaned):
         raise StructuralError("duplicate triples")
-    member = frozenset(cleaned)
-    for quad in combinations(range(v), 4):
+    odd = _odd_triples(v, (t[1:] for t in cleaned if t[0] == 0))
+    if odd != cleaned:
+        member = frozenset(cleaned)
+        quad = (0,) + min(member.symmetric_difference(odd))
         count = sum(1 for t in combinations(quad, 3) if t in member)
-        if count % 2:
-            raise RefusalError(
-                f"4-subset {quad} contains {count} triples (odd)",
-                witness=quad)
+        raise RefusalError(
+            f"4-subset {quad} contains {count} triples (odd)", witness=quad)
     return TwoGraph(v=v, triples=cleaned)
 
 
@@ -141,12 +156,8 @@ def complement_two_graph(tg: TwoGraph) -> TwoGraph:
 def two_graph_from_graph(v: int, edges) -> TwoGraph:
     """The two-graph of a graph: 3-subsets spanning an odd number of edges."""
     edge_set = {tuple(sorted(e)) for e in edges}
-    triples = []
-    for t in combinations(range(v), 3):
-        count = sum(1 for pair in combinations(t, 2) if pair in edge_set)
-        if count % 2:
-            triples.append(t)
-    return verify_two_graph(v, triples)
+    return verify_two_graph(v, _odd_triples(
+        v, (e for e in combinations(range(v), 2) if e in edge_set)))
 
 
 def find_regular_two_graphs(nu: int, proper: bool = True) -> list[TwoGraph]:
@@ -186,10 +197,8 @@ def find_regular_two_graphs(nu: int, proper: bool = True) -> list[TwoGraph]:
                else cap - ((nbr[a] ^ nbr[b]) & ~ab).bit_count() != cover
                for a, b, ab in flips):
             continue
-        triples = tuple(t for t in combinations(range(nu), 3)
-                        if (nbr[t[0]] >> t[1] ^ nbr[t[0]] >> t[2]
-                            ^ nbr[t[1]] >> t[2]) & 1)
-        tg = TwoGraph(v=nu, triples=triples)
+        edges = [(a, b) for a, b, _ab in flips if nbr[a] >> b & 1]
+        tg = TwoGraph(v=nu, triples=_odd_triples(nu, edges))
         if is_regular(tg):
             found.append(tg)
     return sorted(found, key=lambda tg: tg.triples)

@@ -17,6 +17,8 @@ before it changes any state:
   on classes for each of the six permutations.
 
 Survivors are verified outright and reduced modulo point relabeling.
+Every candidate is a union of invariance orbits, so invariant by
+construction: the circulant census checks no survivor for circulance.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from itertools import product
 from .core import (COORD_PERMS, AstScheme, GroundSet, TriplePartition,
                    ViolationReport, trivial_cube, verify_ast)
 from .errors import PreconditionError, SizeGuardError
-from .permgroup import (PermutationGroup, _transversals, close, cycle_type,
-                        is_circulant_ast, is_transitive)
+from .permgroup import PermutationGroup, _transversals, close, is_transitive
 
 #: Guards: full search with no invariance, and with a transitive group.
 TRIVIAL_GROUP_NU_LIMIT = 6
@@ -49,7 +50,6 @@ class EnumerationTask:
     ground: GroundSet
     invariance: PermutationGroup | None = None
     symmetric_only: bool = False
-    circulant_only: bool = False
     max_nontrivial_classes: int | None = None
     allow_large: bool = False
     node_limit: int | None = None
@@ -223,9 +223,6 @@ def enumerate_asts(task: EnumerationTask) -> list[AstScheme]:
     group = task.invariance
     if group is not None and group.degree != nu:
         raise PreconditionError("invariance group degree differs from nu")
-    cycle = None
-    if task.circulant_only:
-        cycle = _transitive_cycle(group, nu)
     # The trivial relations, with 4 on the all-distinct cells to be colored.
     base = trivial_cube(nu, 4)
     cells = [idx for idx, label in enumerate(base) if label == 4]
@@ -251,8 +248,6 @@ def enumerate_asts(task: EnumerationTask) -> list[AstScheme]:
         result = verify_ast(TriplePartition.from_labels(task.ground, labels))
         if isinstance(result, ViolationReport):
             continue
-        if cycle is not None and not is_circulant_ast(result, cycle):
-            continue
         if nu <= CANONICAL_NU_LIMIT:
             key = canonical_key(result)
             if key not in seen_keys:
@@ -264,19 +259,6 @@ def enumerate_asts(task: EnumerationTask) -> list[AstScheme]:
                 found.append((result.serialized(), result))
     found.sort(key=lambda pair: (pair[1].m, pair[0]))
     return [scheme for _key, scheme in found]
-
-
-def _transitive_cycle(group, nu):
-    if group is None:
-        raise PreconditionError(
-            "circulant enumeration needs a cyclic invariance group")
-    for g in group.generators:
-        if cycle_type(g) == (nu,):
-            if group.order == nu:
-                return g
-    raise PreconditionError(
-        "circulant enumeration needs the invariance group generated by a "
-        "single full cycle")
 
 
 def enumerate_circulant(nu: int) -> list[AstScheme]:
@@ -292,9 +274,7 @@ def enumerate_circulant(nu: int) -> list[AstScheme]:
     ground = GroundSet(nu)
     cycle = tuple((i + 1) % nu for i in range(nu))
     group = close([cycle])
-    task = EnumerationTask(ground=ground, invariance=group,
-                           circulant_only=True)
-    return enumerate_asts(task)
+    return enumerate_asts(EnumerationTask(ground=ground, invariance=group))
 
 
 def _class_profiles(scheme):

@@ -11,9 +11,11 @@ from itertools import combinations, permutations, product
 from itertools import permutations as _point_perms
 
 from astriples.core import AstScheme
-from astriples.designs import TWO_GRAPH_SEARCH_LIMIT, TwoGraph, is_regular
+from astriples.designs import (TWO_GRAPH_SEARCH_LIMIT, TwoGraph, _clean_subsets,
+                               is_regular)
 from astriples.enumeration import CANONICAL_NU_LIMIT
-from astriples.errors import PreconditionError, SizeGuardError
+from astriples.errors import (PreconditionError, RefusalError, SizeGuardError,
+                              StructuralError)
 
 
 def naive_trivial_relations(nu):
@@ -79,6 +81,23 @@ def naive_is_ast(nu, classes):
             if image not in frozen:
                 return False, f"sigma-image of class {i} is not a class"
     return True, "ok"
+
+
+def naive_valencies(nu, classes):
+    """Per class (n1, n2, n3): the completions of a distinct pair in the
+    first, middle and last coordinate, counted at every pair; asserts
+    that each count is constant."""
+    rows = []
+    for i, c in enumerate(classes):
+        row = []
+        for make in (lambda a, b, w: (w, a, b), lambda a, b, w: (a, w, b),
+                     lambda a, b, w: (a, b, w)):
+            counts = {sum(1 for w in range(nu) if make(a, b, w) in c)
+                      for a in range(nu) for b in range(nu) if a != b}
+            assert len(counts) == 1, f"valency of class {i} not constant"
+            row.append(counts.pop())
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def naive_intersection_number(nu, classes, i, j, k, rep):
@@ -294,6 +313,23 @@ def naive_search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
                 undo()
 
     yield from walk(0)
+
+
+def naive_verify_two_graph(v: int, triples) -> TwoGraph:
+    """Check the even-intersection condition over all 4-subsets."""
+    if v < 4:
+        raise PreconditionError("a two-graph needs at least four points")
+    cleaned = _clean_subsets(v, triples, 3, "triple")
+    if len(set(cleaned)) != len(cleaned):
+        raise StructuralError("duplicate triples")
+    member = frozenset(cleaned)
+    for quad in combinations(range(v), 4):
+        count = sum(1 for t in combinations(quad, 3) if t in member)
+        if count % 2:
+            raise RefusalError(
+                f"4-subset {quad} contains {count} triples (odd)",
+                witness=quad)
+    return TwoGraph(v=v, triples=cleaned)
 
 
 def naive_find_regular_two_graphs(nu: int, proper: bool = True) -> list[TwoGraph]:

@@ -358,3 +358,36 @@ def test_scheme_reader_refuses_malformed_files(tmp_path, name, payload,
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("usage error:") and message in proc.stderr
+
+
+def test_unwritable_outputs_exit_two(tmp_path):
+    # a missing directory, a directory in place of a file, and a file in
+    # place of the census directory
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    missing = str(tmp_path / "missing" / "x.json")
+    cases = [("construct", "--group", "asl2:2", "--out", missing),
+             ("construct", "--group", "asl2:2", "--out", str(tmp_path)),
+             ("enumerate", "--nu", "4", "--out", str(tmp_path / "file")),
+             ("oracle", "asl2", "--q", "2", "--report", missing),
+             ("twograph", "find", "--nu", "6", "--out", missing)]
+    for args in cases:
+        proc = _cli_process(*args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage error: cannot "), proc.stderr
+    assert not (tmp_path / "missing").exists()
+
+
+def test_tracer_bindings_resolve():
+    # bench/tracer.py wraps module bindings by name; a rename in the
+    # package must not silently break the traced benchmark run
+    import importlib
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.BINDINGS
+    for module_name, attr, _name, _counter in tracer.BINDINGS:
+        module = importlib.import_module(f"astriples.{module_name}")
+        assert callable(getattr(module, attr, None)), (module_name, attr)

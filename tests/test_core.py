@@ -7,7 +7,8 @@ import astriples as at
 from astriples.core import COORD_PERMS
 
 from conftest import THREE_POINT_RELATIONS
-from naive import naive_full_tensor, naive_is_ast, naive_trivial_relations
+from naive import (naive_full_tensor, naive_is_ast, naive_trivial_relations,
+                   naive_valencies)
 
 
 def test_ground_set_requires_three_points():
@@ -422,3 +423,97 @@ def test_verify_ast_condition_three_failure():
     assert isinstance(report, at.ViolationReport)
     assert (report.condition, report.relations, report.witness) == \
         (3, (4,), ((0, 2, 1),))
+
+
+def _valency_schemes():
+    from astriples.enumeration import (EnumerationTask, enumerate_asts,
+                                       enumerate_circulant)
+    schemes = {spec: at.ast_from_group(at.group_from_spec(spec))
+               for spec in ("asl2:3", "asl2:4", "agl1:7", "agl1:8", "psl2:5",
+                            "agl2:3")}
+    for nu in range(3, 7):
+        for i, scheme in enumerate(enumerate_asts(
+                EnumerationTask(ground=at.GroundSet(nu)))):
+            schemes[f"census-{nu}-{i}"] = scheme
+    for nu in range(3, 9):
+        for i, scheme in enumerate(enumerate_circulant(nu)):
+            schemes[f"circulant-{nu}-{i}"] = scheme
+    return schemes
+
+
+def test_valencies_and_action_match_the_definition():
+    # first and second valencies are read off the class action; the action
+    # is composed from two transpositions
+    from astriples.core import _permuted, label_map
+    schemes = _valency_schemes()
+    assert len(schemes) == 6 + 7 + 9
+    for name, scheme in schemes.items():
+        classes = [rel.triple_set for rel in scheme.classes]
+        assert scheme.valencies.rows == naive_valencies(scheme.nu, classes), \
+            name
+        assert scheme.action == {
+            sigma: label_map(scheme.labels,
+                             _permuted(scheme.labels, scheme.nu, sigma))
+            for sigma in COORD_PERMS}, name
+
+
+def test_verify_ast_condition_three_failure_under_second_transposition():
+    # on nu = 5, (x, y, z) is in class 4 iff {y, z} is a pair of the
+    # matching that pairs the points other than x in ascending order: the
+    # classes are closed under swapping the last two coordinates but not
+    # the first two
+    nu = 5
+    ground = at.GroundSet(nu)
+    distinct = [t for t in product(range(nu), repeat=3) if len(set(t)) == 3]
+
+    def matched(x, y, z):
+        rest = sorted(set(range(nu)) - {x})
+        return rest.index(y) // 2 == rest.index(z) // 2
+
+    low = [t for t in distinct if matched(*t)]
+    high = [t for t in distinct if not matched(*t)]
+    classes = at.trivial_relations(ground) + [low, high]
+    ok, _reason = naive_is_ast(nu, [set(r.triples) for r in classes[:4]]
+                               + [set(low), set(high)])
+    assert not ok
+    report = at.verify_ast(at.TriplePartition(ground, classes))
+    assert isinstance(report, at.ViolationReport)
+    assert (report.condition, report.relations, report.witness) == \
+        (3, (4,), ((1, 0, 2),))
+
+
+def test_verified_schemes_are_read_not_rechecked(monkeypatch, asl2_schemes,
+                                                 six_point_two_graph):
+    # verify_ast makes two coordinate-permuted copies of the cube; the
+    # symmetry queries and the constructions that need symmetric classes
+    # then read the stored action and the cube
+    from astriples import core
+    copies, relations = [], []
+    permuted = core._permuted
+
+    def counting(*args):
+        copies.append(args[2])
+        return permuted(*args)
+
+    view = core.TernaryRelation._view.__func__
+    monkeypatch.setattr(core, "_permuted", counting)
+    monkeypatch.setattr(core.TernaryRelation, "_view", classmethod(
+        lambda cls, *args: relations.append(args) or view(cls, *args)))
+    monkeypatch.setattr(core.TernaryRelation, "__post_init__",
+                        lambda self: relations.append(self))
+    scheme, labeling = asl2_schemes[3]
+    fresh = at.ensure_ast(at.TriplePartition.from_labels(scheme.ground,
+                                                         scheme.labels))
+    two_graph = at.ensure_ast(at.TriplePartition.from_labels(
+        at.GroundSet(6), at.ast_from_two_graph(six_point_two_graph).labels))
+    assert copies == [(0, 2, 1), (1, 0, 2)] * 3
+    del copies[:]
+    assert not at.is_symmetric_ast(fresh)
+    assert at.coordinate_class_action(fresh) == fresh.action
+    j_label = labeling.point_labels[2]
+    assert at.two_graph_fusion(fresh, [j_label]).failing_quadruple
+    with pytest.raises(at.PreconditionError, match="not symmetric"):
+        at.design_from_symmetric_relation(fresh, labeling.line_labels[1])
+    assert at.is_symmetric_ast(two_graph)
+    assert at.two_graph_from_ast(two_graph, "lenient") == six_point_two_graph
+    assert copies == [] and relations == []

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import astriples as at
 
 from conftest import ag23_blocks, fano_blocks
+from naive import naive_verify_two_graph
 
 
 def test_fano_plane_is_lambda_one(fano_design):
@@ -76,6 +78,33 @@ def test_two_graph_from_graph_always_verifies():
                  if rng.randrange(2)]
         tg = at.two_graph_from_graph(nu, edges)
         assert tg.v == nu
+
+
+def _two_graph_verdict(check, v, triples):
+    try:
+        return check(v, triples)
+    except at.RefusalError as exc:
+        return (exc.witness, str(exc))
+
+
+def test_verify_two_graph_matches_the_four_subset_scan():
+    # valid families (odd triples of a random graph), the same with one
+    # 3-subset flipped, and random families, v = 4..9
+    rng = random.Random(4417)
+    refused = 0
+    for _ in range(300):
+        v = rng.randrange(4, 10)
+        subsets = list(combinations(range(v), 3))
+        edges = [e for e in combinations(range(v), 2) if rng.randrange(2)]
+        valid = set(at.two_graph_from_graph(v, edges).triples)
+        flipped = valid ^ {rng.choice(subsets)}
+        noise = {t for t in subsets if rng.random() < rng.random()}
+        for triples in (valid, flipped, noise):
+            triples = sorted(triples)
+            want = _two_graph_verdict(naive_verify_two_graph, v, triples)
+            assert _two_graph_verdict(at.verify_two_graph, v, triples) == want
+            refused += isinstance(want, tuple)
+    assert 300 <= refused < 900
 
 
 def test_find_regular_two_graphs_on_six_points(six_point_two_graph):

@@ -1,9 +1,13 @@
-"""Seeded fuzz of the JSON loaders through ``cli.run``.
+"""Seeded fuzz of the JSON loaders and of the argument lists through
+``cli.run``.
 
 Valid scheme, design, two-graph and grouping files are mutated (wrong
 types, missing keys, out-of-range points, dropped or repeated entries,
-truncated text).  Every command that reads the file must end with exit
-code 0, 1 or 2 and a typed error, never an escaping exception.
+truncated text).  The commands that read no file (``construct``,
+``enumerate``, ``oracle``, ``twograph find``) get small, bad or missing
+specifiers, sizes and flags, and ``--out`` paths that cannot be written.
+Every command must end with exit code 0, 1 or 2 and a typed error, never
+an escaping exception.
 """
 
 import json
@@ -109,3 +113,58 @@ def test_mutated_inputs_end_in_a_typed_exit(tmp_path, capsys, seed):
             assert "Traceback" not in err
             codes.add(code)
     assert 2 in codes
+
+
+SPECS = ("asl2:2", "asl2:3", "agl1:5", "agl1:9", "agl2:3", "psl2:5", "asl2:17",
+         "agl1:257", "psl2:64", "agl1:1", "agl1:6", "asl2:0", "asl2:-3",
+         "asl2:x", "asl2", "foo:3", ":", "", "file:")
+
+
+def _argv(rng, tmp_path):
+    """One small argument list for a command that reads no file."""
+    ints = lambda *good: str(rng.choice(good + (-1, 0, 1, 9, "x", "")))
+    command = rng.choice(("construct", "enumerate", "oracle", "twograph"))
+    if command == "construct":
+        argv = ["construct", "--group", rng.choice(SPECS + (
+            f"file:{tmp_path}", f"file:{tmp_path / 'missing.json'}"))]
+    elif command == "enumerate":
+        argv = ["enumerate", "--nu", ints(3, 4, 5, 7)]
+        if rng.random() < 0.3:
+            argv += ["--group", rng.choice(SPECS[:6])]
+        for flag in ("--symmetric", "--circulant"):
+            if rng.random() < 0.3:
+                argv.append(flag)
+        if rng.random() < 0.3:
+            argv += ["--max-classes", ints(1, 2)]
+    elif command == "oracle":
+        argv = ["oracle", rng.choice(("asl2", "asl3")), "--q", ints(2, 3, 6)]
+    else:
+        argv = ["twograph", "find", "--nu", ints(4, 5, 6, 7)]
+    if rng.random() < 0.5:
+        flag = "--report" if command == "oracle" else "--out"
+        # a fresh file, an existing directory, a missing directory, and a
+        # path below a file
+        argv += [flag, str(rng.choice((
+            tmp_path / f"out{rng.randrange(3)}", tmp_path,
+            tmp_path / "missing" / "x.json", tmp_path / "file" / "x.json")))]
+    if rng.random() < 0.1:
+        argv.pop(rng.randrange(len(argv)))
+    return argv
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fuzzed_arguments_end_in_a_typed_exit(tmp_path, capsys, seed):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    rng = random.Random(seed)
+    codes = set()
+    for _ in range(80):
+        argv = _argv(rng, tmp_path)
+        try:
+            code = run(argv)
+        except Exception as exc:  # report the arguments that escaped
+            pytest.fail(f"{argv} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err
+        codes.add(code)
+    assert codes == {0, 1, 2}

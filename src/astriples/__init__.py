@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .core import (AstScheme, GroundSet, IntersectionTensor, TernaryRelation,
                    TriplePartition, ValencyTable, ViolationReport,
                    coordinate_class_action, ensure_ast, intersection_numbers,
-                   is_symmetric_ast, is_symmetric_relation, partition_from_json,
-                   permute_relation, scheme_to_json, trivial_relations,
-                   verify_ast)
+                   is_symmetric_ast, partition_from_json, scheme_to_json,
+                   trivial_relations, verify_ast)
 from .designs import (TwoDesign, TwoGraph, complement_two_graph,
                       find_regular_two_graphs, is_regular, pair_coverage,
                       two_graph_from_graph, verify_design, verify_two_graph)

@@ -380,29 +380,6 @@ def trivial_relations(ground: GroundSet) -> list[TernaryRelation]:
     return [TernaryRelation._view(ground, tuple(c)) for c in cells]
 
 
-def permute_relation(rel: TernaryRelation, sigma) -> TernaryRelation:
-    """Image of a relation under a coordinate permutation.
-
-    ``sigma`` is a 0-based permutation of (0, 1, 2); the triple
-    (x_0, x_1, x_2) maps to (x_sigma[0], x_sigma[1], x_sigma[2]).
-    """
-    sigma = tuple(sigma)
-    if sorted(sigma) != [0, 1, 2]:
-        raise PreconditionError(f"not a coordinate permutation: {sigma!r}")
-    a, b, c = sigma
-    return TernaryRelation(
-        rel.ground, tuple((t[a], t[b], t[c]) for t in rel.triples))
-
-
-def is_symmetric_relation(rel: TernaryRelation) -> bool:
-    """True iff the relation is fixed by all six coordinate permutations."""
-    ts = rel.triple_set
-    for a, b, c in COORD_PERMS:
-        if any((t[a], t[b], t[c]) not in ts for t in rel.triples):
-            return False
-    return True
-
-
 def is_symmetric_ast(scheme: AstScheme) -> bool:
     """True iff every nontrivial relation is symmetric."""
     nontrivial = tuple(scheme.nontrivial_labels)

@@ -155,7 +155,7 @@ def complement_two_graph(tg: TwoGraph) -> TwoGraph:
 
 def two_graph_from_graph(v: int, edges) -> TwoGraph:
     """The two-graph of a graph: 3-subsets spanning an odd number of edges."""
-    edge_set = {tuple(sorted(e)) for e in edges}
+    edge_set = set(_clean_subsets(v, edges, 2, "edge"))
     return verify_two_graph(v, _odd_triples(
         v, (e for e in combinations(range(v), 2) if e in edge_set)))
 

@@ -13,8 +13,11 @@ before it changes any state:
   classes and their valencies, all nonzero and no count above them, and
   as they sum to nu - 2 the bound then makes every completed pair exact;
 * coordinate-permutation maps: the image of a block under a coordinate
-  permutation is again a block, so colors must induce a partial bijection
-  on classes for each of the six permutations.
+  permutation sigma is again a block, so colors must induce one class
+  bijection F_sigma with color(sigma(b)) = F_sigma(color(b)) for every
+  block.  Each such constraint is tested against that one map at the
+  later of its two blocks, and a map already defined on a colored
+  neighbour's class forces the color of the next block.
 
 Survivors are verified outright and reduced modulo point relabeling.
 Every candidate is a union of invariance orbits, so invariant by
@@ -122,14 +125,22 @@ def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
     first = width * done[0]
     # Valencies are nonzero and sum to nu - 2, which bounds the classes.
     limit = cap if max_classes is None else min(max_classes, cap)
-    checks = [[(s, images[b]) for s, images in enumerate(sigma_images)
-               if images[b] <= b] for b in range(n_blocks)]
+    # One class map per coordinate permutation, defined as colors are
+    # placed: F(color(b)) = color(image of b).  Each constraint is tested
+    # at the later of its two blocks, through the map or its inverse, so
+    # block b holds (m, m_inv, other) meaning m[color(b)] = color(other).
+    checks = [[] for _ in range(n_blocks)]
+    for images in sigma_images:
+        fwd, inv = [-1] * (limit + 1), [-1] * (limit + 1)
+        for src, dst in enumerate(images):
+            if dst <= src:
+                checks[src].append((fwd, inv, dst))
+            else:
+                checks[dst].append((inv, fwd, src))
 
     colors = [-1] * n_blocks
     rows, bounds = [], []          # per class: counts, slack of its bound
-    fwd = [[-1] * (limit + 1) for _ in sigma_images]
-    inv = [[-1] * (limit + 1) for _ in sigma_images]
-    logs = [()] * n_blocks         # per block: sigma entries it added
+    logs = [()] * n_blocks         # per block: the map entries it added
     lasts = [0] * n_blocks         # per block: the last color to try
     nodes = 0
 
@@ -144,11 +155,11 @@ def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
             return 0
         n = len(rows)
         start, last = 0, n if b <= lock and n < limit else n - 1
-        # A sigma map already defined on the image's class forces the color.
-        for s, other in checks[b]:
-            if other < b and inv[s][colors[other]] != -1:
-                start = max(start, inv[s][colors[other]])
-                last = min(last, inv[s][colors[other]])
+        # A map already defined on an earlier block's class forces the color.
+        for _m, m_inv, other in checks[b]:
+            if other != b and m_inv[colors[other]] != -1:
+                start = max(start, m_inv[colors[other]])
+                last = min(last, m_inv[colors[other]])
         lasts[b] = last
         return start
 
@@ -157,8 +168,8 @@ def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
         rows[color] -= vectors[b]
         if not rows[color]:
             del rows[color], bounds[color]
-        for s, target in logs[b]:
-            fwd[s][color] = inv[s][target] = -1
+        for m, m_inv, target in logs[b]:
+            m[color] = m_inv[target] = -1
         if b == lock:
             bounds[:] = [slack[cap]] * len(bounds)
         return color
@@ -176,24 +187,28 @@ def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
         if row + (bounds[color] if color < n else slack[cap]) & high:
             color += 1
             continue
+        if b == lock:
+            # No count above its valency: with the sums equal, every
+            # completed pair then holds exactly the valencies.
+            trial = rows[:color] + [row] + rows[color + 1:]
+            valencies = [r >> first & mask for r in trial]
+            if not all(v and not (r + slack[v]) & high
+                       for r, v in zip(trial, valencies)):
+                color += 1
+                continue
         added = []
-        for s, other in checks[b]:
+        for m, m_inv, other in checks[b]:
             target = colors[other] if other != b else color
-            image = fwd[s][color]
-            if image == -1 and inv[s][target] == -1:
-                added.append((s, target))
-            elif image != target:
+            image = m[color]
+            if image == target:
+                continue
+            if image != -1 or m_inv[target] != -1:
+                for m, m_inv, target in added:
+                    m[color] = m_inv[target] = -1
                 break
+            m[color], m_inv[target] = target, color
+            added.append((m, m_inv, target))
         else:
-            if b == lock:
-                # No count above its valency: with the sums equal, every
-                # completed pair then holds exactly the valencies.
-                trial = rows[:color] + [row] + rows[color + 1:]
-                valencies = [r >> first & mask for r in trial]
-                if not all(v and not (r + slack[v]) & high
-                           for r, v in zip(trial, valencies)):
-                    color += 1
-                    continue
             if color < n:
                 rows[color] = row
             else:
@@ -201,8 +216,6 @@ def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
                 bounds.append(slack[cap])
             if b == lock:
                 bounds[:] = [slack[v] for v in valencies]
-            for s, target in added:
-                fwd[s][color], inv[s][target] = target, color
             logs[b], colors[b] = added, color
             b += 1
             color = visit(b)

@@ -70,7 +70,7 @@ class CubicHypermatrix:
         return not any(self.entries)
 
     def is_zero_one(self):
-        return all(v == 0 or v == 1 for v in self.entries)
+        return set(self.entries) <= {0, 1}
 
     def scaled(self, c):
         return CubicHypermatrix(self.nu, tuple(c * v for v in self.entries))

@@ -10,7 +10,7 @@ fast kernels can be checked against them output for output.
 from itertools import combinations, permutations, product
 from itertools import permutations as _point_perms
 
-from astriples.core import AstScheme
+from astriples.core import AstScheme, TernaryRelation
 from astriples.designs import (TWO_GRAPH_SEARCH_LIMIT, TwoGraph, _clean_subsets,
                                is_regular)
 from astriples.enumeration import CANONICAL_NU_LIMIT
@@ -24,6 +24,29 @@ def naive_trivial_relations(nu):
     r2 = {(y, x, y) for x in range(nu) for y in range(nu) if x != y}
     r3 = {(y, y, x) for x in range(nu) for y in range(nu) if x != y}
     return [r0, r1, r2, r3]
+
+
+def permute_relation(rel: TernaryRelation, sigma) -> TernaryRelation:
+    """Image of a relation under a coordinate permutation.
+
+    ``sigma`` is a 0-based permutation of (0, 1, 2); the triple
+    (x_0, x_1, x_2) maps to (x_sigma[0], x_sigma[1], x_sigma[2]).
+    """
+    sigma = tuple(sigma)
+    if sorted(sigma) != [0, 1, 2]:
+        raise PreconditionError(f"not a coordinate permutation: {sigma!r}")
+    a, b, c = sigma
+    return TernaryRelation(
+        rel.ground, tuple((t[a], t[b], t[c]) for t in rel.triples))
+
+
+def is_symmetric_relation(rel: TernaryRelation) -> bool:
+    """True iff the relation is fixed by all six coordinate permutations."""
+    ts = rel.triple_set
+    for sigma in permutations(range(3)):
+        if any(t not in ts for t in permute_relation(rel, sigma).triples):
+            return False
+    return True
 
 
 def naive_is_ast(nu, classes):
@@ -313,6 +336,18 @@ def naive_search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
                 undo()
 
     yield from walk(0)
+
+
+def naive_sigma_consistent(coloring, sigma_images):
+    """True iff, for every coordinate permutation, the colors of each block
+    and of its image block pair up as a bijection between classes."""
+    for images in sigma_images:
+        pairs = {(coloring[b], coloring[image])
+                 for b, image in enumerate(images)}
+        if (len({src for src, _ in pairs}) != len(pairs)
+                or len({dst for _, dst in pairs}) != len(pairs)):
+            return False
+    return True
 
 
 def naive_verify_two_graph(v: int, triples) -> TwoGraph:

@@ -1,7 +1,8 @@
 """The census kernels against the verbatim first versions in naive.py.
 
-The enumeration search must yield the same colorings in the same order,
-the two-graph finder the same list, and canonical forms the same keys.
+The enumeration search must yield the reference colorings that induce a
+class bijection for every coordinate permutation, in the same order; the
+two-graph finder the same list, and canonical forms the same keys.
 """
 
 import random
@@ -10,12 +11,13 @@ import pytest
 
 import astriples as at
 from astriples import enumeration
+from astriples.core import trivial_cube
 from astriples.designs import find_regular_two_graphs
 from astriples.enumeration import (EnumerationTask, canonical_key,
                                    enumerate_asts, enumerate_circulant)
 
 from naive import (naive_canonical_key, naive_find_regular_two_graphs,
-                   naive_search_colorings)
+                   naive_search_colorings, naive_sigma_consistent)
 
 
 def _task(nu, **kwargs):
@@ -38,22 +40,64 @@ SEARCHES = (
 )
 
 
-@pytest.mark.parametrize("run", [run for _name, run in SEARCHES],
+#: Reference survivors whose colors induce no class bijection for some
+#: coordinate permutation; the kernel never yields them.
+SIGMA_DROPS = {"agl1-8": 8}
+
+
+def _verdict(nu, blocks, coloring):
+    labels = trivial_cube(nu, 4)
+    for block, color in zip(blocks, coloring):
+        for idx in block:
+            labels[idx] = 4 + color
+    return at.verify_ast(at.TriplePartition.from_labels(at.GroundSet(nu),
+                                                        labels))
+
+
+@pytest.mark.parametrize("name, run", SEARCHES,
                          ids=[name for name, _run in SEARCHES])
-def test_search_yields_the_reference_colorings(monkeypatch, run):
+def test_search_yields_the_reference_colorings(monkeypatch, name, run):
     search = enumeration._search_colorings
     calls = []
 
     def both(*args):
         got = list(search(*args))
-        calls.append((got, list(naive_search_colorings(*args))))
+        calls.append((args, got, list(naive_search_colorings(*args))))
         return iter(got)
 
     monkeypatch.setattr(enumeration, "_search_colorings", both)
     assert run()
     assert len(calls) == 1
-    got, want = calls[0]
+    (nu, blocks, sigma_images, _cap, _limit), got, reference = calls[0]
+    # The reference ties no map to its inverse: filter it by the full
+    # condition, keeping its order; what the filter drops is no scheme.
+    want = [c for c in reference if naive_sigma_consistent(c, sigma_images)]
+    dropped = [c for c in reference if c not in want]
     assert want and got == want
+    assert len(dropped) == SIGMA_DROPS.get(name, 0)
+    for coloring in dropped:
+        verdict = _verdict(nu, blocks, coloring)
+        assert isinstance(verdict, at.ViolationReport)
+        assert verdict.condition == 3
+
+
+def _cycle(nu):
+    return at.close([tuple((i + 1) % nu for i in range(nu))])
+
+
+#: Search nodes, the root and every leaf included; they may only fall.
+@pytest.mark.parametrize("nu, circulant, nodes",
+                         [(8, True, 33459), (6, False, 17856), (7, True, 2152)],
+                         ids=["circulant-8", "trivial-6", "circulant-7"])
+def test_search_node_counts_are_pinned(nu, circulant, nodes):
+    group = _cycle(nu) if circulant else None
+
+    def census(limit):
+        return enumerate_asts(_task(nu, invariance=group, node_limit=limit))
+
+    assert census(nodes)
+    with pytest.raises(at.SizeGuardError, match=f"exceeded {nodes - 1} "):
+        census(nodes - 1)
 
 
 @pytest.mark.parametrize("nu", range(4, 8))

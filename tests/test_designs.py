@@ -80,6 +80,16 @@ def test_two_graph_from_graph_always_verifies():
         assert tg.v == nu
 
 
+def test_two_graph_from_graph_refuses_bad_edges():
+    for edges in ([(0, 9)], [(2, 2)], [(-1, 3)], [(0, "a")], [(0, 1, 2)],
+                  [(0,)], [None], 7):
+        with pytest.raises(at.StructuralError):
+            at.two_graph_from_graph(5, edges)
+    # either order and repeats name the same edge
+    assert (at.two_graph_from_graph(5, [(1, 0), (0, 1)])
+            == at.two_graph_from_graph(5, [(0, 1)]))
+
+
 def _two_graph_verdict(check, v, triples):
     try:
         return check(v, triples)

@@ -35,6 +35,19 @@ def test_adjacency_label_range(three_point):
         at.adjacency(three_point, 5)
 
 
+def test_is_zero_one_compares_entries_by_value():
+    def cube(*head):
+        return CubicHypermatrix(2, head + (0,) * (8 - len(head)))
+
+    assert cube().is_zero_one()
+    assert cube(1, 0, 1).is_zero_one()
+    assert cube(Fraction(1), Fraction(0)).is_zero_one()
+    assert cube(1.0, True).is_zero_one()
+    assert not cube(2).is_zero_one()
+    assert not cube(1, -1).is_zero_one()
+    assert not cube(Fraction(1, 2)).is_zero_one()
+
+
 def test_ternary_product_all_distinct_cube_vanishes(three_point):
     a4 = at.adjacency(three_point, 4)
     assert at.ternary_product(a4, a4, a4).is_zero()

@@ -4,6 +4,10 @@ Human-readable summaries go to stdout; machine artifacts are written only
 to paths named by --out/--tensor/--report flags.  Exit codes: 0 success,
 1 mathematical refusal (invalid scheme, non-design, refused construction),
 2 usage error (bad arguments, unreadable or malformed files).
+
+The group constructors (``finfield``) and the oracle (``asl2``, with the
+hypermatrix algebra) are imported by the commands that use them, so the
+other commands start without them.
 """
 
 from __future__ import annotations
@@ -14,21 +18,20 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .asl2 import run_asl2_oracle
 from .constructions import (ast_from_design, ast_from_group,
                             ast_from_two_graph, design_from_symmetric_relation,
                             fuse, grouping_from_json, grouping_to_json,
                             is_fission_of, two_graph_from_ast)
 from .core import (SCHEME_FORMAT_VERSION, AstScheme, GroundSet,
                    ViolationReport, intersection_numbers, is_symmetric_ast,
-                   partition_from_json, scheme_to_json, verify_ast)
+                   partition_from_json, scheme_json_chunks, scheme_to_json,
+                   verify_ast)
 from .designs import (design_from_json, design_to_json,
                       find_regular_two_graphs, is_regular,
                       two_graph_from_json, two_graph_to_json)
 from .enumeration import EnumerationTask, enumerate_asts, enumerate_circulant
 from .errors import (AstriplesError, ConsistencyError, PreconditionError,
                      RefusalError, SizeGuardError, StructuralError)
-from .finfield import group_from_spec
 
 USAGE_EXIT = 2
 REFUSAL_EXIT = 1
@@ -41,18 +44,29 @@ def _read_text(path):
         raise StructuralError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _write_text(path, text):
+def _write_chunks(path, chunks):
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
     except OSError as exc:
         raise StructuralError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
-def _write_out(path, to_text, obj):
-    """Write ``to_text(obj)`` to ``path`` when a path was given."""
+def _write_text(path, text):
+    _write_chunks(path, (text,))
+
+
+def _write_out(path, to_chunks, obj):
+    """Write the text pieces ``to_chunks(obj)`` to ``path`` when a path was
+    given, dropping each piece once written."""
     if path:
-        _write_text(path, to_text(obj))
+        _write_chunks(path, to_chunks(obj))
         print(f"wrote {path}")
+
+
+def _one_chunk(to_text):
+    """A ``to_chunks`` for ``_write_out`` from a function giving the text."""
+    return lambda obj: (to_text(obj),)
 
 
 def _load_scheme(path) -> AstScheme:
@@ -74,11 +88,12 @@ def _print_scheme_summary(scheme: AstScheme):
 
 
 def _cmd_construct(args):
+    from .finfield import group_from_spec
     group = group_from_spec(args.group)
     scheme = ast_from_group(group)
     print(f"group order {group.order} on {group.degree} points")
     _print_scheme_summary(scheme)
-    _write_out(args.out, scheme_to_json, scheme)
+    _write_out(args.out, scheme_json_chunks, scheme)
     return 0
 
 
@@ -114,7 +129,7 @@ def _cmd_fuse(args):
         return REFUSAL_EXIT
     print("fused scheme:")
     _print_scheme_summary(result)
-    _write_out(args.out, scheme_to_json, result)
+    _write_out(args.out, scheme_json_chunks, result)
     return 0
 
 
@@ -127,13 +142,14 @@ def _cmd_fission_check(args):
         return REFUSAL_EXIT
     print("fission grouping: " +
           " ".join("{" + ",".join(map(str, g)) + "}" for g in grouping.groups))
-    _write_out(args.out, grouping_to_json, grouping)
+    _write_out(args.out, _one_chunk(grouping_to_json), grouping)
     return 0
 
 
 def _cmd_oracle(args):
     if args.family != "asl2":
         raise StructuralError(f"unknown oracle family {args.family!r}")
+    from .asl2 import run_asl2_oracle
     report = run_asl2_oracle(args.q)
     status = "PASS" if report.passed else "FAIL"
     print(f"asl2 oracle q={args.q}: {status}")
@@ -161,6 +177,7 @@ def _cmd_enumerate(args):
         if args.max_classes is not None:
             schemes = [s for s in schemes if s.m - 3 <= args.max_classes]
     else:
+        from .finfield import group_from_spec
         group = group_from_spec(args.group) if args.group else None
         task = EnumerationTask(ground=ground, invariance=group,
                                symmetric_only=args.symmetric,
@@ -209,14 +226,14 @@ def _cmd_designs(args):
         design = design_from_json(_read_text(args.path))
         scheme = ast_from_design(design)
         _print_scheme_summary(scheme)
-        _write_out(args.out, scheme_to_json, scheme)
+        _write_out(args.out, scheme_json_chunks, scheme)
         return 0
     if args.action == "from-ast":
         scheme = _load_scheme(args.path)
         design = design_from_symmetric_relation(scheme, args.label)
         print(f"2-design from R_{args.label}: b={design.b} v={design.v} "
               f"k={design.k} lambda={design.lam}")
-        _write_out(args.out, design_to_json, design)
+        _write_out(args.out, _one_chunk(design_to_json), design)
         return 0
     raise StructuralError(f"unknown designs action {args.action!r}")
 
@@ -233,13 +250,13 @@ def _cmd_twograph(args):
         tg = two_graph_from_json(_read_text(args.path))
         scheme = ast_from_two_graph(tg)
         _print_scheme_summary(scheme)
-        _write_out(args.out, scheme_to_json, scheme)
+        _write_out(args.out, scheme_json_chunks, scheme)
         return 0
     if args.action == "from-ast":
         scheme = _load_scheme(args.path)
         tg = two_graph_from_ast(scheme, mode=args.mode)
         print(f"two-graph: v={tg.v} triples={len(tg.triples)}")
-        _write_out(args.out, two_graph_to_json, tg)
+        _write_out(args.out, _one_chunk(two_graph_to_json), tg)
         return 0
     if args.action == "find":
         found = find_regular_two_graphs(args.nu)

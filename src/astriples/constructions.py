@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .core import (AstScheme, GroundSet, TriplePartition, ViolationReport,
-                   json_object, label_map, trivial_cube, verify_ast)
+                   json_object, label_map, relabel, trivial_cube,
+                   verify_ast)
 from .designs import TwoDesign, TwoGraph, is_regular, verify_design, verify_two_graph
 from .errors import (ConsistencyError, PreconditionError, RefusalError,
                      StructuralError)
@@ -247,7 +248,7 @@ def fuse(scheme: AstScheme, grouping: FusionGrouping):
     for alpha, group in enumerate(grouping.groups):
         for i in group:
             coarse[i] = alpha
-    labels = map(coarse.__getitem__, scheme.labels)
+    labels = relabel(scheme.labels, coarse)
     return verify_ast(TriplePartition.from_labels(scheme.ground, labels))
 
 

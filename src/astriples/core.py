@@ -15,14 +15,19 @@ R_0..R_m (m >= 4) satisfying four conditions:
    R_1 = {(x,y,y)}, R_2 = {(y,x,y)}, R_3 = {(y,y,x)} with x != y.
 
 A partition is stored as one flat cube of nu^3 class labels,
-``labels[(x*nu + y)*nu + z]``, in an ``array('H')``.  Every condition is
-checked on the cube: a fiber or a coordinate-permuted copy of it is a
-strided slice.  Condition 3 reads the copies for (0, 2, 1) and (1, 0, 2)
-only; :func:`verify_ast` composes the other class maps and stores the
-action, which the valencies and symmetry queries read.  Relations as sets
-of triples (:class:`TernaryRelation`) are read at the boundary, by
-``TriplePartition(ground, classes)`` and the JSON reader, and are
-otherwise built from the cube only when asked for.
+``labels[(x*nu + y)*nu + z]``: an ``array('B')``, one byte a cell, when
+its classes fit in a byte, and an ``array('H')`` otherwise
+(:func:`cube_typecode`).  Every condition is checked on the cube: a fiber
+or a coordinate-permuted copy of it is a strided slice.  Conditions 3 and
+4 relabel the cube through a class table (:func:`relabel`,
+``bytes.translate`` on a byte cube) and compare it with the permuted or
+the trivial cube in one ``==``; only a failed comparison scans the cells
+for the least witness.  Condition 3 reads the copies for (0, 2, 1) and
+(1, 0, 2) only; :func:`verify_ast` composes the other class maps and
+stores the action, which the valencies and symmetry queries read.
+Relations as sets of triples (:class:`TernaryRelation`) are read at the
+boundary, by ``TriplePartition(ground, classes)`` and the JSON reader, and
+are otherwise built from the cube only when asked for.
 
 Everything here is exact: points are 0-based integers, counts are ints.
 All types are immutable after construction and safe to share.
@@ -32,10 +37,10 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from types import MappingProxyType
 
 from .errors import ConsistencyError, PreconditionError, StructuralError
@@ -53,9 +58,59 @@ FULL_CHECK_LIMIT = 30
 #: Version tag of the JSON scheme interchange format.
 SCHEME_FORMAT_VERSION = "1"
 
-#: Labels are unsigned 16-bit; the top value marks an uncovered cell while
-#: a cube is read, so a partition has at most this many classes.
+#: Labels are at most unsigned 16-bit; the top value of a cube's typecode
+#: marks an uncovered cell while the cube is read, so a partition has at
+#: most this many classes.
 LABEL_LIMIT = 0xFFFF
+
+
+def cube_typecode(classes: int) -> str:
+    """The typecode of the label cube of a partition into ``classes``
+    classes: ``'B'`` while the labels and the unfilled mark 0xFF fit in a
+    byte (at most 255 classes), else ``'H'``."""
+    return "B" if classes <= 0xFF else "H"
+
+
+def relabel(labels: array, table) -> array:
+    """The cube holding ``table[labels[c]]`` in each cell c; ``table``
+    covers every label.  A byte cube with a table of bytes is translated
+    with ``bytes.translate``; anything else is mapped cell by cell into an
+    ``array('H')``, which compares equal to a cube of either typecode."""
+    if labels.typecode == "B" and max(table, default=0) <= 0xFF:
+        return array("B", labels.tobytes().translate(
+            bytes(table).ljust(0x100, b"\0")))
+    return array("H", map(table.__getitem__, labels))
+
+
+def _first_cells(labels: array) -> list[int]:
+    """The first cell holding each label 0, 1, .., up to the first label
+    that does not occur."""
+    if labels.typecode == "B":
+        find, cells = labels.tobytes().find, []
+        for code in range(0x100):
+            cell = find(bytes((code,)))
+            if cell < 0:
+                break
+            cells.append(cell)
+        return cells
+    cells = []
+    try:
+        while True:
+            cells.append(labels.index(len(cells)))
+    except ValueError:
+        return cells
+
+
+def _class_sizes(labels: array) -> tuple[int, ...]:
+    """The number of cells holding each label 0..max."""
+    if labels.typecode == "B":
+        count, sizes, left = labels.tobytes().count, [], len(labels)
+        while left:
+            sizes.append(count(bytes((len(sizes),))))
+            left -= sizes[-1]
+        return tuple(sizes)
+    counts = Counter(labels)
+    return tuple(counts[i] for i in range(max(counts) + 1))
 
 
 @dataclass(frozen=True)
@@ -124,8 +179,10 @@ class TernaryRelation:
 class TriplePartition:
     """An ordered partition of Omega^3 into nonempty classes R_0..R_m.
 
-    The only stored state is the label cube ``labels`` (an ``array('H')``,
-    not to be mutated).  ``TriplePartition(ground, classes)`` reads
+    The only stored state is the label cube ``labels``, not to be mutated:
+    an ``array`` of the typecode :func:`cube_typecode` picks for the number
+    of classes, so equal partitions hold equal bytes.
+    ``TriplePartition(ground, classes)`` reads
     relations, given as :class:`TernaryRelation` objects or sequences of
     triples, and raises :class:`StructuralError` unless they partition the
     cube; :meth:`from_labels` takes a cube written by a producer.  Whether
@@ -138,29 +195,36 @@ class TriplePartition:
 
     @classmethod
     def from_labels(cls, ground: GroundSet, labels) -> TriplePartition:
-        """The partition with the given flat label cube; every label from
-        0 to the largest must occur."""
+        """The partition with the given flat label cube, a sequence of
+        ints (copied); every label from 0 to the largest must occur."""
         try:
-            labels = array("H", labels)
-        except OverflowError as exc:
+            cube = array("B", labels)
+        except OverflowError:
+            try:
+                cube = array("H", labels)
+            except OverflowError as exc:
+                raise StructuralError(
+                    f"labels must lie in 0..{LABEL_LIMIT - 1}") from exc
+        if len(cube) != ground.nu**3:
             raise StructuralError(
-                f"labels must lie in 0..{LABEL_LIMIT - 1}") from exc
-        if len(labels) != ground.nu**3:
-            raise StructuralError(
-                f"{len(labels)} labels for a cube of {ground.nu**3} cells")
-        part = object.__new__(cls)
-        part.ground, part.labels = ground, labels
-        if len(part.sizes) > LABEL_LIMIT:
+                f"{len(cube)} labels for a cube of {ground.nu**3} cells")
+        sizes = _class_sizes(cube)
+        if len(sizes) > LABEL_LIMIT:
             raise StructuralError(f"labels must lie in 0..{LABEL_LIMIT - 1}")
-        if 0 in part.sizes:
-            raise StructuralError(f"class {part.sizes.index(0)} is empty")
+        if 0 in sizes:
+            raise StructuralError(f"class {sizes.index(0)} is empty")
+        typecode = cube_typecode(len(sizes))
+        part = object.__new__(cls)
+        part.ground = ground
+        part.labels = cube if cube.typecode == typecode else array(typecode,
+                                                                    cube)
+        part.__dict__["sizes"] = sizes
         return part
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
         """Number of triples in each class."""
-        counts = Counter(self.labels)
-        return tuple(counts[i] for i in range(max(counts) + 1))
+        return _class_sizes(self.labels)
 
     @property
     def m(self) -> int:
@@ -216,7 +280,9 @@ def _cube_from_relations(ground: GroundSet, classes) -> array:
             f"the classes hold {total} triples, the cube has {nu**3}")
     # Then, with at least nu^3 triples and none placed twice, every cell is
     # covered.
-    labels = array("H", [LABEL_LIMIT]) * nu**3
+    typecode = cube_typecode(len(rels))
+    unfilled = 0xFF if typecode == "B" else LABEL_LIMIT
+    labels = array(typecode, [unfilled]) * nu**3
     for i, triples in enumerate(rels):
         if not triples:
             raise StructuralError(f"class {i} is empty")
@@ -230,7 +296,7 @@ def _cube_from_relations(ground: GroundSet, classes) -> array:
                     and 0 <= x < nu and 0 <= y < nu and 0 <= z < nu):
                 raise StructuralError(f"triple {t!r} out of range for nu={nu}")
             idx = (x * nu + y) * nu + z
-            if labels[idx] != LABEL_LIMIT:
+            if labels[idx] != unfilled:
                 raise StructuralError(f"triple {(x, y, z)} lies in classes "
                                       f"{labels[idx]} and {i}")
             labels[idx] = i
@@ -359,9 +425,10 @@ class AstScheme:
 
 def trivial_cube(nu: int, distinct: int) -> array:
     """A label cube holding R_0..R_3 and ``distinct`` on every all-distinct
-    cell, for producers to fill in."""
+    cell, for producers to fill in; its typecode fits ``distinct + 1``
+    classes."""
     nu2 = nu * nu
-    labels = array("H", [distinct]) * nu**3
+    labels = array(cube_typecode(distinct + 1), [distinct]) * nu**3
     for x in range(nu):
         for y in range(nu):
             labels[x * nu2 + y * nu + y] = 1
@@ -400,7 +467,7 @@ def _permuted(labels, nu, sigma):
     (x_sigma[0], x_sigma[1], x_sigma[2]); its rows are strided slices."""
     strides = (nu * nu, nu, 1)
     s0, s1, s2 = (strides[sigma.index(p)] for p in range(3))
-    out = array("H")
+    out = array(labels.typecode)
     for x in range(nu):
         for y in range(nu):
             start = x * s0 + y * s1
@@ -410,7 +477,13 @@ def _permuted(labels, nu, sigma):
 
 def label_map(labels, images):
     """The map i -> j from ``labels`` (holding 0..m) to ``images`` cell by
-    cell as a tuple, or the least i whose cells meet two images as an int."""
+    cell as a tuple, or the least i whose cells meet two images as an int.
+
+    The candidate map is read off the first cell of each class and checked
+    by relabelling; only when that fails are the cells scanned."""
+    image = tuple(images[c] for c in _first_cells(labels))
+    if relabel(labels, image) == images:
+        return image
     pairs = set(zip(labels, images))
     image = dict(pairs)
     if len(image) == len(pairs):
@@ -503,15 +576,15 @@ def verify_ast(partition: TriplePartition, full_check=None):
             "a scheme needs the four trivial relations plus at least one "
             f"nontrivial relation, got {n} classes")
 
-    # Condition 4: the first four classes are the trivial relations.  A
-    # wrong cell is one where the label and the trivial label differ and
+    # Condition 4: the first four classes are the trivial relations, so
+    # with every nontrivial label read as 4 the cube is the trivial cube.
+    # A wrong cell is one where the label and the trivial label differ and
     # one of them is trivial; the witness is the least wrong cell of the
     # least such trivial label.
-    trivial = trivial_cube(nu, LABEL_LIMIT)
-    wrong = [min(pair) for pair in set(zip(labels, trivial))
-             if pair[0] != pair[1] and min(pair) < 4]
-    if wrong:
-        i = min(wrong)
+    trivial = trivial_cube(nu, 4)
+    if relabel(labels, (0, 1, 2, 3) + (4,) * (n - 4)) != trivial:
+        i = min(min(pair) for pair in set(zip(labels, trivial))
+                if pair[0] != pair[1] and min(pair) < 4)
         t = ground.triple(next(idx for idx, (a, b) in
                                enumerate(zip(labels, trivial))
                                if a != b and i in (a, b)))
@@ -608,24 +681,44 @@ def intersection_numbers(scheme: AstScheme, full_check=None) -> IntersectionTens
 # {"nu": nu, "relations": [[[x, y, z], ...], ...]} with relations ordered
 # R_0..R_m, triples lexicographic, all integers 0-based.
 
-def scheme_to_json(obj) -> str:
-    """The JSON text of a scheme or partition, each class in cube order:
-    the bytes of ``json.dumps``, written per pair from ``"[x, y, "``."""
+def scheme_json_chunks(obj):
+    """The JSON text of a scheme or partition, one class at a time, each
+    class in cube order: joined, the bytes of ``json.dumps``.
+
+    One pass groups the cells of each slab x by class, as indices into the
+    ``"y, z]"`` texts; a class's text is joined from them when it is
+    asked for, so a writer holds one class's text at a time."""
     partition = obj.partition if isinstance(obj, AstScheme) else obj
-    nu = partition.ground.nu
-    labels = partition.labels
-    ends = [f"{z}]" for z in range(nu)]
-    chunks = [[] for _ in partition.sizes]
-    for pair in range(nu * nu):
-        start, parts = f"[{pair // nu}, {pair % nu}, ", defaultdict(list)
-        for label, text in zip(labels[pair * nu:(pair + 1) * nu],
-                               map(start.__add__, ends)):
-            parts[label].append(text)
-        for label, texts in parts.items():
-            chunks[label].append(", ".join(texts))
-    relations = ", ".join("[" + ", ".join(chunks.pop(0)) + "]"
-                          for _ in partition.sizes)
-    return f'{{"nu": {nu}, "relations": [{relations}]}}\n'
+    nu, labels, n = partition.ground.nu, partition.labels, partition.m + 1
+    nu2 = nu * nu
+    groups = [[] for _ in range(n)]
+    appends = [group.append for group in groups]
+    slabs = []
+    for x in range(nu):
+        for yz, label in enumerate(labels[x * nu2:(x + 1) * nu2]):
+            appends[label](yz)
+        order, ends = array("H" if nu2 <= 0x10000 else "I"), array("I", [0])
+        for group in groups:
+            order.extend(group)
+            ends.append(len(order))
+            group.clear()
+        slabs.append((f", [{x}, ", order, ends))
+    texts = [f"{y}, {z}]" for y in range(nu) for z in range(nu)]
+    yield f'{{"nu": {nu}, "relations": ['
+    for label in range(n):
+        # ", [x, ".join(["", "y, z]", ..]) puts ", [x, " before each cell
+        # of the slab, so the slabs concatenate; the first ", " is cut.
+        cells = "".join([lead.join(chain(("",), map(
+            texts.__getitem__, order[ends[label]:ends[label + 1]])))
+            for lead, order, ends in slabs])
+        yield ("[" if label == 0 else ", [") + cells[2:] + "]"
+    yield "]}\n"
+
+
+def scheme_to_json(obj) -> str:
+    """The JSON text of a scheme or partition (see
+    :func:`scheme_json_chunks`)."""
+    return "".join(scheme_json_chunks(obj))
 
 
 def json_object(text: str, what: str, *keys) -> dict:

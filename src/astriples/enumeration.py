@@ -34,7 +34,7 @@ from itertools import permutations as _point_perms
 from itertools import product
 
 from .core import (COORD_PERMS, AstScheme, GroundSet, TriplePartition,
-                   ViolationReport, trivial_cube, verify_ast)
+                   ViolationReport, cube_typecode, trivial_cube, verify_ast)
 from .errors import PreconditionError, SizeGuardError
 from .permgroup import PermutationGroup, _transversals, close, is_transitive
 
@@ -254,7 +254,7 @@ def enumerate_asts(task: EnumerationTask) -> list[AstScheme]:
     for coloring in _search_colorings(nu, blocks, sigma_block_images,
                                       task.max_nontrivial_classes,
                                       task.node_limit):
-        labels = array("H", base)
+        labels = array(cube_typecode(5 + max(coloring)), base)
         for block, color in zip(blocks, coloring):
             for idx in block:
                 labels[idx] = 4 + color

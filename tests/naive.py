@@ -427,3 +427,15 @@ def naive_canonical_key(scheme: AstScheme) -> tuple:
         if best is None or key < best:
             best = key
     return best
+
+
+def naive_label_map(labels, images):
+    """The map i -> j from ``labels`` (holding 0..m) to ``images`` cell by
+    cell as a tuple, or the least i whose cells meet two images as an int:
+    the ``set(zip(...))`` scan that ``core.label_map`` ran on every call,
+    verbatim."""
+    pairs = set(zip(labels, images))
+    image = dict(pairs)
+    if len(image) == len(pairs):
+        return tuple(image[i] for i in range(len(image)))
+    return min(i for i, j in pairs if image[i] != j)

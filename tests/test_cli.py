@@ -391,3 +391,79 @@ def test_tracer_bindings_resolve():
     for module_name, attr, _name, _counter in tracer.BINDINGS:
         module = importlib.import_module(f"astriples.{module_name}")
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_version_loads_no_oracle_or_group_modules():
+    # the package resolves its public names on first use, and the CLI
+    # imports the group constructors and the oracle inside their commands
+    src = str(Path(at.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import json, sys\n"
+             "from astriples.cli import run\n"
+             "assert run(['--version']) == 0\n"
+             "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    version, loaded = proc.stdout.splitlines()
+    assert version.startswith("astriples ")
+    loaded = set(json.loads(loaded))
+    assert "astriples.core" in loaded
+    assert not loaded & {"astriples.asl2", "astriples.finfield",
+                         "astriples.hypermatrix", "fractions"}
+
+
+OLD_EXPORTS = {
+    "core": "AstScheme GroundSet IntersectionTensor TernaryRelation "
+            "TriplePartition ValencyTable ViolationReport "
+            "coordinate_class_action ensure_ast intersection_numbers "
+            "is_symmetric_ast partition_from_json scheme_to_json "
+            "trivial_relations verify_ast",
+    "designs": "TwoDesign TwoGraph complement_two_graph "
+               "find_regular_two_graphs is_regular pair_coverage "
+               "two_graph_from_graph verify_design verify_two_graph",
+    "enumeration": "AstIsomorphism EnumerationTask are_isomorphic "
+                   "canonical_key enumerate_asts enumerate_circulant",
+    "errors": "AstriplesError ConsistencyError PreconditionError "
+              "RefusalError SizeGuardError StructuralError",
+    "finfield": "FiniteField agl1_group agl2_group asl2_group "
+                "field_from_order group_from_spec make_field point_index "
+                "psl2_group",
+    "hypermatrix": "AlgebraElement CubicHypermatrix adjacency "
+                   "associativity_counterexample class_product_mismatch "
+                   "commutativity_counterexample is_associative_subalgebra "
+                   "is_commutative_subalgebra product_in_coefficients "
+                   "ternary_field_certificate ternary_product "
+                   "verify_structure_constants weak_associativity_check",
+    "permgroup": "PermutationGroup close cycle_orbits_on_relation "
+                 "find_invariant_cycle is_circulant_ast is_invariant is_thin "
+                 "is_transitive is_two_transitive orbits_on_triples "
+                 "pair_orbits perm_from_cycles thin_circulant_decomposition "
+                 "two_point_stabilizer_orbits",
+    "constructions": "FusionGrouping FusionTheoremReport "
+                     "TwoGraphFusionResult ast_from_design ast_from_group "
+                     "ast_from_two_graph design_from_symmetric_relation fuse "
+                     "is_fission_of two_graph_from_ast two_graph_fusion "
+                     "vanishing_report verify_fusion_theorem",
+    "asl2": "Asl2Labeling check_asl2_nontrivial_products "
+            "check_asl2_trivial_products check_asl2_valencies "
+            "label_asl2_ast run_asl2_oracle",
+}
+
+
+def test_package_exports_resolve_to_their_modules():
+    # the names the package imported eagerly before it loaded them on
+    # first use: each is exported, listed by dir() and the module's object
+    import importlib
+    names = [name for names in OLD_EXPORTS.values() for name in names.split()]
+    assert at.__all__ == names
+    assert set(names) | set(OLD_EXPORTS) <= set(dir(at))
+    for module_name, module_names in OLD_EXPORTS.items():
+        module = importlib.import_module(f"astriples.{module_name}")
+        assert getattr(at, module_name) is module
+        for name in module_names.split():
+            assert getattr(at, name) is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        at.no_such_name

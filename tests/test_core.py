@@ -1,14 +1,16 @@
 import random
+from array import array
 from itertools import permutations, product
 
 import pytest
 
 import astriples as at
-from astriples.core import COORD_PERMS
+from astriples.core import COORD_PERMS, cube_typecode, trivial_cube
 
 from conftest import THREE_POINT_RELATIONS
 from naive import (is_symmetric_relation, naive_full_tensor, naive_is_ast,
-                   naive_trivial_relations, naive_valencies, permute_relation)
+                   naive_label_map, naive_trivial_relations, naive_valencies,
+                   permute_relation)
 
 
 def test_ground_set_requires_three_points():
@@ -302,36 +304,99 @@ def test_intersection_numbers_detect_bypassed_verification():
         at.intersection_numbers(bogus, full_check=True)
 
 
+def _report_meets_the_definition(nu, classes, report):
+    # the verdict and witness of a failed verification, checked against
+    # the classes as triple sets
+    if report.condition == 4:
+        (i,), (t,) = report.relations, report.witness
+        trivial = naive_trivial_relations(nu)
+        assert i == next(k for k in range(4) if classes[k] != trivial[k])
+        assert t == min(classes[i] ^ trivial[i])
+    elif report.condition == 1:
+        (i,), (p1, c1, p2, c2) = report.relations, report.witness
+        counts = {(x, y): sum((x, y, z) in classes[i] for z in range(nu))
+                  for x in range(nu) for y in range(nu) if x != y}
+        assert (counts[p1], counts[p2]) == (c1, c2) and c1 != c2
+        assert p1 == (0, 1) and all(counts[p] == c1 for p in counts if p < p2)
+        assert all(sum((*p1, z) in c for z in range(nu))
+                   == sum((*p2, z) in c for z in range(nu))
+                   for c in classes[:i])
+    elif report.condition == 3:
+        # the least class without an image under the first transposition
+        # that fails
+        (i,), (sigma,) = report.relations, report.witness
+        image_of = {s: [frozenset(tuple(t[k] for k in s) for t in c)
+                        for c in classes] for s in ((0, 2, 1), (1, 0, 2))}
+        frozen = set(map(frozenset, classes))
+        assert image_of[sigma][i] not in frozen
+        assert all(image in frozen for image in image_of[sigma][:i])
+        if sigma == (1, 0, 2):
+            assert all(image in frozen for image in image_of[(0, 2, 1)])
+
+
 def test_verify_ast_agrees_with_naive_checker_on_random_partitions():
-    # differential fuzz: random colorings of the all-distinct triples into
-    # up to three classes, verdicts compared against the independent
-    # brute-force checker (condition numbering may differ; validity not)
+    # differential fuzz: random colorings of the all-distinct triples,
+    # verdicts compared against the independent brute-force checker
+    # (condition numbering may differ; validity not) and each failure's
+    # witness against the definition.  Byte cubes on nu = 3, 4 and 5 with
+    # up to three classes; on nu = 5 every pair's fiber gets the same
+    # colours in a random order, so condition 1 holds and condition 3 is
+    # reached.  Two-byte cubes on nu = 8 with more than 255 classes: a
+    # scheme has at most nu + 2 classes, so these fail condition 4 or 1.
+    # Some rounds move cells into or out of the trivial classes.
     rng = random.Random(60901)
-    for nu, rounds in ((3, 200), (4, 120)):
+    seen = set()
+    for nu, typecode, (low, high), rounds in ((3, "B", (1, 3), 200),
+                                              (4, "B", (1, 3), 120),
+                                              (5, "B", (1, 3), 100),
+                                              (8, "H", (252, 336), 25)):
         ground = at.GroundSet(nu)
-        trivial = at.trivial_relations(ground)
-        distinct = [t for t in product(range(nu), repeat=3)
-                    if len(set(t)) == 3]
-        agreements = {True: 0, False: 0}
+        trivial = trivial_cube(nu, 4)
+        distinct = [idx for idx, label in enumerate(trivial) if label == 4]
         for _ in range(rounds):
-            n_classes = rng.randrange(1, 4)
-            coloring = [rng.randrange(n_classes) for _ in distinct]
-            groups = {}
-            for t, c in zip(distinct, coloring):
-                groups.setdefault(c, []).append(t)
-            classes = tuple(trivial) + tuple(
-                at.TernaryRelation(ground, tuple(g))
-                for g in (groups[c] for c in sorted(groups)))
-            verdict = at.verify_ast(at.TriplePartition(ground, classes))
-            ok, _reason = naive_is_ast(
-                nu, [rel.triple_set for rel in classes])
+            n_classes = rng.randrange(low, high + 1)
+            if nu == 5:
+                fiber = list(range(n_classes)) + [0] * (3 - n_classes)
+                colors = []
+                for _pair in range(len(distinct) // 3):
+                    colors += rng.sample(fiber, 3)
+            elif typecode == "H":
+                colors = list(range(n_classes)) + [
+                    rng.randrange(n_classes)
+                    for _ in range(len(distinct) - n_classes)]
+                rng.shuffle(colors)
+            else:
+                colors = [rng.randrange(n_classes) for _ in distinct]
+            labels = list(trivial)
+            for idx, color in zip(distinct, colors):
+                labels[idx] = 4 + color
+            for _ in range(rng.choice((0, 0, 0, 1, 2))):
+                labels[rng.randrange(nu**3)] = rng.randrange(4 + n_classes)
+            rename = {label: k for k, label in enumerate(sorted(set(labels)))}
+            if len(rename) < 5:
+                continue        # too few classes for verify_ast
+            labels = [rename[label] for label in labels]
+            partition = at.TriplePartition.from_labels(ground, labels)
+            assert partition.labels.typecode == cube_typecode(len(rename))
+            classes = [set() for _ in rename]
+            for idx, label in enumerate(labels):
+                classes[label].add(ground.triple(idx))
+            verdict = at.verify_ast(partition)
+            ok, _reason = naive_is_ast(nu, classes)
             assert isinstance(verdict, at.AstScheme) == ok
-            agreements[ok] += 1
-        assert agreements[True] + agreements[False] == rounds
-        # the single-class coloring always appears, so both verdicts occur
-        single = tuple(trivial) + (at.TernaryRelation(ground, tuple(distinct)),)
-        assert isinstance(
-            at.verify_ast(at.TriplePartition(ground, single)), at.AstScheme)
+            if not ok:
+                _report_meets_the_definition(nu, classes, verdict)
+            seen.add((partition.labels.typecode,
+                      0 if ok else verdict.condition))
+        # the single-class coloring is a scheme
+        if typecode == "B":
+            single = tuple(at.trivial_relations(ground)) + (
+                [ground.triple(idx) for idx in distinct],)
+            assert isinstance(
+                at.verify_ast(at.TriplePartition(ground, single)),
+                at.AstScheme)
+    assert seen >= {("B", 0), ("B", 1), ("B", 3), ("B", 4), ("H", 1),
+                    ("H", 4)}
 
 
 def test_full_check_default_matches_explicit(three_point):
@@ -345,7 +410,7 @@ def test_partition_stores_only_the_label_cube(three_point):
     ground = at.GroundSet(3)
     partition = at.TriplePartition(ground, THREE_POINT_RELATIONS)
     assert set(vars(partition)) == {"ground", "labels"}
-    assert partition.labels.typecode == "H"
+    assert partition.labels.typecode == "B"
     assert list(partition.labels) == [
         next(i for i, rel in enumerate(THREE_POINT_RELATIONS) if t in rel)
         for t in product(range(3), repeat=3)]
@@ -357,6 +422,29 @@ def test_partition_stores_only_the_label_cube(three_point):
         [tuple(sorted(rel)) for rel in THREE_POINT_RELATIONS]
     same = at.TriplePartition.from_labels(ground, list(partition.labels))
     assert same == partition
+
+
+@pytest.mark.parametrize("classes, typecode",
+                         [(5, "B"), (255, "B"), (256, "H"), (300, "H")])
+def test_cube_typecode_rule(classes, typecode):
+    # One byte a cell while the labels and the unfilled mark 0xFF fit in a
+    # byte; the rule depends on the class count alone, whatever the input.
+    ground = at.GroundSet(7)
+    labels = [min(idx, classes - 1) for idx in range(7**3)]
+    relations = [[] for _ in range(classes)]
+    for idx, label in enumerate(labels):
+        relations[label].append(ground.triple(idx))
+    assert cube_typecode(classes) == typecode
+    assert trivial_cube(7, classes - 1).typecode == typecode
+    parts = [at.TriplePartition(ground, relations),
+             at.TriplePartition.from_labels(ground, labels)]
+    parts += [at.TriplePartition.from_labels(ground, array(code, labels))
+              for code in "HI"]
+    for part in parts:
+        assert part.labels.typecode == typecode
+        assert list(part.labels) == labels and part.m == classes - 1
+        assert part.sizes == tuple(labels.count(i) for i in range(classes))
+        assert part == parts[0] and hash(part) == hash(parts[0])
 
 
 def test_partition_boundary_errors():
@@ -391,6 +479,53 @@ def test_from_labels_checks_the_cube():
     for label in (65535, 70000):
         with pytest.raises(at.StructuralError, match="labels must lie"):
             at.TriplePartition.from_labels(ground, [0] * 26 + [label])
+
+
+def _cube(typecode, labels):
+    # a label cube of the given typecode holding arbitrary labels
+    return array(typecode, labels)
+
+
+def test_relabel_matches_the_per_cell_map_on_both_typecodes():
+    from astriples.core import relabel
+    rng = random.Random(8101)
+    for typecode, top, table_top in (("B", 17, 17), ("B", 255, 255),
+                                     ("B", 17, 400), ("H", 17, 17),
+                                     ("H", 400, 255), ("H", 400, 65535)):
+        for _ in range(20):
+            labels = _cube(typecode, [rng.randrange(top)
+                                      for _ in range(rng.randrange(1, 300))])
+            table = [rng.randrange(table_top) for _ in range(top)]
+            out = relabel(labels, table)
+            assert list(out) == [table[label] for label in labels]
+            # a byte cube stays a byte cube while the table fits a byte
+            assert out.typecode == ("B" if typecode == "B"
+                                    and max(table) <= 0xFF else "H")
+
+
+def test_label_map_matches_the_set_scan_and_its_witness():
+    # the candidate read off the first cells and checked by relabelling
+    # gives the scan's map, and after a failed check the scan's witness
+    from astriples.core import label_map
+    rng = random.Random(8102)
+    outcomes = {True: 0, False: 0}
+    for typecode, classes, top in (("B", 5, 5), ("B", 40, 254),
+                                   ("H", 300, 300), ("H", 40, 1000)):
+        for _ in range(40):
+            size = rng.randrange(classes, 4 * classes)
+            labels = list(range(classes)) + [rng.randrange(classes)
+                                             for _ in range(size - classes)]
+            rng.shuffle(labels)
+            image_of = [rng.randrange(top) for _ in range(classes)]
+            images = [image_of[label] for label in labels]
+            for _ in range(rng.randrange(3)):
+                images[rng.randrange(size)] = rng.randrange(top)
+            for image_code in {typecode, "H"}:
+                got = label_map(_cube(typecode, labels),
+                                _cube(image_code, images))
+                assert got == naive_label_map(labels, images)
+            outcomes[isinstance(got, tuple)] += 1
+    assert min(outcomes.values()) > 20
 
 
 def test_class_action_matches_relation_images(constructed_schemes):

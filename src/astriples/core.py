@@ -25,9 +25,12 @@ the trivial cube in one ``==``; only a failed comparison scans the cells
 for the least witness.  Condition 3 reads the copies for (0, 2, 1) and
 (1, 0, 2) only; :func:`verify_ast` composes the other class maps and
 stores the action, which the valencies and symmetry queries read.
-Relations as sets of triples (:class:`TernaryRelation`) are read at the
-boundary, by ``TriplePartition(ground, classes)`` and the JSON reader, and
-are otherwise built from the cube only when asked for.
+Relations given as triples are placed in the cube one class at a time by
+one routine, for ``TriplePartition(ground, classes)`` and for the JSON
+reader, which decodes a scheme file class by class, so it holds one
+class's lists at a time; relations as sets of triples
+(:class:`TernaryRelation`) are otherwise built from the cube only when
+asked for.
 
 Everything here is exact: points are 0-based integers, counts are ints.
 All types are immutable after construction and safe to share.
@@ -36,6 +39,7 @@ All types are immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -43,7 +47,8 @@ from functools import cached_property
 from itertools import chain, permutations, product
 from types import MappingProxyType
 
-from .errors import ConsistencyError, PreconditionError, StructuralError
+from .errors import (AstriplesError, ConsistencyError, PreconditionError,
+                     SizeGuardError, StructuralError)
 
 Triple = tuple[int, int, int]
 
@@ -55,6 +60,12 @@ COORD_PERMS: tuple[Triple, ...] = tuple(permutations(range(3)))
 #: on every representative by default.  The check is O(nu^4).
 FULL_CHECK_LIMIT = 30
 
+#: Largest dense intersection tensor, in (m+1)^4 entries, that
+#: :func:`verify_ast` builds: up to 152 classes, 5 GiB at 10 bytes an
+#: entry.  A list copied into a tuple took 16 bytes an entry, more than
+#: 8 GiB for any tensor this refuses.
+TENSOR_ENTRY_LIMIT = 2**29
+
 #: Version tag of the JSON scheme interchange format.
 SCHEME_FORMAT_VERSION = "1"
 
@@ -62,6 +73,9 @@ SCHEME_FORMAT_VERSION = "1"
 #: marks an uncovered cell while the cube is read, so a partition has at
 #: most this many classes.
 LABEL_LIMIT = 0xFFFF
+
+# The unfilled mark of each cube typecode.
+_UNFILLED = {"B": 0xFF, "H": LABEL_LIMIT}
 
 
 def cube_typecode(classes: int) -> str:
@@ -214,11 +228,17 @@ class TriplePartition:
         if 0 in sizes:
             raise StructuralError(f"class {sizes.index(0)} is empty")
         typecode = cube_typecode(len(sizes))
+        part = cls._of(ground, cube if cube.typecode == typecode
+                       else array(typecode, cube))
+        part.__dict__["sizes"] = sizes
+        return part
+
+    @classmethod
+    def _of(cls, ground: GroundSet, labels: array) -> TriplePartition:
+        """The partition with the cube ``labels``, taken as it is."""
         part = object.__new__(cls)
         part.ground = ground
-        part.labels = cube if cube.typecode == typecode else array(typecode,
-                                                                    cube)
-        part.__dict__["sizes"] = sizes
+        part.labels = labels
         return part
 
     @cached_property
@@ -280,27 +300,38 @@ def _cube_from_relations(ground: GroundSet, classes) -> array:
             f"the classes hold {total} triples, the cube has {nu**3}")
     # Then, with at least nu^3 triples and none placed twice, every cell is
     # covered.
-    typecode = cube_typecode(len(rels))
-    unfilled = 0xFF if typecode == "B" else LABEL_LIMIT
-    labels = array(typecode, [unfilled]) * nu**3
+    labels = _unfilled_cube(nu, cube_typecode(len(rels)))
     for i, triples in enumerate(rels):
-        if not triples:
-            raise StructuralError(f"class {i} is empty")
-        for t in triples:
-            try:
-                x, y, z = t
-            except (TypeError, ValueError):
-                raise StructuralError(
-                    f"class {i}: {t!r} is not a triple") from None
-            if not (type(x) is type(y) is type(z) is int
-                    and 0 <= x < nu and 0 <= y < nu and 0 <= z < nu):
-                raise StructuralError(f"triple {t!r} out of range for nu={nu}")
-            idx = (x * nu + y) * nu + z
-            if labels[idx] != unfilled:
-                raise StructuralError(f"triple {(x, y, z)} lies in classes "
-                                      f"{labels[idx]} and {i}")
-            labels[idx] = i
+        _place_class(labels, nu, i, triples)
     return labels
+
+
+def _unfilled_cube(nu: int, typecode: str) -> array:
+    """A cube of the given typecode holding the unfilled mark everywhere."""
+    return array(typecode, [_UNFILLED[typecode]]) * nu**3
+
+
+def _place_class(labels: array, nu: int, i: int, triples):
+    """Write label ``i`` into the cells of ``triples``, which must be
+    nonempty, triples of ints in ``range(nu)``, and on cells that still hold
+    the unfilled mark; the first problem raises :class:`StructuralError`."""
+    if not triples:
+        raise StructuralError(f"class {i} is empty")
+    unfilled = _UNFILLED[labels.typecode]
+    for t in triples:
+        try:
+            x, y, z = t
+        except (TypeError, ValueError):
+            raise StructuralError(
+                f"class {i}: {t!r} is not a triple") from None
+        if not (type(x) is type(y) is type(z) is int
+                and 0 <= x < nu and 0 <= y < nu and 0 <= z < nu):
+            raise StructuralError(f"triple {t!r} out of range for nu={nu}")
+        idx = (x * nu + y) * nu + z
+        if labels[idx] != unfilled:
+            raise StructuralError(f"triple {(x, y, z)} lies in classes "
+                                  f"{labels[idx]} and {i}")
+        labels[idx] = i
 
 
 @dataclass(frozen=True)
@@ -556,9 +587,10 @@ def verify_ast(partition: TriplePartition, full_check=None):
 
     Returns a validated :class:`AstScheme` on success and a
     :class:`ViolationReport` naming the violated condition otherwise.
-    Fewer than five classes raise :class:`StructuralError`; a partition
-    of the cube into nonempty classes is guaranteed by
-    :class:`TriplePartition`.
+    Fewer than five classes raise :class:`StructuralError`, and a valid
+    scheme whose dense tensor would pass ``TENSOR_ENTRY_LIMIT`` raises
+    :class:`SizeGuardError` before it is allocated; a partition of the cube
+    into nonempty classes is guaranteed by :class:`TriplePartition`.
 
     ``full_check`` controls condition 2: ``True`` verifies the constancy of
     every intersection number on every representative, ``False`` computes
@@ -648,7 +680,13 @@ def ensure_ast(partition: TriplePartition, full_check=None) -> AstScheme:
 
 def _tensor_from_sigs(n_classes, sigs) -> IntersectionTensor:
     c = n_classes
-    values = [0] * c**4
+    if c**4 > TENSOR_ENTRY_LIMIT:
+        raise SizeGuardError(
+            f"the intersection tensor of {c} classes has {c**4} entries; "
+            f"it is guarded to {TENSOR_ENTRY_LIMIT}")
+    # The counts go into two-byte cells (a count is at most nu) and then
+    # into one tuple: 10 bytes an entry at the peak.
+    values = array("H", [0]) * c**4
     for l, sig in enumerate(sigs):
         for (i, j, k), count in Counter(sig).items():
             values[((i * c + j) * c + k) * c + l] = count
@@ -735,14 +773,108 @@ def json_object(text: str, what: str, *keys) -> dict:
 
 
 def json_int(data: dict, key: str) -> int:
+    """``data[key]``, which must be a JSON integer: not a bool, a float or
+    a string."""
+    if type(data[key]) is not int:
+        raise StructuralError(f"bad {key!r}: {data[key]!r}")
+    return data[key]
+
+
+_decode = json.JSONDecoder().raw_decode
+_space = re.compile(r"[ \t\n\r]*").match
+
+
+def _partition_by_class(text: str):
+    """The partition in scheme JSON text whose ``"nu"`` key comes before
+    its ``"relations"`` key, or None for any other text.
+
+    The top-level object is walked with the stdlib scanner, and each class
+    is decoded and placed in the cube before the next is decoded, so one
+    class's lists are alive at a time.  Anything the whole-text reader
+    would refuse gives None: invalid JSON, a bad ``"nu"``, a second
+    ``"nu"`` or ``"relations"`` after the classes, or classes that fail
+    :func:`_place_class` or do not cover the cube.
+    """
+    fields, cube = {}, None
     try:
-        return int(data[key])
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"bad {key!r}: {data[key]!r}") from exc
+        at = _space(text).end()
+        if not text.startswith("{", at):
+            return None
+        at = _space(text, at + 1).end()
+        while text.startswith('"', at):
+            key, at = _decode(text, at)
+            at = _space(text, at).end()
+            if not text.startswith(":", at):
+                return None
+            at = _space(text, at + 1).end()
+            if cube is not None and key in ("nu", "relations"):
+                return None
+            if key == "relations":
+                if "nu" not in fields:
+                    return None
+                ground = GroundSet(json_int(fields, "nu"))
+                read = _read_classes(text, at, ground.nu)
+                if read is None:
+                    return None
+                cube, at = read
+            else:
+                fields[key], at = _decode(text, at)
+            at = _space(text, at).end()
+            if text.startswith("}", at):
+                if cube is None or _space(text, at + 1).end() < len(text):
+                    return None
+                return TriplePartition._of(ground, cube)
+            if not text.startswith(",", at):
+                return None
+            at = _space(text, at + 1).end()
+    except (AstriplesError, json.JSONDecodeError):
+        pass
+    return None
+
+
+def _read_classes(text: str, at: int, nu: int):
+    """(cube, end) for the list of classes at ``text[at]``, decoded and
+    placed one class at a time, or None unless they partition the cube.
+
+    The cube is allocated only when the text is long enough for nu^3
+    triples of at least 7 characters, ``[0,0,0]``, each.  Its typecode is
+    widened by :func:`cube_typecode` as classes come."""
+    if not text.startswith("[", at) or len(text) < 7 * nu**3:
+        return None
+    cube, placed, label = _unfilled_cube(nu, cube_typecode(1)), 0, 0
+    at = _space(text, at + 1).end()
+    if not text.startswith("]", at):
+        while label < LABEL_LIMIT:
+            wide = cube_typecode(label + 1)
+            if cube.typecode != wide:
+                cube = relabel(cube, tuple(range(_UNFILLED[cube.typecode]))
+                               + (_UNFILLED[wide],))
+            triples, at = _decode(text, at)
+            if not isinstance(triples, list):
+                return None
+            _place_class(cube, nu, label, triples)
+            placed, label = placed + len(triples), label + 1
+            del triples     # before the next class is decoded
+            at = _space(text, at).end()
+            if not text.startswith(",", at):
+                break
+            at = _space(text, at + 1).end()
+        if not text.startswith("]", at):
+            return None
+    # With nu^3 triples placed and none placed twice, every cell is covered.
+    return (cube, at + 1) if placed == nu**3 else None
 
 
 def partition_from_json(text: str) -> TriplePartition:
-    """Read scheme JSON; malformed input raises :class:`StructuralError`."""
+    """Read scheme JSON; malformed input raises :class:`StructuralError`.
+
+    A file with ``"nu"`` before ``"relations"``, as this package and
+    ``json.dumps(sort_keys=True)`` write it, is read one class at a time
+    (:func:`_partition_by_class`); any other text, malformed ones included,
+    is parsed whole by ``json.loads``, which gives the error."""
+    partition = _partition_by_class(text)
+    if partition is not None:
+        return partition
     data = json_object(text, "scheme", "nu", "relations")
     ground = GroundSet(json_int(data, "nu"))
     if not isinstance(data["relations"], list):

@@ -3,14 +3,18 @@
 Everything here is written straight from the defining conditions with
 plain set/dict scans and no reuse of library internals, so a library bug
 cannot hide in a shared code path.  The last section is different: it
-holds the first, plain versions of the census kernels, verbatim, so the
-fast kernels can be checked against them output for output.
+holds the first, plain versions of the census kernels and of the scheme
+reader, verbatim, so the fast versions can be checked against them output
+for output.
 """
 
+from array import array
 from itertools import combinations, permutations, product
 from itertools import permutations as _point_perms
 
-from astriples.core import AstScheme, TernaryRelation
+from astriples.core import (LABEL_LIMIT, AstScheme, GroundSet, TernaryRelation,
+                            TriplePartition, cube_typecode, json_int,
+                            json_object)
 from astriples.designs import (TWO_GRAPH_SEARCH_LIMIT, TwoGraph, _clean_subsets,
                                is_regular)
 from astriples.enumeration import CANONICAL_NU_LIMIT
@@ -214,7 +218,8 @@ def naive_triple_orbits(elements, n):
 # ---------------------------------------------------------------------------
 # The census kernels as first written, kept verbatim as references for the
 # packed-counter search, the Gray-code two-graph scan and the table-driven
-# canonical keys: same arguments, same results, in the same order.
+# canonical keys, and the scheme reader that parsed the whole text: same
+# arguments, same results, in the same order.
 
 def naive_search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
     """Yield block colorings (class assignments) surviving the prunes."""
@@ -439,3 +444,66 @@ def naive_label_map(labels, images):
     if len(image) == len(pairs):
         return tuple(image[i] for i in range(len(image)))
     return min(i for i, j in pairs if image[i] != j)
+
+
+def naive_partition_from_json(text):
+    """Scheme JSON read as ``core.partition_from_json`` read all of it
+    before it read one class at a time, verbatim: the text parsed whole by
+    ``json.loads``, then the classes placed by
+    :func:`naive_cube_from_relations`.  The ``"nu"`` rule is the library's
+    ``json_int``."""
+    data = json_object(text, "scheme", "nu", "relations")
+    ground = GroundSet(json_int(data, "nu"))
+    if not isinstance(data["relations"], list):
+        raise StructuralError("'relations' must be a list")
+    return TriplePartition._of(
+        ground, naive_cube_from_relations(ground, data["relations"]))
+
+
+def naive_cube_from_relations(ground, classes):
+    """The label cube of relations that must partition the cube; the
+    first problem found raises :class:`StructuralError`: the one loop
+    ``core._cube_from_relations`` ran, verbatim."""
+    nu = ground.nu
+    rels, total = [], 0
+    for i, rel in enumerate(classes):
+        if isinstance(rel, TernaryRelation):
+            if rel.ground != ground:
+                raise StructuralError("relation on a different ground set")
+            rel = rel.triples
+        try:
+            total += len(rel)
+        except TypeError:
+            raise StructuralError(f"bad relation entry: {rel!r}") from None
+        rels.append(rel)
+    if len(rels) > LABEL_LIMIT:
+        raise StructuralError(f"{len(rels)} classes; a partition holds at "
+                              f"most {LABEL_LIMIT}")
+    # The count comes first, so a tiny input with a huge nu allocates
+    # nothing.
+    if total < nu**3:
+        raise StructuralError(
+            f"the classes hold {total} triples, the cube has {nu**3}")
+    # Then, with at least nu^3 triples and none placed twice, every cell is
+    # covered.
+    typecode = cube_typecode(len(rels))
+    unfilled = 0xFF if typecode == "B" else LABEL_LIMIT
+    labels = array(typecode, [unfilled]) * nu**3
+    for i, triples in enumerate(rels):
+        if not triples:
+            raise StructuralError(f"class {i} is empty")
+        for t in triples:
+            try:
+                x, y, z = t
+            except (TypeError, ValueError):
+                raise StructuralError(
+                    f"class {i}: {t!r} is not a triple") from None
+            if not (type(x) is type(y) is type(z) is int
+                    and 0 <= x < nu and 0 <= y < nu and 0 <= z < nu):
+                raise StructuralError(f"triple {t!r} out of range for nu={nu}")
+            idx = (x * nu + y) * nu + z
+            if labels[idx] != unfilled:
+                raise StructuralError(f"triple {(x, y, z)} lies in classes "
+                                      f"{labels[idx]} and {i}")
+            labels[idx] = i
+    return labels

@@ -247,6 +247,48 @@ def test_design_loader_type_errors_exit_two(tmp_path, capsys):
     assert "bad 'v'" in capsys.readouterr().err
 
 
+def test_loaders_read_only_json_integers(tmp_path, capsys):
+    # "nu" and "v" must be JSON integers: int() read 3.9, "3" and " 3 " as 3
+    six = at.find_regular_two_graphs(6)[0]
+    files = [(["verify"], "nu",
+              {"nu": 3, "relations": _three_point_relations()}),
+             (["designs", "verify"], "v",
+              {"v": 7, "blocks": [list(b) for b in fano_blocks()]}),
+             (["twograph", "verify"], "v",
+              {"v": 6, "triples": [list(t) for t in six.triples]})]
+    path = tmp_path / "f.json"
+    for argv, key, payload in files:
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(argv + [str(path)]) == 0, argv
+        capsys.readouterr()
+        good = payload[key]
+        for value in (good + 0.9, float(good), str(good), f" {good} ", True):
+            path.write_text(json.dumps(dict(payload, **{key: value})),
+                            encoding="utf-8")
+            assert run(argv + [str(path)]) == 2, (argv, value)
+            err = capsys.readouterr().err
+            assert err == f"usage error: bad {key!r}: {value!r}\n", err
+
+
+def test_tensor_guard_refuses_before_allocating(monkeypatch, tmp_path,
+                                                capsys):
+    # agl1:7 has 9 classes, a tensor of 9^4 entries
+    scheme_path = tmp_path / "agl1_7.json"
+    assert run(["construct", "--group", "agl1:7",
+                "--out", str(scheme_path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(at.core, "TENSOR_ENTRY_LIMIT", 9**4 - 1)
+    for argv in (["construct", "--group", "agl1:7"],
+                 ["verify", str(scheme_path)], ["params", str(scheme_path)]):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("refused: the intersection tensor of 9 classes "
+                              "has 6561 entries"), err
+    monkeypatch.setattr(at.core, "TENSOR_ENTRY_LIMIT", 9**4)
+    assert run(["params", str(scheme_path)]) == 0
+    capsys.readouterr()
+
+
 def test_output_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

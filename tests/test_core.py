@@ -304,6 +304,18 @@ def test_intersection_numbers_detect_bypassed_verification():
         at.intersection_numbers(bogus, full_check=True)
 
 
+def test_tensor_guard_refuses_before_allocating(monkeypatch):
+    # agl1:7 has 9 classes; past the guard verify_ast and a recount refuse
+    scheme = at.ast_from_group(at.agl1_group(7))
+    monkeypatch.setattr(at.core, "TENSOR_ENTRY_LIMIT", 9**4 - 1)
+    with pytest.raises(at.SizeGuardError, match="6561 entries"):
+        at.verify_ast(scheme.partition)
+    with pytest.raises(at.SizeGuardError, match="6561 entries"):
+        at.intersection_numbers(scheme, full_check=False)
+    monkeypatch.setattr(at.core, "TENSOR_ENTRY_LIMIT", 9**4)
+    assert at.verify_ast(scheme.partition).tensor == scheme.tensor
+
+
 def _report_meets_the_definition(nu, classes, report):
     # the verdict and witness of a failed verification, checked against
     # the classes as triple sets

@@ -147,8 +147,6 @@ def _cmd_fission_check(args):
 
 
 def _cmd_oracle(args):
-    if args.family != "asl2":
-        raise StructuralError(f"unknown oracle family {args.family!r}")
     from .asl2 import run_asl2_oracle
     report = run_asl2_oracle(args.q)
     status = "PASS" if report.passed else "FAIL"
@@ -228,14 +226,12 @@ def _cmd_designs(args):
         _print_scheme_summary(scheme)
         _write_out(args.out, scheme_json_chunks, scheme)
         return 0
-    if args.action == "from-ast":
-        scheme = _load_scheme(args.path)
-        design = design_from_symmetric_relation(scheme, args.label)
-        print(f"2-design from R_{args.label}: b={design.b} v={design.v} "
-              f"k={design.k} lambda={design.lam}")
-        _write_out(args.out, _one_chunk(design_to_json), design)
-        return 0
-    raise StructuralError(f"unknown designs action {args.action!r}")
+    scheme = _load_scheme(args.path)    # from-ast
+    design = design_from_symmetric_relation(scheme, args.label)
+    print(f"2-design from R_{args.label}: b={design.b} v={design.v} "
+          f"k={design.k} lambda={design.lam}")
+    _write_out(args.out, _one_chunk(design_to_json), design)
+    return 0
 
 
 def _cmd_twograph(args):
@@ -258,14 +254,12 @@ def _cmd_twograph(args):
         print(f"two-graph: v={tg.v} triples={len(tg.triples)}")
         _write_out(args.out, _one_chunk(two_graph_to_json), tg)
         return 0
-    if args.action == "find":
-        found = find_regular_two_graphs(args.nu)
-        print(f"regular two-graphs on {args.nu} points (proper): {len(found)}")
-        if args.out and found:
-            _write_text(args.out, two_graph_to_json(found[0]))
-            print(f"wrote first instance to {args.out}")
-        return 0
-    raise StructuralError(f"unknown twograph action {args.action!r}")
+    found = find_regular_two_graphs(args.nu)    # find
+    print(f"regular two-graphs on {args.nu} points (proper): {len(found)}")
+    if args.out and found:
+        _write_text(args.out, two_graph_to_json(found[0]))
+        print(f"wrote first instance to {args.out}")
+    return 0
 
 
 def _build_parser():

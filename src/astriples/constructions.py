@@ -227,13 +227,14 @@ def grouping_to_json(grouping: FusionGrouping) -> str:
 
 
 def grouping_from_json(text: str) -> FusionGrouping:
-    data = json_object(text, "grouping", "groups")
-    try:
-        groups = tuple(tuple(int(i) for i in g) for g in data["groups"])
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(
-            f"'groups' must be a list of label lists: {exc}") from exc
-    return FusionGrouping(groups)
+    groups = json_object(text, "grouping", "groups")["groups"]
+    if not isinstance(groups, list):
+        raise StructuralError("'groups' must be a list of label lists")
+    for group in groups:
+        if not isinstance(group, list) or any(type(i) is not int
+                                              for i in group):
+            raise StructuralError(f"bad 'groups' entry: {group!r}")
+    return FusionGrouping(tuple(map(tuple, groups)))
 
 
 def fuse(scheme: AstScheme, grouping: FusionGrouping):

@@ -48,7 +48,7 @@ from itertools import chain, permutations, product
 from types import MappingProxyType
 
 from .errors import (AstriplesError, ConsistencyError, PreconditionError,
-                     SizeGuardError, StructuralError)
+                     StructuralError)
 
 Triple = tuple[int, int, int]
 
@@ -59,12 +59,6 @@ COORD_PERMS: tuple[Triple, ...] = tuple(permutations(range(3)))
 #: Largest ground set for which intersection-number constancy is verified
 #: on every representative by default.  The check is O(nu^4).
 FULL_CHECK_LIMIT = 30
-
-#: Largest dense intersection tensor, in (m+1)^4 entries, that
-#: :func:`verify_ast` builds: up to 152 classes, 5 GiB at 10 bytes an
-#: entry.  A list copied into a tuple took 16 bytes an entry, more than
-#: 8 GiB for any tensor this refuses.
-TENSOR_ENTRY_LIMIT = 2**29
 
 #: Version tag of the JSON scheme interchange format.
 SCHEME_FORMAT_VERSION = "1"
@@ -167,7 +161,7 @@ class TernaryRelation:
         cleaned = sorted({tuple(t) for t in self.triples})
         for t in cleaned:
             if len(t) != 3 or not all(
-                    isinstance(c, int) and 0 <= c < nu for c in t):
+                    type(c) is int and 0 <= c < nu for c in t):
                 raise StructuralError(f"triple {t!r} out of range for nu={nu}")
         object.__setattr__(self, "triples", tuple(cleaned))
 
@@ -350,27 +344,28 @@ class ValencyTable:
 
 @dataclass(frozen=True)
 class IntersectionTensor:
-    """The structure constants p_ijk^l, dense over (m+1)^4 index tuples."""
+    """The structure constants p_ijk^l as condition 2 counts them:
+    ``counts[l]`` is a read-only map from each (i, j, k) with p_ijk^l > 0
+    to p_ijk^l.  Every other entry is 0; each class holds at most nu
+    entries, so the tensor holds at most (m+1)*nu."""
 
-    classes: int
-    values: tuple[int, ...]
+    counts: tuple[MappingProxyType, ...]
+
+    @property
+    def classes(self) -> int:
+        return len(self.counts)
 
     def get(self, i: int, j: int, k: int, l: int) -> int:
-        c = self.classes
-        return self.values[((i * c + j) * c + k) * c + l]
+        return self.counts[l].get((i, j, k), 0)
 
     def slice(self, i: int, j: int, k: int) -> tuple[int, ...]:
         """The vector (p_ijk^0, .., p_ijk^m)."""
-        c = self.classes
-        base = ((i * c + j) * c + k) * c
-        return self.values[base:base + c]
+        return tuple(counts.get((i, j, k), 0) for counts in self.counts)
 
     def nonzero(self):
         """Yield (i, j, k, l, p) for every nonzero entry, in index order."""
-        for ijkl, p in zip(product(range(self.classes), repeat=4),
-                           self.values):
-            if p:
-                yield ijkl + (p,)
+        yield from sorted(ijk + (l, p) for l, counts in enumerate(self.counts)
+                          for ijk, p in counts.items())
 
 
 @dataclass(frozen=True)
@@ -587,10 +582,10 @@ def verify_ast(partition: TriplePartition, full_check=None):
 
     Returns a validated :class:`AstScheme` on success and a
     :class:`ViolationReport` naming the violated condition otherwise.
-    Fewer than five classes raise :class:`StructuralError`, and a valid
-    scheme whose dense tensor would pass ``TENSOR_ENTRY_LIMIT`` raises
-    :class:`SizeGuardError` before it is allocated; a partition of the cube
-    into nonempty classes is guaranteed by :class:`TriplePartition`.
+    Fewer than five classes raise :class:`StructuralError`; a partition
+    of the cube into nonempty classes is guaranteed by
+    :class:`TriplePartition`.  The scheme keeps the condition-2 counts of
+    each class as its :class:`IntersectionTensor`.
 
     ``full_check`` controls condition 2: ``True`` verifies the constancy of
     every intersection number on every representative, ``False`` computes
@@ -666,7 +661,7 @@ def verify_ast(partition: TriplePartition, full_check=None):
                  enumerate(zip(action[(1, 2, 0)], action[(0, 2, 1)])))
     scheme = AstScheme(partition=partition, valencies=ValencyTable(rows))
     scheme.__dict__["action"] = action
-    scheme.__dict__["tensor"] = _tensor_from_sigs(n, sigs)
+    scheme.__dict__["tensor"] = _tensor_from_sigs(sigs)
     return scheme
 
 
@@ -678,19 +673,9 @@ def ensure_ast(partition: TriplePartition, full_check=None) -> AstScheme:
     return result
 
 
-def _tensor_from_sigs(n_classes, sigs) -> IntersectionTensor:
-    c = n_classes
-    if c**4 > TENSOR_ENTRY_LIMIT:
-        raise SizeGuardError(
-            f"the intersection tensor of {c} classes has {c**4} entries; "
-            f"it is guarded to {TENSOR_ENTRY_LIMIT}")
-    # The counts go into two-byte cells (a count is at most nu) and then
-    # into one tuple: 10 bytes an entry at the peak.
-    values = array("H", [0]) * c**4
-    for l, sig in enumerate(sigs):
-        for (i, j, k), count in Counter(sig).items():
-            values[((i * c + j) * c + k) * c + l] = count
-    return IntersectionTensor(classes=c, values=tuple(values))
+def _tensor_from_sigs(sigs) -> IntersectionTensor:
+    return IntersectionTensor(tuple(MappingProxyType(Counter(sig))
+                                    for sig in sigs))
 
 
 def intersection_numbers(scheme: AstScheme, full_check=None) -> IntersectionTensor:
@@ -710,7 +695,7 @@ def intersection_numbers(scheme: AstScheme, full_check=None) -> IntersectionTens
         raise ConsistencyError(
             f"intersection numbers not constant on relation "
             f"{labels[bad[0]]}; the scheme was not verified")
-    return _tensor_from_sigs(n, sigs)
+    return _tensor_from_sigs(sigs)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +749,7 @@ def json_object(text: str, what: str, *keys) -> dict:
     raises :class:`StructuralError`."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # JSONDecodeError included
         raise StructuralError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or any(key not in data for key in keys):
         raise StructuralError(
@@ -827,7 +812,7 @@ def _partition_by_class(text: str):
             if not text.startswith(",", at):
                 return None
             at = _space(text, at + 1).end()
-    except (AstriplesError, json.JSONDecodeError):
+    except (AstriplesError, ValueError, RecursionError):
         pass
     return None
 

@@ -53,9 +53,11 @@ def _clean_subsets(v, raw, size, what):
         raise StructuralError(f"{what}s must be a list") from exc
     for entry in entries:
         try:
-            block = tuple(sorted(int(p) for p in entry))
-        except (TypeError, ValueError) as exc:
+            block = tuple(sorted(entry))
+        except TypeError as exc:
             raise StructuralError(f"bad {what} entry: {entry!r}") from exc
+        if any(type(p) is not int for p in block):
+            raise StructuralError(f"bad {what} entry: {entry!r}")
         if len(set(block)) != len(block):
             raise StructuralError(f"{what} {entry!r} repeats a point")
         if size is not None and len(block) != size:

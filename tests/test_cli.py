@@ -9,6 +9,7 @@ import pytest
 
 import astriples as at
 from astriples.cli import run
+from astriples.constructions import grouping_from_json, grouping_to_json
 
 from conftest import fano_blocks
 
@@ -141,6 +142,13 @@ def test_enumerate_circulant_command(capsys):
     assert "schemes=2" in out
 
 
+def test_enumerate_circulant_max_classes(capsys):
+    assert run(["enumerate", "--nu", "7", "--circulant",
+                "--max-classes", "2"]) == 0
+    assert capsys.readouterr().out == \
+        'nu=7 schemes=2 by_nontrivial_classes={"1": 1, "2": 1}\n'
+
+
 def test_enumerate_rejects_conflicting_filters(capsys):
     assert run(["enumerate", "--nu", "5", "--circulant", "--symmetric"]) == 2
     capsys.readouterr()
@@ -270,23 +278,71 @@ def test_loaders_read_only_json_integers(tmp_path, capsys):
             assert err == f"usage error: bad {key!r}: {value!r}\n", err
 
 
-def test_tensor_guard_refuses_before_allocating(monkeypatch, tmp_path,
-                                                capsys):
-    # agl1:7 has 9 classes, a tensor of 9^4 entries
-    scheme_path = tmp_path / "agl1_7.json"
-    assert run(["construct", "--group", "agl1:7",
+def test_loaders_refuse_non_integer_entries(tmp_path, capsys):
+    # blocks, triples and groups hold JSON integers only, as scheme triples
+    # do: int() read 1.9 as 1, "2" as 2 and true as 1
+    scheme_path = tmp_path / "s.json"
+    assert run(["construct", "--group", "asl2:2",
                 "--out", str(scheme_path)]) == 0
+    blocks = [list(b) for b in fano_blocks()]
+    six = [list(t) for t in at.find_regular_two_graphs(6)[0].triples]
+    cases = [(["designs", "verify"], "block", {"v": 7}, "blocks", blocks,
+              lambda entries: at.verify_design(7, entries)),
+             (["twograph", "verify"], "triple", {"v": 6}, "triples", six,
+              lambda entries: at.verify_two_graph(6, entries))]
+    path = tmp_path / "f.json"
+    for argv, what, head, key, good, load in cases:
+        for bad in ([0, 1.9, "2"], [0, 1, 2.5], [0, 1, "2"], [0, True, 2]):
+            entries = [bad] + good[1:]
+            path.write_text(json.dumps(dict(head, **{key: entries})),
+                            encoding="utf-8")
+            assert run(argv + [str(path)]) == 2, (argv, bad)
+            assert capsys.readouterr().err == \
+                f"usage error: bad {what} entry: {bad!r}\n"
+            with pytest.raises(at.StructuralError, match=f"bad {what} entry"):
+                load(entries)
+    for bad, entry in (([[0], [1], [2], [3], [4.9], ["5"]], [4.9]),
+                       ([[0], [True], [2], [3], [4], [5]], [True])):
+        text = json.dumps({"groups": bad})
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["fuse", str(scheme_path), "--grouping", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"usage error: bad 'groups' entry: {entry!r}\n"
+        with pytest.raises(at.StructuralError, match="bad 'groups' entry"):
+            grouping_from_json(text)
+    m = at.partition_from_json(scheme_path.read_text()).m
+    path.write_text(grouping_to_json(at.FusionGrouping.identity(m)),
+                    encoding="utf-8")
+    assert run(["fuse", str(scheme_path), "--grouping", str(path)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(at.core, "TENSOR_ENTRY_LIMIT", 9**4 - 1)
-    for argv in (["construct", "--group", "agl1:7"],
-                 ["verify", str(scheme_path)], ["params", str(scheme_path)]):
-        assert run(argv) == 1, argv
-        err = capsys.readouterr().err
-        assert err.startswith("refused: the intersection tensor of 9 classes "
-                              "has 6561 entries"), err
-    monkeypatch.setattr(at.core, "TENSOR_ENTRY_LIMIT", 9**4)
-    assert run(["params", str(scheme_path)]) == 0
+
+
+@pytest.mark.parametrize("payload", ["[" * 100_000,
+                                     '{"nu": ' + "7" * 5001 + "}"],
+                         ids=["deep", "long_int"])
+def test_loaders_refuse_unparsable_json(tmp_path, capsys, payload):
+    # json.loads raises RecursionError on deep nesting and ValueError past
+    # the int digit limit; every loader reports both as invalid JSON
+    scheme_path = tmp_path / "s.json"
+    assert run(["construct", "--group", "asl2:2",
+                "--out", str(scheme_path)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload, encoding="utf-8")
     capsys.readouterr()
+    for argv in (["verify", str(bad)], ["designs", "verify", str(bad)],
+                 ["twograph", "verify", str(bad)],
+                 ["fuse", str(scheme_path), "--grouping", str(bad)]):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(
+            "usage error: invalid JSON: "), argv
+
+
+def test_construct_agl1_151_keeps_the_sparse_tensor(capsys):
+    # 153 classes: a dense tensor would hold 153^4 = 548M entries
+    assert run(["construct", "--group", "agl1:151"]) == 0
+    out = capsys.readouterr().out
+    assert "nu=151 classes=153 " in out
 
 
 def test_output_determinism(tmp_path, capsys):

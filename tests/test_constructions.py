@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -282,7 +282,7 @@ def test_fusion_theorem_identity_grouping(fano_scheme):
     report = at.verify_fusion_theorem(
         fano_scheme, at.FusionGrouping.identity(fano_scheme.m))
     assert report.passed
-    assert report.fused.tensor.values == fano_scheme.tensor.values
+    assert report.fused.tensor == fano_scheme.tensor
 
 
 def test_fused_adjacency_is_sum_of_fine(asl2_schemes):
@@ -344,6 +344,27 @@ def test_two_graph_fusion_negative_witness_q4(asl2_schemes):
     j_label = labeling.line_labels[1]
     result = at.two_graph_fusion(scheme, [j_label])
     assert result.two_graph is None and result.failing_quadruple is not None
+
+
+def test_two_graph_fusion_of_two_asl2_line_classes(asl2_schemes):
+    # In ASL(2,4) any two of the three line-type classes fuse into a regular
+    # two-graph on 16 points; one line class alone, or all three, leave an
+    # odd-pattern intersection number nonzero.
+    from naive import naive_verify_two_graph
+    scheme, labeling = asl2_schemes[4]
+    lines = labeling.line_labels
+    failing = (labeling.point_labels[2], lines[1], lines[3], lines[2])
+    for j_labels in combinations(sorted(lines.values()), 2):
+        tg = at.two_graph_fusion(scheme, j_labels).two_graph
+        assert (tg.v, len(tg.triples)) == (16, 320)
+        subsets = [t for rel in map(scheme.relation, j_labels)
+                   for t in rel.triples if t[0] < t[1] < t[2]]
+        assert naive_verify_two_graph(16, subsets) == tg
+        assert at.verify_ast(at.ast_from_two_graph(tg).partition).m == 5
+    for j_labels in [(lines[1],), (lines[2],), (lines[3],),
+                     tuple(lines.values())]:
+        assert at.two_graph_fusion(scheme, j_labels) == \
+            at.TwoGraphFusionResult(two_graph=None, failing_quadruple=failing)
 
 
 def test_two_graph_fusion_preconditions(fano_scheme, asl2_schemes):
@@ -444,9 +465,7 @@ def test_fuse_fission_and_tensor_match_naive_on_random_groupings(
         nu = scheme.nu
         fine = [rel.triple_set for rel in scheme.classes]
         want = naive_full_tensor(nu, fine)
-        assert {key: v for key, v in zip(product(range(scheme.m + 1),
-                                                 repeat=4),
-                                         scheme.tensor.values) if v} == want
+        assert {e[:4]: e[4] for e in scheme.tensor.nonzero()} == want
         for _ in range(6):
             grouping = _random_grouping(rng, scheme.m)
             coarse = [frozenset().union(*(fine[i] for i in group))
@@ -459,9 +478,8 @@ def test_fuse_fission_and_tensor_match_naive_on_random_groupings(
                 continue
             assert [rel.triple_set for rel in fused.classes] == coarse
             want = naive_full_tensor(nu, coarse)
-            assert {key: v for key, v in zip(product(range(fused.m + 1),
-                                                     repeat=4),
-                                             fused.tensor.values) if v} == want
+            assert {e[:4]: e[4]
+                    for e in fused.tensor.nonzero()} == want
             assert at.is_fission_of(scheme, fused) == grouping == \
                 _naive_fission(fine, coarse)
             assert at.is_fission_of(fused, scheme) == \

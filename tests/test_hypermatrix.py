@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 
@@ -147,16 +148,23 @@ def test_structure_constant_law_on_diagonal_class(three_point):
     assert at.ternary_product(a0, a0, a0) == a0
 
 
+def _with_entry(tensor, i, j, k, l, p):
+    """``tensor`` with the one entry p_ijk^l set to ``p`` > 0."""
+    counts = [dict(c) for c in tensor.counts]
+    counts[l][i, j, k] = p
+    tampered = at.IntersectionTensor(tuple(map(MappingProxyType, counts)))
+    old, new = ({e[:4]: e[4] for e in t.nonzero()} for t in (tensor, tampered))
+    assert [key for key in old.keys() | new.keys()
+            if old.get(key) != new.get(key)] == [(i, j, k, l)]
+    return tampered
+
+
 def test_structure_constants_corruption_signal(three_point):
     # tampering with the cached tensor must trip the nontrivial-triple check
     partition = three_point.partition
     fresh = at.ensure_ast(partition)
-    tensor = fresh.tensor
-    values = list(tensor.values)
-    c = tensor.classes
-    values[((4 * c + 4) * c + 4) * c + 4] = 2  # claim p_444^4 = 2
-    fresh.__dict__["tensor"] = at.IntersectionTensor(classes=c,
-                                                     values=tuple(values))
+    # claim p_444^4 = 2
+    fresh.__dict__["tensor"] = _with_entry(fresh.tensor, 4, 4, 4, 4, 2)
     with pytest.raises(at.ConsistencyError):
         at.verify_structure_constants(fresh, scope="nontrivial")
 
@@ -233,11 +241,7 @@ def _tampered_asl2_3(asl2_schemes):
     scheme, labeling = asl2_schemes[3]
     fresh = at.ensure_ast(scheme.partition)
     a = labeling.point_labels[2]
-    c = fresh.tensor.classes
-    values = list(fresh.tensor.values)
-    values[((1 * c + a) * c + a) * c + 1] = 2
-    fresh.__dict__["tensor"] = at.IntersectionTensor(classes=c,
-                                                     values=tuple(values))
+    fresh.__dict__["tensor"] = _with_entry(fresh.tensor, 1, a, a, 1, 2)
     return fresh, (1, a, a)
 
 

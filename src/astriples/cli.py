@@ -40,7 +40,7 @@ REFUSAL_EXIT = 1
 def _read_text(path):
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StructuralError(f"cannot read {path!r}: {exc}") from exc
 
 

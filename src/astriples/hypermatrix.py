@@ -314,7 +314,7 @@ def product_in_coefficients(x: AlgebraElement, y: AlgebraElement,
             raise PreconditionError(
                 f"support {el.support} touches a trivial label; the "
                 "coefficient product is only defined on nontrivial support")
-    tensor = scheme.tensor
+    slices = scheme.tensor.slices
     out = [0] * (scheme.m + 1)
     for i in x.support:
         xi = x.coeffs[i]
@@ -322,9 +322,8 @@ def product_in_coefficients(x: AlgebraElement, y: AlgebraElement,
             xy = xi * y.coeffs[j]
             for k in z.support:
                 coeff = xy * z.coeffs[k]
-                for l, p in enumerate(tensor.slice(i, j, k)):
-                    if p:
-                        out[l] += coeff * p
+                for l, p in slices.get((i, j, k), ()):
+                    out[l] += coeff * p
     if any(out[:4]):
         raise ConsistencyError(
             "nontrivial product produced support on a trivial label; "
@@ -386,17 +385,12 @@ def is_commutative_subalgebra(scheme: AstScheme) -> bool:
 
 def commutativity_counterexample(scheme: AstScheme):
     """A tuple (i, j, k, sigma) with differing tensor slices, or None."""
-    tensor = scheme.tensor
-    nontrivial = list(scheme.nontrivial_labels)
-    for i in nontrivial:
-        for j in nontrivial:
-            for k in nontrivial:
-                base = tensor.slice(i, j, k)
-                ijk = (i, j, k)
-                for sigma in COORD_PERMS[1:]:
-                    permuted = (ijk[sigma[0]], ijk[sigma[1]], ijk[sigma[2]])
-                    if tensor.slice(*permuted) != base:
-                        return (i, j, k, sigma)
+    slice_of = scheme.tensor.slices.get
+    for ijk in product(scheme.nontrivial_labels, repeat=3):
+        base = slice_of(ijk)
+        for sigma in COORD_PERMS[1:]:
+            if slice_of((ijk[sigma[0]], ijk[sigma[1]], ijk[sigma[2]])) != base:
+                return ijk + (sigma,)
     return None
 
 

@@ -338,6 +338,22 @@ def test_loaders_refuse_unparsable_json(tmp_path, capsys, payload):
             "usage error: invalid JSON: "), argv
 
 
+def test_loaders_refuse_non_utf8_files(tmp_path, capsys):
+    scheme_path = tmp_path / "s.json"
+    assert run(["construct", "--group", "asl2:2",
+                "--out", str(scheme_path)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"nu": 3, \xff\xfe}')
+    capsys.readouterr()
+    for argv in (["params", str(bad)], ["designs", "verify", str(bad)],
+                 ["twograph", "verify", str(bad)],
+                 ["fuse", str(scheme_path), "--grouping", str(bad)]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot read {str(bad)!r}: "
+                              "'utf-8' codec can't decode byte 0xff"), argv
+
+
 def test_construct_agl1_151_keeps_the_sparse_tensor(capsys):
     # 153 classes: a dense tensor would hold 153^4 = 548M entries
     assert run(["construct", "--group", "agl1:151"]) == 0

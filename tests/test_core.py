@@ -52,6 +52,11 @@ def test_relation_normalization_and_membership():
     for bad in ((0, 1, True), (0, 1.0, 2), (0, 1, "2")):
         with pytest.raises(at.StructuralError, match="out of range"):
             at.TernaryRelation(ground, (bad,))
+    # entries are checked before they are sorted
+    with pytest.raises(at.StructuralError, match="out of range"):
+        at.TernaryRelation(ground, [(0, 1, "a"), (0, 1, 2)])
+    with pytest.raises(at.StructuralError, match="triple 5 out of range"):
+        at.TernaryRelation(ground, [5])
 
 
 def test_verify_ast_accepts_reference_three_point_partition(three_point):

@@ -1,10 +1,12 @@
 """The scheme reader against the whole-text reader it replaced.
 
-``core.partition_from_json`` decodes one class at a time and falls back to
-parsing the whole text only for malformed input and for files whose
-``"relations"`` key comes before ``"nu"``.  For every input here it must
-return the partition ``naive.naive_partition_from_json`` returns, in the
-same typecode, or raise the same error with the same message.
+``core.partition_from_json`` places a file in the writer's exact spelling
+run by run (``_bulk_cube``), decodes any other file one class at a time,
+and falls back to parsing the whole text only for malformed input and for
+files whose ``"relations"`` key comes before ``"nu"``.  For every input
+here it must return the partition ``naive.naive_partition_from_json``
+returns, in the same typecode, or raise the same error with the same
+message; the bulk path returns that cube or None.
 """
 
 import json
@@ -14,7 +16,7 @@ import tracemalloc
 import pytest
 
 import astriples as at
-from astriples.core import _partition_by_class, scheme_to_json
+from astriples.core import _bulk_cube, _partition_by_class, scheme_to_json
 from astriples.enumeration import EnumerationTask, enumerate_asts
 from astriples.finfield import asl2_group
 
@@ -64,6 +66,102 @@ def valid_texts():
     texts = {name: scheme_to_json(s) for name, s in schemes.items()}
     texts["relabelled_asl2_4"] = _relabelled(schemes["asl2_4"], 906)
     return texts
+
+
+@pytest.fixture(scope="module")
+def asl2_8_text():
+    return scheme_to_json(at.ast_from_group(asl2_group(8)))
+
+
+def test_bulk_path_reads_every_writer_file(valid_texts, asl2_8_text):
+    texts = dict(valid_texts, asl2_8=asl2_8_text,
+                 relabelled_asl2_8=_relabelled(
+                     at.partition_from_json(asl2_8_text), 906))
+    for name, text in texts.items():
+        cube = _bulk_cube(text)
+        want = naive_partition_from_json(text).labels
+        assert cube is not None, name
+        assert (cube.typecode, cube) == (want.typecode, want), name
+
+
+def _writer_mutations(text):
+    """Edits of the writer's nu=9 asl2:3 file: each one leaves the exact
+    spelling, so the bulk path must return None for it."""
+    return {
+        "zero_padded_z": text.replace(", 1]", ", 01]", 1),
+        "zero_padded_x": text.replace("[1, ", "[01, ", 1),
+        "zero_padded_nu": text.replace('"nu": 9', '"nu": 09', 1),
+        "minus_zero_x": text.replace("[0, 0, 0]", "[-0, 0, 0]", 1),
+        "minus_zero_y": text.replace("[0, 0, 0]", "[0, -0, 0]", 1),
+        "float_z": text.replace("[8, 8, 8]", "[8, 8, 8.0]", 1),
+        "bool_z": text.replace("[1, 1, 1]", "[1, 1, true]", 1),
+        "x_out_of_range": text.replace("[8, 8, 8]", "[9, 8, 8]", 1),
+        "z_out_of_range": text.replace("[8, 8, 8]", "[8, 8, 9]", 1),
+        "nu_too_small": text.replace('"nu": 9', '"nu": 8', 1),
+        "nu_too_large": text.replace('"nu": 9', '"nu": 10', 1),
+        "repeat_in_class": text.replace("[[0, 0, 0], ",
+                                        "[[0, 0, 0], [0, 0, 0], ", 1),
+        "repeat_across_classes": text.replace("]], [[", "]], [[0, 0, 0], [",
+                                              1),
+        # nu^3 triples, one cell twice and one never
+        "repeat_for_missing": text.replace("]], [[0, 1, 1]",
+                                           "]], [[0, 0, 0]", 1),
+        "runs_out_of_order": text.replace("[[0, 0, 0], [1, 1, 1]",
+                                          "[[1, 1, 1], [0, 0, 0]", 1),
+        "missing_space_in_triple": text.replace("[1, 1, 1]", "[1, 1,1]", 1),
+        "missing_space_between": text.replace("], [1, 1, 1]",
+                                              "],[1, 1, 1]", 1),
+        "newline_between_runs": text.replace("], [1, 1, 1]",
+                                             "],\n[1, 1, 1]", 1),
+        "unread_first_triple": text.replace("]], [[0, 1, 1]",
+                                            "]], [[-0, 1, 1], [0, 1, 1]", 1),
+        "bad_class_open": text.replace("]], [[", "]], ([", 1),
+        "extra_space_in_triple": text.replace("[1, 1, 1]", "[1, 1, 1 ]", 1),
+        "extra_space_in_header": text.replace('"nu": ', '"nu":  ', 1),
+        "leading_space": " " + text,
+        "trailing_space": text + " ",
+        "trailing_newline": text + "\n",
+        "trailing_bytes": text.rstrip() + "x",
+        "trailing_object": text.rstrip() + "{}",
+        "truncated_last_class": text[:-20],
+        "last_triple_dropped": text[:text.rindex(", [")] + "]]}\n",
+        "empty_last_class": text.rstrip()[:-2] + ", []]}",
+    }
+
+
+def test_bulk_path_leaves_every_other_spelling_to_the_reader(valid_texts):
+    text = valid_texts["asl2_3"]
+    for name, mutated in _writer_mutations(text).items():
+        assert mutated != text, name
+        assert _bulk_cube(mutated) is None, name
+        assert_same_reading(mutated)
+
+
+def test_bulk_path_class_counts():
+    # nu=16 in one class for each (y, z) but the last few: every class
+    # holds every x, and the bulk path places up to 255 classes; past that
+    # the class-at-a-time reader widens the cube to 'H'
+    cells = range(16**3)
+    for k in (254, 255, 256):
+        text = scheme_to_json(at.TriplePartition.from_labels(
+            at.GroundSet(16), [min(c % 256, k - 1) for c in cells]))
+        assert assert_same_reading(text)
+        cube = _bulk_cube(text)
+        if k <= 255:
+            assert cube == naive_partition_from_json(text).labels
+        else:
+            assert cube is None
+
+
+def test_bulk_path_needs_every_x_in_every_class():
+    # one class for each x, and a discrete partition of the first 342
+    # cells of nu=7 (343 classes, an 'H' cube)
+    for nu, labels in ((9, [c // 81 for c in range(729)]),
+                       (7, list(range(343)))):
+        text = scheme_to_json(at.TriplePartition.from_labels(
+            at.GroundSet(nu), labels))
+        assert _bulk_cube(text) is None
+        assert assert_same_reading(text)
 
 
 def test_valid_files_are_read_one_class_at_a_time(valid_texts):
@@ -172,11 +270,11 @@ def _traced_peak(read, text):
         tracemalloc.stop()
 
 
-def test_reader_peaks_far_below_the_whole_text_reader():
+def test_reader_peaks_far_below_the_whole_text_reader(asl2_8_text):
     # the whole-text reader holds every class's lists at once: 24.4 MiB for
     # the 3.4 MiB asl2:8 text; one class at a time, the largest class
-    # (32,256 triples) and the cube take 3.2 MiB
-    text = scheme_to_json(at.ast_from_group(asl2_group(8)))
+    # (32,256 triples) and the cube take 3.2 MiB, and run by run less
+    text = asl2_8_text
     peak = _traced_peak(at.partition_from_json, text)
     whole = _traced_peak(naive_partition_from_json, text)
     assert 4 * peak < whole, (peak, whole)

@@ -24,8 +24,8 @@ from .constructions import (ast_from_design, ast_from_group,
                             is_fission_of, two_graph_from_ast)
 from .core import (SCHEME_FORMAT_VERSION, AstScheme, GroundSet,
                    ViolationReport, intersection_numbers, is_symmetric_ast,
-                   partition_from_json, scheme_json_chunks, scheme_to_json,
-                   verify_ast)
+                   partition_from_json, read_text, scheme_json_chunks,
+                   scheme_to_json, verify_ast)
 from .designs import (design_from_json, design_to_json,
                       find_regular_two_graphs, is_regular,
                       two_graph_from_json, two_graph_to_json)
@@ -35,13 +35,6 @@ from .errors import (AstriplesError, ConsistencyError, PreconditionError,
 
 USAGE_EXIT = 2
 REFUSAL_EXIT = 1
-
-
-def _read_text(path):
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise StructuralError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _write_chunks(path, chunks):
@@ -70,7 +63,7 @@ def _one_chunk(to_text):
 
 
 def _load_scheme(path) -> AstScheme:
-    partition = partition_from_json(_read_text(path))
+    partition = partition_from_json(read_text(path))
     result = verify_ast(partition)
     if isinstance(result, ViolationReport):
         raise RefusalError(f"{path}: condition {result.condition} violated: "
@@ -98,7 +91,7 @@ def _cmd_construct(args):
 
 
 def _cmd_verify(args):
-    partition = partition_from_json(_read_text(args.scheme))
+    partition = partition_from_json(read_text(args.scheme))
     result = verify_ast(partition, full_check=args.full_check or None)
     if isinstance(result, ViolationReport):
         print(f"INVALID: condition {result.condition}: {result.message}")
@@ -122,7 +115,7 @@ def _cmd_params(args):
 
 def _cmd_fuse(args):
     scheme = _load_scheme(args.scheme)
-    grouping = grouping_from_json(_read_text(args.grouping))
+    grouping = grouping_from_json(read_text(args.grouping))
     result = fuse(scheme, grouping)
     if isinstance(result, ViolationReport):
         print(f"NOT A FUSION: condition {result.condition}: {result.message}")
@@ -216,12 +209,12 @@ def _cmd_enumerate(args):
 
 def _cmd_designs(args):
     if args.action == "verify":
-        design = design_from_json(_read_text(args.path))
+        design = design_from_json(read_text(args.path))
         print(f"2-design: b={design.b} v={design.v} k={design.k} "
               f"lambda={design.lam}")
         return 0
     if args.action == "to-ast":
-        design = design_from_json(_read_text(args.path))
+        design = design_from_json(read_text(args.path))
         scheme = ast_from_design(design)
         _print_scheme_summary(scheme)
         _write_out(args.out, scheme_json_chunks, scheme)
@@ -238,12 +231,12 @@ def _cmd_twograph(args):
     if args.action != "find" and args.path is None:
         raise StructuralError(f"twograph {args.action} needs a PATH")
     if args.action == "verify":
-        tg = two_graph_from_json(_read_text(args.path))
+        tg = two_graph_from_json(read_text(args.path))
         print(f"two-graph: v={tg.v} triples={len(tg.triples)} "
               f"regular={is_regular(tg)}")
         return 0
     if args.action == "to-ast":
-        tg = two_graph_from_json(_read_text(args.path))
+        tg = two_graph_from_json(read_text(args.path))
         scheme = ast_from_two_graph(tg)
         _print_scheme_summary(scheme)
         _write_out(args.out, scheme_json_chunks, scheme)

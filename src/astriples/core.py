@@ -416,8 +416,15 @@ class AstScheme:
     def classes(self) -> tuple[TernaryRelation, ...]:
         return self.partition.classes
 
+    def check_label(self, i) -> int:
+        """``i`` when it is a class label 0..m, else
+        :class:`PreconditionError`."""
+        if type(i) is not int or not 0 <= i <= self.m:
+            raise PreconditionError(f"label {i!r} outside 0..{self.m}")
+        return i
+
     def relation(self, i: int) -> TernaryRelation:
-        return self.partition.classes[i]
+        return self.partition.classes[self.check_label(i)]
 
     @property
     def nontrivial_labels(self) -> range:
@@ -751,6 +758,16 @@ def scheme_to_json(obj) -> str:
     """The JSON text of a scheme or partition (see
     :func:`scheme_json_chunks`)."""
     return "".join(scheme_json_chunks(obj))
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of a file; an unreadable or undecodable file raises
+    :class:`StructuralError`."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StructuralError(f"cannot read {path!r}: {exc}") from exc
 
 
 def json_object(text: str, what: str, *keys) -> dict:

@@ -350,19 +350,14 @@ def group_from_spec(spec: str, max_elements=DEFAULT_MAX_ELEMENTS) -> Permutation
         raise StructuralError(f"bad group spec {spec!r}; expected name:arg")
     name, arg = spec.split(":", 1)
     if name == "file":
+        from .core import read_text
         from .permgroup import close, generators_from_text
-        try:
-            with open(arg, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise StructuralError(f"cannot read generator file {arg!r}: {exc}")
-        return close(generators_from_text(text), max_elements=max_elements)
+        return close(generators_from_text(read_text(arg)),
+                     max_elements=max_elements)
     builders = {"asl2": asl2_group, "agl1": agl1_group,
                 "agl2": agl2_group, "psl2": psl2_group}
     if name not in builders:
         raise StructuralError(f"unknown group family {name!r}")
-    try:
-        q = int(arg)
-    except ValueError as exc:
-        raise StructuralError(f"bad field order {arg!r}") from exc
-    return builders[name](q, max_elements=max_elements)
+    if not (arg.isascii() and arg.isdigit()):
+        raise StructuralError(f"bad field order {arg!r}")
+    return builders[name](int(arg), max_elements=max_elements)

@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations as _point_perms
-from itertools import product
+from itertools import permutations
+from operator import itemgetter
 
-from .core import AstScheme, GroundSet, TernaryRelation, TriplePartition
+from .core import AstScheme, GroundSet, TriplePartition, relabel
 from .errors import (ConsistencyError, PreconditionError, SizeGuardError,
                      StructuralError)
 
@@ -37,10 +37,20 @@ ORBIT_DEGREE_LIMIT = 256
 #: Exhaustive invariant-cycle search is limited to this many points.
 CYCLE_SEARCH_LIMIT = 8
 
+# The ordered pairs of distinct coordinates, in the order they are tried.
+_COORD_PAIRS = tuple(permutations(range(3), 2))
+
+
+def _is_perm(p: tuple, degree: int) -> bool:
+    """Whether ``p`` holds each of 0..degree-1 once, as an ``int`` (not a
+    bool, a float or a string)."""
+    return (all(type(i) is int for i in p)
+            and sorted(p) == list(range(degree)))
+
 
 def check_perm(p) -> Perm:
     p = tuple(p)
-    if sorted(p) != list(range(len(p))):
+    if not _is_perm(p, len(p)):
         raise StructuralError(f"not a permutation: {p!r}")
     return p
 
@@ -67,7 +77,7 @@ def perm_from_cycles(n: int, cycles) -> Perm:
     seen = set()
     for cycle in cycles:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            if a in seen or not 0 <= a < n:
+            if type(a) is not int or a in seen or not 0 <= a < n:
                 raise StructuralError(f"bad cycle entry {a} in {cycles!r}")
             seen.add(a)
             images[a] = b
@@ -91,10 +101,10 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 def parse_permutation_line(line: str, degree=None) -> Perm:
     """Parse a 0-based one-line image array like "2 0 1"."""
-    try:
-        images = tuple(int(tok) for tok in line.split())
-    except ValueError as exc:
-        raise StructuralError(f"bad permutation line {line!r}") from exc
+    tokens = line.split()
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise StructuralError(f"bad permutation line {line!r}")
+    images = tuple(map(int, tokens))
     if degree is not None and len(images) != degree:
         raise StructuralError(
             f"expected degree {degree}, got {len(images)} images")
@@ -139,7 +149,7 @@ class PermutationGroup:
 
     def __contains__(self, p):
         p = tuple(p)
-        if sorted(p) != list(range(self.degree)):
+        if not _is_perm(p, self.degree):
             return False
         residue, _ = _sift(p, self.base, self.transversals, 0)
         return residue == identity_perm(self.degree)
@@ -383,28 +393,43 @@ def two_point_stabilizer_orbits(group: PermutationGroup, x: int, y: int):
     return [tuple(b) for b in buckets.values()]
 
 
-def is_invariant(rel: TernaryRelation, p) -> bool:
-    """True iff the diagonal action of p maps the relation onto itself."""
+def _scheme_perm(scheme: AstScheme, p, full_cycle=False) -> Perm:
+    """``p`` as a permutation of the scheme's points (with ``full_cycle``,
+    one cycle through all of them), else an error."""
     p = check_perm(p)
-    if len(p) != rel.ground.nu:
+    if len(p) != scheme.nu:
         raise PreconditionError("permutation degree differs from ground set")
-    ts = rel.triple_set
-    return all((p[x], p[y], p[z]) in ts for x, y, z in rel.triples)
+    if full_cycle and cycle_type(p) != (scheme.nu,):
+        raise PreconditionError(f"{p!r} is not a single full cycle")
+    return p
+
+
+def _fixes(cube, nu: int, p: Perm) -> bool:
+    """Whether each cell (x, y, z) of the cube holds the label of
+    (p[x], p[y], p[z]).  Row (x, y) is compared with row (p[x], p[y])
+    read in the order p, up to the first row that differs."""
+    move = itemgetter(*p)
+    for x in range(nu):
+        for y in range(nu):
+            row, image = (x * nu + y) * nu, (p[x] * nu + p[y]) * nu
+            if move(cube[image:image + nu]) != tuple(cube[row:row + nu]):
+                return False
+    return True
+
+
+def is_invariant(scheme: AstScheme, label: int, p) -> bool:
+    """True iff the diagonal action of p maps class ``label`` onto
+    itself."""
+    p = _scheme_perm(scheme, p)
+    table = [0] * (scheme.m + 1)
+    table[scheme.check_label(label)] = 1
+    return _fixes(relabel(scheme.labels, table), scheme.nu, p)
 
 
 def is_circulant_ast(scheme: AstScheme, cycle) -> bool:
-    """True iff every nontrivial relation is invariant under the given
-    full cycle (hence under the transitive cyclic group it generates).
-    The trivial relations are invariant under any point permutation, so
-    the label cube itself must be."""
-    cycle = check_perm(cycle)
-    if cycle_type(cycle) != (len(cycle),):
-        raise PreconditionError(f"{cycle!r} is not a single full cycle")
-    if len(cycle) != scheme.nu:
-        raise PreconditionError("permutation degree differs from ground set")
-    return all(scheme.label_of((cycle[x], cycle[y], cycle[z])) == label
-               for (x, y, z), label in
-               zip(product(range(scheme.nu), repeat=3), scheme.labels))
+    """True iff the label cube, so every class, is invariant under the
+    given full cycle (hence under the cyclic group it generates)."""
+    return _fixes(scheme.labels, scheme.nu, _scheme_perm(scheme, cycle, True))
 
 
 def find_invariant_cycle(scheme: AstScheme):
@@ -417,50 +442,45 @@ def find_invariant_cycle(scheme: AstScheme):
     if nu > CYCLE_SEARCH_LIMIT:
         raise SizeGuardError(
             f"cycle search is limited to nu <= {CYCLE_SEARCH_LIMIT}")
-    for rest in _point_perms(range(1, nu)):
-        seq = (0,) + rest
-        images = [0] * nu
-        for pos, pt in enumerate(seq):
-            images[pt] = seq[(pos + 1) % nu]
-        cycle = tuple(images)
-        if is_circulant_ast(scheme, cycle):
-            return cycle
+    for rest in permutations(range(1, nu)):
+        cycle = [0] * nu
+        for x, y in zip((0,) + rest, rest + (0,)):
+            cycle[x] = y
+        if _fixes(scheme.labels, nu, cycle):
+            return tuple(cycle)
     return None
 
 
-def is_thin(rel: TernaryRelation, a: int, b: int) -> bool:
-    """True iff projecting triples to coordinates (a, b) is injective with
-    image exactly the ordered distinct pairs.  Coordinates are 0-based."""
-    if a == b:
-        raise PreconditionError("projection coordinates must differ")
-    if not (0 <= a <= 2 and 0 <= b <= 2):
-        raise PreconditionError("projection coordinates must be in {0, 1, 2}")
-    nu = rel.ground.nu
-    if len(rel.triples) != nu * (nu - 1):
-        return False
-    seen = set()
-    for t in rel.triples:
-        pair = (t[a], t[b])
-        if pair[0] == pair[1] or pair in seen:
-            return False
-        seen.add(pair)
-    return True
+def is_thin(scheme: AstScheme, label: int, a: int, b: int) -> bool:
+    """True iff projecting the triples of class ``label`` to coordinates
+    (a, b) is a bijection onto the ordered distinct pairs, that is, iff
+    its valency in the third coordinate 3 - a - b is 1 (exact by
+    condition 1).  Coordinates are 0-based."""
+    if not (type(a) is type(b) is int and (a, b) in _COORD_PAIRS):
+        raise PreconditionError("projection coordinates must be two "
+                                "different ones of 0, 1, 2")
+    return scheme.valencies.rows[scheme.check_label(label)][3 - a - b] == 1
 
 
-def cycle_orbits_on_relation(rel: TernaryRelation, cycle) -> list[tuple]:
-    """Orbits of the cyclic group generated by ``cycle`` on the relation."""
-    cycle = check_perm(cycle)
-    remaining = set(rel.triples)
-    orbits = []
-    while remaining:
-        start = min(remaining)
-        orbit = []
-        t = start
-        while t in remaining:
-            remaining.remove(t)
-            orbit.append(t)
-            t = (cycle[t[0]], cycle[t[1]], cycle[t[2]])
-        orbits.append(tuple(sorted(orbit)))
+def cycle_orbits_on_relation(scheme: AstScheme, label: int,
+                             cycle) -> list[tuple]:
+    """Orbits of the cyclic group generated by ``cycle`` on class
+    ``label``, each as its sorted triples, ordered by least triple.  On a
+    class the permutation does not fix, an orbit stops where it leaves
+    the class."""
+    p = _scheme_perm(scheme, cycle)
+    scheme.check_label(label)
+    nu, labels, triple = scheme.nu, scheme.labels, scheme.ground.triple
+    seen, orbits = set(), []
+    for start in range(len(labels)):
+        cell, orbit = start, []
+        while labels[cell] == label and cell not in seen:
+            seen.add(cell)
+            orbit.append(cell)
+            x, y, z = triple(cell)
+            cell = (p[x] * nu + p[y]) * nu + p[z]
+        if orbit:
+            orbits.append(tuple(map(triple, sorted(orbit))))
     return orbits
 
 
@@ -473,65 +493,37 @@ class ThinDecomposition:
     orbits: tuple[tuple, ...]
 
 
-def thin_circulant_decomposition(rel: TernaryRelation, cycle,
-                                 node_budget=200_000):
-    """Try to split a circulant relation into thin circulant pieces.
+def thin_circulant_decomposition(scheme: AstScheme, label: int, cycle):
+    """Split class ``label``, invariant under the full ``cycle``, into thin
+    pieces that are unions of its cycle orbits.
 
-    Pieces are unions of cycle-orbits that each project bijectively onto
-    the ordered distinct pairs under one coordinate pair.  Returns a
-    :class:`ThinDecomposition` or None when no split is found within the
-    budget; callers treat None as "flagged", not as a disproof.
+    The coordinates (a, b) are the first pair on which the class has a
+    nonzero valency n.  Each cycle orbit on the class projects onto one of
+    the nu - 1 cycle orbits on ordered distinct pairs, and by condition 1
+    exactly n of them project onto each; dealt one to each of n pieces,
+    they make every piece thin.  Returns a :class:`ThinDecomposition`, or
+    None for R_0, the one class with no nonzero valency.
     """
-    nu = rel.ground.nu
-    orbits = cycle_orbits_on_relation(rel, cycle)
-    pair_target = nu * (nu - 1)
-    if len(rel.triples) % pair_target:
+    cycle = _scheme_perm(scheme, cycle, True)
+    if not is_invariant(scheme, label, cycle):
+        raise PreconditionError(
+            f"class {label} is not invariant under {cycle!r}")
+    valencies = scheme.valencies.rows[label]
+    coords = [(a, b) for a, b in _COORD_PAIRS if valencies[3 - a - b]]
+    if not coords:
         return None
-    n_pieces = len(rel.triples) // pair_target
-    for a in range(3):
-        for b in range(3):
-            if a == b:
-                continue
-            projections = []
-            usable = True
-            for orbit in orbits:
-                pairs = {(t[a], t[b]) for t in orbit}
-                if len(pairs) != len(orbit) or any(p == q for p, q in pairs):
-                    usable = False
-                    break
-                projections.append(frozenset(pairs))
-            if not usable:
-                continue
-            colors = [-1] * len(orbits)
-            piece_pairs = [set() for _ in range(n_pieces)]
-            budget = [node_budget]
-
-            def assign(idx):
-                if budget[0] <= 0:
-                    return False
-                budget[0] -= 1
-                if idx == len(orbits):
-                    return all(len(pp) == pair_target for pp in piece_pairs)
-                used_new = False
-                for color in range(n_pieces):
-                    if not piece_pairs[color] and used_new:
-                        break  # symmetry: first empty piece only
-                    if not piece_pairs[color]:
-                        used_new = True
-                    if piece_pairs[color] & projections[idx]:
-                        continue
-                    piece_pairs[color] |= projections[idx]
-                    colors[idx] = color
-                    if assign(idx + 1):
-                        return True
-                    piece_pairs[color] -= projections[idx]
-                    colors[idx] = -1
-                return False
-
-            if assign(0):
-                pieces = tuple(
-                    tuple(i for i, c in enumerate(colors) if c == color)
-                    for color in range(n_pieces))
-                return ThinDecomposition(coords=(a, b), pieces=pieces,
-                                         orbits=tuple(orbits))
-    return None
+    (a, b), nu = coords[0], scheme.nu
+    # The cycle orbit of the pair (x, y) is read off the gap from x to y
+    # along the cycle.
+    position, x = [0] * nu, 0
+    for k in range(nu):
+        position[x], x = k, cycle[x]
+    orbits = cycle_orbits_on_relation(scheme, label, cycle)
+    dealt = [0] * nu
+    pieces = [[] for _ in range(valencies[3 - a - b])]
+    for i, orbit in enumerate(orbits):
+        gap = (position[orbit[0][b]] - position[orbit[0][a]]) % nu
+        pieces[dealt[gap]].append(i)
+        dealt[gap] += 1
+    return ThinDecomposition(coords=(a, b), pieces=tuple(map(tuple, pieces)),
+                             orbits=tuple(orbits))

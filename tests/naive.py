@@ -2,10 +2,10 @@
 
 Everything here is written straight from the defining conditions with
 plain set/dict scans and no reuse of library internals, so a library bug
-cannot hide in a shared code path.  The last section is different: it
-holds the first, plain versions of the census kernels and of the scheme
-reader, verbatim, so the fast versions can be checked against them output
-for output.
+cannot hide in a shared code path.  The last sections are different:
+they hold the first, plain versions of the census kernels, of the scheme
+reader and of the permutation-group predicates on triple sets, verbatim,
+so the fast versions can be checked against them output for output.
 """
 
 from array import array
@@ -20,6 +20,7 @@ from astriples.designs import (TWO_GRAPH_SEARCH_LIMIT, TwoGraph, _clean_subsets,
 from astriples.enumeration import CANONICAL_NU_LIMIT
 from astriples.errors import (PreconditionError, RefusalError, SizeGuardError,
                               StructuralError)
+from astriples.permgroup import ThinDecomposition, check_perm
 
 
 def naive_trivial_relations(nu):
@@ -507,3 +508,117 @@ def naive_cube_from_relations(ground, classes):
                                       f"{labels[idx]} and {i}")
             labels[idx] = i
     return labels
+
+
+# The permutation-group predicates on relations as sorted triple tuples and
+# frozensets, as ``permgroup`` ran them before they read the label cube,
+# verbatim (the decomposition with its backtracking search and budget).
+
+
+def naive_is_invariant(rel: TernaryRelation, p) -> bool:
+    """True iff the diagonal action of p maps the relation onto itself."""
+    p = check_perm(p)
+    if len(p) != rel.ground.nu:
+        raise PreconditionError("permutation degree differs from ground set")
+    ts = rel.triple_set
+    return all((p[x], p[y], p[z]) in ts for x, y, z in rel.triples)
+
+
+def naive_is_thin(rel: TernaryRelation, a: int, b: int) -> bool:
+    """True iff projecting triples to coordinates (a, b) is injective with
+    image exactly the ordered distinct pairs.  Coordinates are 0-based."""
+    if a == b:
+        raise PreconditionError("projection coordinates must differ")
+    if not (0 <= a <= 2 and 0 <= b <= 2):
+        raise PreconditionError("projection coordinates must be in {0, 1, 2}")
+    nu = rel.ground.nu
+    if len(rel.triples) != nu * (nu - 1):
+        return False
+    seen = set()
+    for t in rel.triples:
+        pair = (t[a], t[b])
+        if pair[0] == pair[1] or pair in seen:
+            return False
+        seen.add(pair)
+    return True
+
+
+def naive_cycle_orbits_on_relation(rel: TernaryRelation, cycle) -> list[tuple]:
+    """Orbits of the cyclic group generated by ``cycle`` on the relation."""
+    cycle = check_perm(cycle)
+    remaining = set(rel.triples)
+    orbits = []
+    while remaining:
+        start = min(remaining)
+        orbit = []
+        t = start
+        while t in remaining:
+            remaining.remove(t)
+            orbit.append(t)
+            t = (cycle[t[0]], cycle[t[1]], cycle[t[2]])
+        orbits.append(tuple(sorted(orbit)))
+    return orbits
+
+
+def naive_thin_circulant_decomposition(rel: TernaryRelation, cycle,
+                                       node_budget=200_000):
+    """Try to split a circulant relation into thin circulant pieces.
+
+    Pieces are unions of cycle-orbits that each project bijectively onto
+    the ordered distinct pairs under one coordinate pair.  Returns a
+    :class:`ThinDecomposition` or None when no split is found within the
+    budget; callers treat None as "flagged", not as a disproof.
+    """
+    nu = rel.ground.nu
+    orbits = naive_cycle_orbits_on_relation(rel, cycle)
+    pair_target = nu * (nu - 1)
+    if len(rel.triples) % pair_target:
+        return None
+    n_pieces = len(rel.triples) // pair_target
+    for a in range(3):
+        for b in range(3):
+            if a == b:
+                continue
+            projections = []
+            usable = True
+            for orbit in orbits:
+                pairs = {(t[a], t[b]) for t in orbit}
+                if len(pairs) != len(orbit) or any(p == q for p, q in pairs):
+                    usable = False
+                    break
+                projections.append(frozenset(pairs))
+            if not usable:
+                continue
+            colors = [-1] * len(orbits)
+            piece_pairs = [set() for _ in range(n_pieces)]
+            budget = [node_budget]
+
+            def assign(idx):
+                if budget[0] <= 0:
+                    return False
+                budget[0] -= 1
+                if idx == len(orbits):
+                    return all(len(pp) == pair_target for pp in piece_pairs)
+                used_new = False
+                for color in range(n_pieces):
+                    if not piece_pairs[color] and used_new:
+                        break  # symmetry: first empty piece only
+                    if not piece_pairs[color]:
+                        used_new = True
+                    if piece_pairs[color] & projections[idx]:
+                        continue
+                    piece_pairs[color] |= projections[idx]
+                    colors[idx] = color
+                    if assign(idx + 1):
+                        return True
+                    piece_pairs[color] -= projections[idx]
+                    colors[idx] = -1
+                return False
+
+            if assign(0):
+                pieces = tuple(
+                    tuple(i for i, c in enumerate(colors) if c == color)
+                    for color in range(n_pieces))
+                return ThinDecomposition(coords=(a, b), pieces=pieces,
+                                         orbits=tuple(orbits))
+    return None

@@ -157,7 +157,7 @@ def test_criterion_7_psl2_11_example(psl11_group, psl11_scheme):
     assert psl11_group.order == 660
     cycle = at.perm_from_cycles(11, [(0, 1, 2, 9, 5, 10, 7, 3, 4, 8, 6)])
     for i in psl11_scheme.nontrivial_labels:
-        assert at.is_invariant(psl11_scheme.relation(i), cycle)
+        assert at.is_invariant(psl11_scheme, i, cycle)
     assert at.is_commutative_subalgebra(psl11_scheme)
     announce(7, "PSL(2,11) degree-11 example")
 

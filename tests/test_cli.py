@@ -347,11 +347,21 @@ def test_loaders_refuse_non_utf8_files(tmp_path, capsys):
     capsys.readouterr()
     for argv in (["params", str(bad)], ["designs", "verify", str(bad)],
                  ["twograph", "verify", str(bad)],
-                 ["fuse", str(scheme_path), "--grouping", str(bad)]):
+                 ["fuse", str(scheme_path), "--grouping", str(bad)],
+                 ["construct", "--group", f"file:{bad}"]):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: cannot read {str(bad)!r}: "
                               "'utf-8' codec can't decode byte 0xff"), argv
+
+
+def test_group_spec_field_order_is_ascii_digits(capsys):
+    # int() would read each of these as 16 or 4
+    for arg in ("1_6", " 4", "+4", "\u0664"):
+        assert run(["construct", "--group", f"asl2:{arg}"]) == 2, arg
+        err = capsys.readouterr().err
+        assert err == f"usage error: bad field order {arg!r}\n", arg
+    assert run(["construct", "--group", "asl2:04"]) == 0
 
 
 def test_construct_agl1_151_keeps_the_sparse_tensor(capsys):

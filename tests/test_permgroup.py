@@ -4,13 +4,17 @@ from itertools import permutations
 import pytest
 
 import astriples as at
-from astriples.permgroup import (compose, cycle_type, generators_from_text,
+from astriples.permgroup import (CYCLE_SEARCH_LIMIT, check_perm, compose,
+                                 cycle_type, generators_from_text,
                                  group_from_elements, identity_perm,
                                  inverse_perm, parse_permutation_line,
                                  permutation_to_line)
 
 from conftest import PSL11_CYCLE
-from naive import naive_closure, naive_trivial_relations, naive_triple_orbits
+from naive import (naive_closure, naive_cycle_orbits_on_relation,
+                   naive_is_invariant, naive_is_thin,
+                   naive_thin_circulant_decomposition, naive_trivial_relations,
+                   naive_triple_orbits)
 
 
 def _symmetric_gens(n):
@@ -128,16 +132,16 @@ def test_transitivity_predicates(psl11_group):
 def test_is_invariant(three_point):
     cyc = (1, 2, 0)
     for i in range(5):
-        assert at.is_invariant(three_point.relation(i), cyc)
+        assert at.is_invariant(three_point, i, cyc)
     # transpositions do not fix the middle-coordinate trivial relation class
-    assert at.is_invariant(three_point.relation(2), (1, 0, 2))
+    assert at.is_invariant(three_point, 2, (1, 0, 2))
 
 
-def test_trivial_relations_invariant_under_any_cycle():
-    ground = at.GroundSet(5)
+def test_trivial_relations_invariant_under_any_cycle(constructed_schemes):
+    scheme = constructed_schemes["agl1_5"]
     cyc = (1, 2, 3, 4, 0)
-    for rel in at.trivial_relations(ground):
-        assert at.is_invariant(rel, cyc)
+    for i in range(4):
+        assert at.is_invariant(scheme, i, cyc)
 
 
 def test_is_circulant_ast(three_point, psl11_scheme):
@@ -159,16 +163,15 @@ def test_find_invariant_cycle(three_point):
 
 
 def test_is_thin_three_point(three_point):
-    r4 = three_point.relation(4)
     for a, b in ((0, 1), (0, 2), (1, 2), (2, 1)):
-        assert at.is_thin(r4, a, b)
+        assert at.is_thin(three_point, 4, a, b)
     # R_0 has the wrong cardinality; R_1 projects onto diagonal pairs in
     # coordinates (1, 2) but is thin in (0, 1)
-    assert not at.is_thin(three_point.relation(0), 0, 1)
-    assert not at.is_thin(three_point.relation(1), 1, 2)
-    assert at.is_thin(three_point.relation(1), 0, 1)
+    assert not at.is_thin(three_point, 0, 0, 1)
+    assert not at.is_thin(three_point, 1, 1, 2)
+    assert at.is_thin(three_point, 1, 0, 1)
     with pytest.raises(at.PreconditionError):
-        at.is_thin(r4, 1, 1)
+        at.is_thin(three_point, 4, 1, 1)
 
 
 def test_is_thin_cardinality_obstruction(asl2_schemes):
@@ -176,16 +179,16 @@ def test_is_thin_cardinality_obstruction(asl2_schemes):
     line_label = labeling.line_labels[1]
     rel = scheme.relation(line_label)
     assert len(rel) != scheme.nu * (scheme.nu - 1)
-    assert not at.is_thin(rel, 0, 1)
+    assert not at.is_thin(scheme, line_label, 0, 1)
 
 
 def test_cycle_orbits_on_relation(three_point):
-    orbits = at.cycle_orbits_on_relation(three_point.relation(4), (1, 2, 0))
+    orbits = at.cycle_orbits_on_relation(three_point, 4, (1, 2, 0))
     assert sorted(len(o) for o in orbits) == [3, 3]
 
 
 def test_thin_decomposition_three_point(three_point):
-    result = at.thin_circulant_decomposition(three_point.relation(4), (1, 2, 0))
+    result = at.thin_circulant_decomposition(three_point, 4, (1, 2, 0))
     assert result is not None
     assert len(result.pieces) == 1
     union = [i for piece in result.pieces for i in piece]
@@ -193,19 +196,139 @@ def test_thin_decomposition_three_point(three_point):
 
 
 def test_thin_decomposition_psl11(psl11_scheme):
-    # flagged-or-found: a None simply flags the claim, a result must tile
+    # every class but R_0 splits, and the pieces tile the distinct pairs
     cyc = at.perm_from_cycles(11, [PSL11_CYCLE])
-    for i in psl11_scheme.nontrivial_labels:
-        rel = psl11_scheme.relation(i)
-        result = at.thin_circulant_decomposition(rel, cyc)
-        if result is not None:
-            a, b = result.coords
-            nu = psl11_scheme.nu
-            for piece in result.pieces:
-                pairs = set()
-                for orbit_idx in piece:
-                    pairs |= {(t[a], t[b]) for t in result.orbits[orbit_idx]}
-                assert len(pairs) == nu * (nu - 1)
+    assert at.thin_circulant_decomposition(psl11_scheme, 0, cyc) is None
+    for i in range(1, psl11_scheme.m + 1):
+        result = at.thin_circulant_decomposition(psl11_scheme, i, cyc)
+        assert result is not None
+        a, b = result.coords
+        nu = psl11_scheme.nu
+        for piece in result.pieces:
+            pairs = set()
+            for orbit_idx in piece:
+                pairs |= {(t[a], t[b]) for t in result.orbits[orbit_idx]}
+            assert len(pairs) == nu * (nu - 1)
+
+
+def _full_cycle_through(points):
+    images = [0] * len(points)
+    for x, y in zip(points, points[1:] + points[:1]):
+        images[x] = y
+    return tuple(images)
+
+
+def _predicate_schemes(constructed_schemes):
+    """(name, scheme, its invariant full cycle or None) for the comparison
+    of the label predicates with their triple-set copies."""
+    from astriples.enumeration import enumerate_circulant
+    cases = [(f"circulant{nu}.{k}", scheme, tuple((i + 1) % nu
+                                                  for i in range(nu)))
+             for nu in range(3, 9)
+             for k, scheme in enumerate(enumerate_circulant(nu))]
+    named = dict(constructed_schemes)
+    named.update({f"agl1_{q}": at.ast_from_group(at.agl1_group(q))
+                  for q in (7, 8)})
+    for name, scheme in named.items():
+        if name == "psl2_11_degree11":
+            cycle = at.perm_from_cycles(11, [PSL11_CYCLE])
+        elif scheme.nu <= CYCLE_SEARCH_LIMIT:
+            cycle = at.find_invariant_cycle(scheme)
+        else:
+            cycle = None
+        cases.append((name, scheme, cycle))
+    return cases
+
+
+def test_label_predicates_match_triple_set_copies(constructed_schemes):
+    rng = random.Random(1212)
+    decompositions = refusals = 0
+    for name, scheme, invariant in _predicate_schemes(constructed_schemes):
+        nu = scheme.nu
+        cycles = [_full_cycle_through(rng.sample(range(nu), nu))]
+        if invariant is not None:
+            cycles.append(invariant)
+        perms = [_random_perm(rng, nu) for _ in range(2)] + cycles
+        for i in range(scheme.m + 1):
+            rel = scheme.relation(i)
+            for p in perms:
+                assert at.is_invariant(scheme, i, p) == \
+                    naive_is_invariant(rel, p), (name, i, p)
+            for a, b in permutations(range(3), 2):
+                assert at.is_thin(scheme, i, a, b) == \
+                    naive_is_thin(rel, a, b), (name, i, a, b)
+            for cycle in cycles:
+                assert at.cycle_orbits_on_relation(scheme, i, cycle) == \
+                    naive_cycle_orbits_on_relation(rel, cycle), (name, i, cycle)
+                if naive_is_invariant(rel, cycle):
+                    assert at.thin_circulant_decomposition(
+                        scheme, i, cycle) == \
+                        naive_thin_circulant_decomposition(rel, cycle), \
+                        (name, i, cycle)
+                    decompositions += 1
+                else:
+                    with pytest.raises(at.PreconditionError):
+                        at.thin_circulant_decomposition(scheme, i, cycle)
+                    refusals += 1
+    assert decompositions > 100 and refusals > 0
+
+
+def test_label_predicates_refuse_bad_labels_and_degrees(constructed_schemes):
+    scheme = constructed_schemes["agl1_5"]
+    cycle = (1, 2, 3, 4, 0)
+    calls = [lambda i, p: at.is_invariant(scheme, i, p),
+             lambda i, p: at.cycle_orbits_on_relation(scheme, i, p),
+             lambda i, p: at.thin_circulant_decomposition(scheme, i, p),
+             lambda i, p: at.is_thin(scheme, i, 0, 1),
+             lambda i, p: scheme.relation(i)]
+    for call in calls:
+        for label in (-1, scheme.m + 1, 1.0, True, "4"):
+            with pytest.raises(at.PreconditionError):
+                call(label, cycle)
+    for call in calls[:3]:
+        for short in ((1, 2, 0), (1, 2, 3, 4, 5, 0)):
+            with pytest.raises(at.PreconditionError):
+                call(4, short)
+        with pytest.raises(at.StructuralError):
+            call(4, (1, 2, 3, 4.0, 0))
+    for a, b in ((1.0, 0), (0, 3), (2, 2), (-1, 0)):
+        with pytest.raises(at.PreconditionError):
+            at.is_thin(scheme, 4, a, b)
+    assert scheme.relation(scheme.m) == scheme.classes[-1]
+
+
+def test_thin_decomposition_refuses_non_invariant_class_and_non_cycle(
+        constructed_schemes):
+    scheme = constructed_schemes["agl1_5"]
+    other = (2, 0, 4, 1, 3)     # the full cycle 0 2 4 3 1
+    assert at.is_invariant(scheme, 3, other)
+    assert at.thin_circulant_decomposition(scheme, 3, other) is not None
+    assert not at.is_invariant(scheme, 4, other)
+    with pytest.raises(at.PreconditionError):
+        at.thin_circulant_decomposition(scheme, 4, other)
+    # R_1 is invariant under every permutation, but a transposition and a
+    # product of two cycles are not full cycles
+    for p in ((1, 0, 2, 3, 4), (1, 0, 3, 4, 2)):
+        assert at.is_invariant(scheme, 1, p)
+        with pytest.raises(at.PreconditionError):
+            at.thin_circulant_decomposition(scheme, 1, p)
+
+
+def test_permutations_follow_the_one_integer_rule():
+    for bad in ((0, "a", 1), (0, 1.0, 2), (True, 0, 2), (0, 1, None)):
+        with pytest.raises(at.StructuralError):
+            check_perm(bad)
+        with pytest.raises(at.StructuralError):
+            at.close([bad])
+        assert bad not in symmetric_group(3)
+    for cycles in ([(0, "a")], [(0, 1.0)], [(False, 1)], [([0], 1)]):
+        with pytest.raises(at.StructuralError):
+            at.perm_from_cycles(3, cycles)
+    for line in ("0 1 2 1_0", "0 1 +2 3", "0 1 2 \u0663"):
+        with pytest.raises(at.StructuralError):
+            parse_permutation_line(line)
+    assert check_perm([2, 0, 1]) == (2, 0, 1)
+    assert (2, 0, 1) in symmetric_group(3)
 
 
 def test_group_from_elements_rejects_unclosed():

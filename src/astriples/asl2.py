@@ -12,7 +12,6 @@ asserting the predicted values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .constructions import ast_from_group
@@ -21,12 +20,12 @@ from .errors import ConsistencyError, PreconditionError
 from .finfield import FiniteField, asl2_group, field_from_order, point_index
 from .hypermatrix import (AlgebraElement, adjacency, class_product_mismatch,
                           is_commutative_subalgebra, ternary_product)
+from .record import Record
 
 ORACLE_Q_CAP = 8
 
 
-@dataclass(frozen=True)
-class Asl2Labeling:
+class Asl2Labeling(Record):
     """Field-element names for the nontrivial classes of the orbit scheme."""
 
     q: int
@@ -71,8 +70,7 @@ def label_asl2_ast(q: int) -> tuple[AstScheme, Asl2Labeling]:
     return _context(q)
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(Record):
     """One family of equations: how many instances were compared, and the
     instances whose computed tensor disagreed with the predicted value."""
 
@@ -282,8 +280,7 @@ def check_asl2_trivial_products(q: int) -> tuple[OracleCheck, ...]:
                          hypermatrix_all=True)
 
 
-@dataclass(frozen=True)
-class Asl2OracleReport:
+class Asl2OracleReport(Record):
     q: int
     nu: int
     nontrivial_relations: int

@@ -10,7 +10,6 @@ and fine structure constants.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .core import (AstScheme, GroundSet, TriplePartition, ViolationReport,
@@ -20,6 +19,7 @@ from .designs import TwoDesign, TwoGraph, is_regular, verify_design, verify_two_
 from .errors import (ConsistencyError, PreconditionError, RefusalError,
                      StructuralError)
 from .permgroup import PermutationGroup, is_two_transitive, orbits_on_triples, pair_orbits
+from .record import Record
 
 #: The eight vanishing intersection numbers of the two-graph equivalence.
 #: The strict form ends in p_554^4, the lenient form in p_554^5 (which
@@ -175,8 +175,7 @@ def two_graph_from_ast(scheme: AstScheme, mode: str = "strict") -> TwoGraph:
 # Fusion and fission
 
 
-@dataclass(frozen=True)
-class FusionGrouping:
+class FusionGrouping(Record):
     """Coarse label -> set of fine labels; trivial labels map identically.
 
     Nontrivial coarse classes are normalized to ascending least fine
@@ -269,8 +268,7 @@ def is_fission_of(fine: AstScheme, coarse: AstScheme):
     return FusionGrouping(tuple(tuple(g) for g in groups))
 
 
-@dataclass(frozen=True)
-class FusionTheoremReport:
+class FusionTheoremReport(Record):
     """Dual-path comparison of coarse structure constants and valencies."""
 
     checked_cells: int
@@ -321,8 +319,7 @@ def verify_fusion_theorem(scheme: AstScheme,
                                fused=fused)
 
 
-@dataclass(frozen=True)
-class TwoGraphFusionResult:
+class TwoGraphFusionResult(Record):
     """Outcome of the symmetric-index two-graph fusion test."""
 
     two_graph: TwoGraph | None

@@ -25,6 +25,8 @@ the trivial cube in one ``==``; only a failed comparison scans the cells
 for the least witness.  Condition 3 reads the copies for (0, 2, 1) and
 (1, 0, 2) only; :func:`verify_ast` composes the other class maps and
 stores the action, which the valencies and symmetry queries read.
+Condition 2 is counted on the cells x <= y <= z and carried to the rest
+by that action.
 Relations given as triples are placed in the cube one class at a time by
 one routine, for ``TriplePartition(ground, classes)`` and for the JSON
 reader, which decodes a scheme file class by class (or, spelled as the
@@ -42,13 +44,13 @@ import json
 import re
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations, product, repeat
 from types import MappingProxyType
 
 from .errors import (AstriplesError, ConsistencyError, PreconditionError,
                      StructuralError)
+from .record import Record
 
 Triple = tuple[int, int, int]
 
@@ -57,7 +59,8 @@ Triple = tuple[int, int, int]
 COORD_PERMS: tuple[Triple, ...] = tuple(permutations(range(3)))
 
 #: Largest ground set for which intersection-number constancy is verified
-#: on every representative by default.  The check is O(nu^4).
+#: on every cell by default: nu points are counted at each cell x <= y <= z,
+#: about nu^4 / 6 steps, and at all nu^3 cells only when that check fails.
 FULL_CHECK_LIMIT = 30
 
 #: Version tag of the JSON scheme interchange format.
@@ -121,8 +124,7 @@ def _class_sizes(labels: array) -> tuple[int, ...]:
     return tuple(counts[i] for i in range(max(counts) + 1))
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(Record):
     """The point set {0, .., nu-1}, nu >= 3."""
 
     nu: int
@@ -145,8 +147,7 @@ class GroundSet:
         return (x, y, z)
 
 
-@dataclass(frozen=True)
-class TernaryRelation:
+class TernaryRelation(Record):
     """A set of ordered triples over a ground set.
 
     Triples are stored sorted lexicographically with duplicates removed,
@@ -327,8 +328,7 @@ def _place_class(labels: array, nu: int, i: int, triples):
         labels[idx] = i
 
 
-@dataclass(frozen=True)
-class ValencyTable:
+class ValencyTable(Record):
     """Per-relation valencies (n^(1), n^(2), n^(3)).
 
     n^(3) counts completions of a distinct pair in the last coordinate;
@@ -341,8 +341,7 @@ class ValencyTable:
         return self.rows[i][2]
 
 
-@dataclass(frozen=True)
-class IntersectionTensor:
+class IntersectionTensor(Record):
     """The structure constants p_ijk^l as condition 2 counts them:
     ``counts[l]`` is a read-only map from each (i, j, k) with p_ijk^l > 0
     to p_ijk^l.  Every other entry is 0; each class holds at most nu
@@ -377,8 +376,7 @@ class IntersectionTensor:
                           for ijk, p in counts.items())
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(Record):
     """Names the condition a candidate partition violates, with a witness."""
 
     condition: int
@@ -390,8 +388,7 @@ class ViolationReport:
         return self.message
 
 
-@dataclass(frozen=True)
-class AstScheme:
+class AstScheme(Record):
     """A verified scheme on triples.
 
     Construct through :func:`verify_ast`; the fields are trusted downstream.
@@ -593,6 +590,55 @@ def _signatures(labels, nu, n, cells):
     return sigs, None
 
 
+def _orbit_signatures(labels, nu, n, action):
+    """The condition-2 signature of every class, read on the cells
+    x <= y <= z only, or None unless every class has one signature.
+
+    Under condition 3 the cell sigma(t) lies in class act_sigma[L(t)], and
+    where t meets the label triple (a_0, a_1, a_2) at a point w, sigma(t)
+    meets (act_sigma[a_sigma0], act_sigma[a_sigma1], act_sigma[a_sigma2]).
+    Every cell is sigma(t) for a sorted t, so the signatures are constant
+    when they are on the sorted cells of each class and each such class's
+    signature, carried by the five other sigma, equals that of its image
+    class; a class with no sorted cell, such as R_2, gets the carried one.
+    """
+    sigs, bad = _signatures(labels, nu, n, (
+        (x * nu + y) * nu + z
+        for x in range(nu) for y in range(x, nu) for z in range(y, nu)))
+    if bad:
+        return None
+    out = list(sigs)
+    for k, sig in enumerate(sigs):
+        if sig is None:
+            continue
+        columns = tuple(zip(*sig))
+        for sigma in COORD_PERMS[1:]:
+            image = action[sigma]
+            carried = sorted(zip(*(map(image.__getitem__, columns[p])
+                                   for p in sigma)))
+            if out[image[k]] is None:
+                out[image[k]] = carried
+            elif carried != out[image[k]]:
+                return None
+    return out
+
+
+def _class_signatures(labels, nu, n, full_check, action):
+    """(sigs, bad) as :func:`_signatures` gives them for every cell with
+    ``full_check``, else for the first cell of each class.  The full check
+    reads the sorted cells (:func:`_orbit_signatures`) when ``action`` is
+    the coordinate action, not the ``(sigma, i)`` of a failed condition 3,
+    and scans every cell only when that fails, so a failure names the
+    first bad cell in flat order."""
+    if not full_check:      # condition 1 puts each class in the first rows
+        return _signatures(labels, nu, n, map(labels.index, range(n)))
+    if not isinstance(action, tuple):
+        sigs = _orbit_signatures(labels, nu, n, action)
+        if sigs is not None:
+            return sigs, None
+    return _signatures(labels, nu, n, range(nu**3))
+
+
 def verify_ast(partition: TriplePartition, full_check=None):
     """Check the four defining conditions.
 
@@ -604,9 +650,13 @@ def verify_ast(partition: TriplePartition, full_check=None):
     each class as its :class:`IntersectionTensor`.
 
     ``full_check`` controls condition 2: ``True`` verifies the constancy of
-    every intersection number on every representative, ``False`` computes
-    from one representative per class, ``None`` picks ``True`` for
-    nu <= FULL_CHECK_LIMIT.
+    every intersection number on every cell, ``False`` computes from one
+    representative per class, ``None`` picks ``True`` for
+    nu <= FULL_CHECK_LIMIT.  The full check counts on the cells
+    x <= y <= z and carries those counts to the other cells through the
+    coordinate action (:func:`_orbit_signatures`); when that finds a
+    difference, every cell is counted in flat order and the report names
+    the first bad cell.
     """
     ground = partition.ground
     nu = ground.nu
@@ -656,9 +706,7 @@ def verify_ast(partition: TriplePartition, full_check=None):
                     f"permutation {sigma} is not a class")
 
     # Condition 2: intersection numbers, constant per class.
-    # After condition 1 every class meets the first rows of the cube.
-    cells = range(nu**3) if full_check else map(labels.index, range(n))
-    sigs, bad = _signatures(labels, nu, n, cells)
+    sigs, bad = _class_signatures(labels, nu, n, full_check, action)
     if bad:
         idx, sig = bad
         l = labels[idx]
@@ -697,16 +745,16 @@ def _tensor_from_sigs(sigs) -> IntersectionTensor:
 def intersection_numbers(scheme: AstScheme, full_check=None) -> IntersectionTensor:
     """The tensor of structure constants p_ijk^l.
 
-    With ``full_check`` (default on for nu <= FULL_CHECK_LIMIT) every
-    representative of every class is counted and compared; a mismatch
-    raises :class:`ConsistencyError` since verified schemes cannot produce
-    one.
+    With ``full_check`` (default on for nu <= FULL_CHECK_LIMIT) the counts
+    are checked on every cell, as :func:`verify_ast` checks them; a
+    mismatch raises :class:`ConsistencyError` since verified schemes
+    cannot produce one.
     """
     if full_check is None:
         return scheme.tensor
     nu, labels, n = scheme.nu, scheme.labels, scheme.m + 1
-    cells = range(nu**3) if full_check else map(labels.index, range(n))
-    sigs, bad = _signatures(labels, nu, n, cells)
+    sigs, bad = _class_signatures(labels, nu, n, full_check,
+                                  scheme.action if full_check else None)
     if bad:
         raise ConsistencyError(
             f"intersection numbers not constant on relation "

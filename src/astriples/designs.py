@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import json_int, json_object
 from .errors import PreconditionError, RefusalError, SizeGuardError, StructuralError
+from .record import Record
 
 #: Bounds on the exhaustive regular-two-graph search and on the points of
 #: a design or two-graph to check.
@@ -15,8 +15,7 @@ TWO_GRAPH_SEARCH_LIMIT = 8
 POINT_LIMIT = 256
 
 
-@dataclass(frozen=True)
-class TwoDesign:
+class TwoDesign(Record):
     """A verified 2-design: every point pair lies in exactly lam blocks."""
 
     v: int
@@ -29,8 +28,7 @@ class TwoDesign:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class TwoGraph:
+class TwoGraph(Record):
     """A verified two-graph: every 4-subset holds an even number of triples."""
 
     v: int

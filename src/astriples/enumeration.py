@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _point_perms
 from itertools import product
@@ -37,6 +36,7 @@ from .core import (COORD_PERMS, AstScheme, GroundSet, TriplePartition,
                    ViolationReport, cube_typecode, trivial_cube, verify_ast)
 from .errors import PreconditionError, SizeGuardError
 from .permgroup import PermutationGroup, _transversals, close, is_transitive
+from .record import Record
 
 #: Guards: full search with no invariance, and with a transitive group.
 TRIVIAL_GROUP_NU_LIMIT = 6
@@ -46,8 +46,7 @@ GROUP_NU_LIMIT = 8
 CANONICAL_NU_LIMIT = 6
 
 
-@dataclass(frozen=True)
-class EnumerationTask:
+class EnumerationTask(Record):
     """What to enumerate: ground set, invariance group, filters."""
 
     ground: GroundSet
@@ -58,8 +57,7 @@ class EnumerationTask:
     node_limit: int | None = None
 
 
-@dataclass(frozen=True)
-class AstIsomorphism:
+class AstIsomorphism(Record):
     """A point bijection mapping one scheme onto another, with the class
     relabeling it induces."""
 

@@ -20,12 +20,11 @@ oracle use it for every product; the oracle also runs the public
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from .core import COORD_PERMS, AstScheme, is_symmetric_ast
+from .core import COORD_PERMS, AstScheme, is_symmetric_ast, relabel
 from .errors import ConsistencyError, PreconditionError
+from .record import Record
 
 #: Dense storage bound; products above this are refused.
 DENSE_LIMIT = 64
@@ -100,8 +99,9 @@ def adjacency(scheme: AstScheme, i: int) -> CubicHypermatrix:
     """The 0/1 adjacency hypermatrix of relation i."""
     if not 0 <= i <= scheme.m:
         raise PreconditionError(f"relation label {i} out of range 0..{scheme.m}")
-    return CubicHypermatrix(scheme.nu, [1 if label == i else 0
-                                        for label in scheme.labels])
+    table = [0] * (scheme.m + 1)
+    table[i] = 1
+    return CubicHypermatrix(scheme.nu, relabel(scheme.labels, table))
 
 
 def _product_bitset(a, b, c):
@@ -262,8 +262,7 @@ def _first_row_mismatch(scheme, expected, xy, got):
     raise ConsistencyError(f"row {xy} planes differ but no count does")
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """A linear combination sum_i coeffs[i] * A_i over a scheme's classes."""
 
     scheme: AstScheme
@@ -331,8 +330,7 @@ def product_in_coefficients(x: AlgebraElement, y: AlgebraElement,
     return AlgebraElement(scheme, tuple(out))
 
 
-@dataclass(frozen=True)
-class StructureConstantReport:
+class StructureConstantReport(Record):
     """Outcome of checking A_i A_j A_k = sum_l p_ijk^l A_l entrywise."""
 
     checked: int
@@ -440,8 +438,7 @@ def weak_associativity_check(scheme: AstScheme) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TernaryFieldCertificate:
+class TernaryFieldCertificate(Record):
     """Witness that the algebra generated by the single nontrivial class is
     a ternary field.
 
@@ -456,18 +453,25 @@ class TernaryFieldCertificate:
     verified_products: tuple
 
     def inverse_scaling(self, c) -> Fraction:
+        from fractions import Fraction
         if c == 0:
             raise PreconditionError("zero has no inverse")
         return Fraction(1, 1) / (c * self.p444)
 
 
-def ternary_field_certificate(scheme: AstScheme, sample_scalars=(1, 2, 3, Fraction(5, 7))):
+def ternary_field_certificate(scheme: AstScheme, sample_scalars=None):
     """Certificate for single-nontrivial-relation schemes, or None.
 
     None is returned when p_444^4 = 0, where no identity-like scaling
     exists.  Each sample scalar c is checked in coefficient space:
     (e, A_4, c A_4) reproduces c A_4 and (c A_4, inv(c) A_4, x) fixes x.
+    ``sample_scalars`` defaults to (1, 2, 3, 5/7).  ``fractions`` is
+    imported here, so the commands that never ask for a certificate do
+    not load it.
     """
+    from fractions import Fraction
+    if sample_scalars is None:
+        sample_scalars = (1, 2, 3, Fraction(5, 7))
     if scheme.m != 4:
         raise PreconditionError(
             "certificate requires exactly one nontrivial relation, "

@@ -16,7 +16,6 @@ lemma for the stabilizer of each pair orbit's representative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from operator import itemgetter
@@ -24,6 +23,7 @@ from operator import itemgetter
 from .core import AstScheme, GroundSet, TriplePartition, relabel
 from .errors import (ConsistencyError, PreconditionError, SizeGuardError,
                      StructuralError)
+from .record import Record
 
 Perm = tuple[int, ...]
 
@@ -49,7 +49,10 @@ def _is_perm(p: tuple, degree: int) -> bool:
 
 
 def check_perm(p) -> Perm:
-    p = tuple(p)
+    try:
+        p = tuple(p)
+    except TypeError:
+        raise StructuralError(f"not a permutation: {p!r}") from None
     if not _is_perm(p, len(p)):
         raise StructuralError(f"not a permutation: {p!r}")
     return p
@@ -75,7 +78,11 @@ def perm_from_cycles(n: int, cycles) -> Perm:
     """Build a permutation on 0..n-1 from disjoint 0-based cycles."""
     images = list(range(n))
     seen = set()
-    for cycle in cycles:
+    try:
+        listed = [tuple(cycle) for cycle in cycles]
+    except TypeError:
+        raise StructuralError(f"not a list of cycles: {cycles!r}") from None
+    for cycle in listed:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             if type(a) is not int or a in seen or not 0 <= a < n:
                 raise StructuralError(f"bad cycle entry {a} in {cycles!r}")
@@ -129,8 +136,7 @@ def generators_from_text(text: str) -> list[Perm]:
     return perms
 
 
-@dataclass(frozen=True, eq=False)
-class PermutationGroup:
+class PermutationGroup(Record, eq=False):
     """A permutation group: its generators and a stabilizer chain.
 
     ``transversals[i]`` maps each point x of the orbit of ``base[i]`` under
@@ -484,8 +490,7 @@ def cycle_orbits_on_relation(scheme: AstScheme, label: int,
     return orbits
 
 
-@dataclass(frozen=True)
-class ThinDecomposition:
+class ThinDecomposition(Record):
     """A split of a circulant relation into thin circulant pieces."""
 
     coords: tuple[int, int]

@@ -5,9 +5,12 @@ plain set/dict scans and no reuse of library internals, so a library bug
 cannot hide in a shared code path.  The last sections are different:
 they hold the first, plain versions of the census kernels, of the scheme
 reader and of the permutation-group predicates on triple sets, verbatim,
-so the fast versions can be checked against them output for output.
+so the fast versions can be checked against them output for output.  The
+record classes are checked against the frozen dataclasses the stdlib
+makes of the same declarations (:func:`dataclass_twin`).
 """
 
+import dataclasses
 from array import array
 from itertools import combinations, permutations, product
 from itertools import permutations as _point_perms
@@ -622,3 +625,21 @@ def naive_thin_circulant_decomposition(rel: TernaryRelation, cycle,
                 return ThinDecomposition(coords=(a, b), pieces=pieces,
                                          orbits=tuple(orbits))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Record classes: the frozen dataclass of the same declaration.
+
+def dataclass_twin(cls, eq=True):
+    """The class ``@dataclass(frozen=True, eq=eq)`` makes of the body of
+    the record class ``cls``: its name, its own annotations as fields, its
+    class attributes of those names as defaults and its
+    ``__post_init__``, built by ``dataclasses.make_dataclass``."""
+    own = cls.__dict__
+    fields = [(name, kind, dataclasses.field(default=own[name]))
+              if name in own else (name, kind)
+              for name, kind in own["__annotations__"].items()]
+    namespace = ({"__post_init__": own["__post_init__"]}
+                 if "__post_init__" in own else {})
+    return dataclasses.make_dataclass(cls.__name__, fields,
+                                      namespace=namespace, frozen=True, eq=eq)

@@ -537,6 +537,23 @@ def test_version_loads_no_oracle_or_group_modules():
     assert "astriples.core" in loaded
     assert not loaded & {"astriples.asl2", "astriples.finfield",
                          "astriples.hypermatrix", "fractions"}
+    # neither --version nor the oracle loads dataclasses or fractions: the
+    # records need no generated code, and only the ternary-field
+    # certificate takes Fractions (modules loaded at start-up, as by site
+    # hooks, are left out)
+    for args in (["--version"], ["oracle", "asl2", "--q", "2"]):
+        probe = ("import json, sys\n"
+                 "before = set(sys.modules)\n"
+                 "from astriples.cli import run\n"
+                 f"assert run({args!r}) == 0\n"
+                 "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert "astriples.core" in loaded
+        assert ("astriples.asl2" in loaded) == (args[0] == "oracle")
+        assert not loaded & {"dataclasses", "fractions"}, args
 
 
 OLD_EXPORTS = {

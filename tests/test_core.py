@@ -1,10 +1,12 @@
 import random
 from array import array
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
 
 import astriples as at
+from astriples import core
 from astriples.core import COORD_PERMS, cube_typecode, trivial_cube
 
 from conftest import THREE_POINT_RELATIONS
@@ -112,11 +114,10 @@ def test_verify_ast_condition_one_witness():
     assert report.condition in (1, 2, 3)
 
 
-def test_verify_ast_exact_condition_two_failure():
+def _two_fano_planes_partition():
     # the union of two block-disjoint Fano planes is a 2-(7,3,2) design;
     # its two-class split keeps the valencies constant and the coordinate
-    # closure (both classes symmetric) but breaks the regularity counts,
-    # isolating the condition-2 report path
+    # closure (both classes symmetric) but breaks the regularity counts
     from itertools import permutations as point_perms
     from conftest import fano_blocks
     f1 = set(fano_blocks())
@@ -133,7 +134,12 @@ def test_verify_ast_exact_condition_two_failure():
     classes = tuple(at.trivial_relations(ground)) + (
         at.TernaryRelation(ground, covered),
         at.TernaryRelation(ground, rest))
-    report = at.verify_ast(at.TriplePartition(ground, classes))
+    return at.TriplePartition(ground, classes)
+
+
+def test_verify_ast_exact_condition_two_failure():
+    # the two-plane split isolates the condition-2 report path
+    report = at.verify_ast(_two_fano_planes_partition())
     assert isinstance(report, at.ViolationReport)
     assert report.condition == 2
     assert report.witness
@@ -412,6 +418,92 @@ def test_full_check_default_matches_explicit(three_point):
         at.intersection_numbers(three_point, full_check=True)
     assert at.intersection_numbers(three_point, full_check=False) == \
         three_point.tensor
+
+
+def _flat_tensor(scheme):
+    # condition 2 counted at every cell, in flat order
+    sigs, bad = core._signatures(scheme.labels, scheme.nu, scheme.m + 1,
+                                 range(scheme.nu**3))
+    assert bad is None
+    return [list(Counter(sig).items()) for sig in sigs]
+
+
+def test_condition_two_reads_one_cell_per_coordinate_orbit(
+        monkeypatch, constructed_schemes):
+    # the full check of a scheme never falls back to the flat scan, and
+    # gives the flat scan's tensor, entry for entry and in the same order
+    schemes = dict(constructed_schemes)
+    for spec in ("agl1:27", "agl1:29"):
+        schemes[spec] = at.ast_from_group(at.group_from_spec(spec))
+    assert {"asl2_2", "asl2_3", "asl2_4", "asl2_5", "agl2_3"} <= set(schemes)
+    scans, signatures = [], core._signatures
+    monkeypatch.setattr(core, "_signatures", lambda labels, nu, n, cells: (
+        scans.append(cells) or signatures(labels, nu, n, cells)))
+    for name, scheme in schemes.items():
+        want = _flat_tensor(scheme)
+        del scans[:]
+        fresh = at.verify_ast(at.TriplePartition.from_labels(scheme.ground,
+                                                             scheme.labels))
+        full = at.intersection_numbers(fresh, full_check=True)
+        assert scans and not any(isinstance(cells, range)
+                                 for cells in scans), name
+        for tensor in (fresh.tensor, full):
+            assert [list(counts.items()) for counts in tensor.counts] == \
+                want, name
+
+
+def _action_closed_fusions(scheme, rng, rounds):
+    # random unions of the coordinate-action orbits on the nontrivial
+    # classes: conditions 1, 3 and 4 hold, condition 2 may not
+    orbits = []
+    for i in scheme.nontrivial_labels:
+        if all(i not in orbit for orbit in orbits):
+            orbits.append({image[i] for image in scheme.action.values()})
+    for _ in range(rounds):
+        tags = [rng.randrange(len(orbits)) for _ in orbits]
+        table = [0, 1, 2, 3] + [None] * (scheme.m - 3)
+        for label, tag in enumerate(sorted(set(tags), key=tags.index), 4):
+            for orbit in (o for o, t in zip(orbits, tags) if t == tag):
+                for i in orbit:
+                    table[i] = label
+        yield at.TriplePartition.from_labels(
+            scheme.ground, core.relabel(scheme.labels, table))
+
+
+def test_condition_two_failures_match_the_flat_scan(monkeypatch):
+    # a partition the sorted cells refuse is scanned cell by cell, so its
+    # report is the flat scan's, field for field
+    rng = random.Random(1401)
+    partitions = [_two_fano_planes_partition()]
+    for spec in ("agl1:7", "asl2:4", "agl1:9"):
+        partitions += _action_closed_fusions(
+            at.ast_from_group(at.group_from_spec(spec)), rng, 12)
+    verdicts = list(map(at.verify_ast, partitions))
+    monkeypatch.setattr(core, "_orbit_signatures", lambda *args: None)
+    flat = list(map(at.verify_ast, partitions))
+    conditions = Counter(getattr(v, "condition", 0) for v in verdicts)
+    assert set(conditions) == {0, 2} and min(conditions.values()) >= 5
+    for verdict, want in zip(verdicts, flat):
+        assert type(verdict) is type(want)
+        if isinstance(want, at.ViolationReport):
+            assert verdict == want
+            assert (verdict.condition, verdict.relations, verdict.witness,
+                    verdict.message) == (want.condition, want.relations,
+                                         want.witness, want.message)
+        else:
+            assert verdict.tensor.counts == want.tensor.counts
+
+
+def test_a_carried_signature_that_differs_is_refused(asl2_schemes):
+    # a class's signature carried by a coordinate map must be its image's;
+    # a wrong map for (1, 0, 2) sends the check to the flat scan
+    scheme, _ = asl2_schemes[3]
+    n = scheme.m + 1
+    action = dict(scheme.action)
+    assert core._orbit_signatures(scheme.labels, scheme.nu, n, action)
+    action[(1, 0, 2)] = tuple(range(n))
+    assert core._orbit_signatures(scheme.labels, scheme.nu, n, action) \
+        is None
 
 
 def test_partition_stores_only_the_label_cube(three_point):

@@ -331,6 +331,18 @@ def test_permutations_follow_the_one_integer_rule():
     assert (2, 0, 1) in symmetric_group(3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: check_perm(5),
+    lambda: at.perm_from_cycles(3, [5]),
+    lambda: at.perm_from_cycles(3, 5),
+    lambda: at.close([5]),
+], ids=["check_perm_int", "perm_from_cycles_int_cycle",
+        "perm_from_cycles_int_cycles", "close_int_generator"])
+def test_non_sequence_permutations_raise_structural_errors(call):
+    with pytest.raises(at.StructuralError):
+        call()
+
+
 def test_group_from_elements_rejects_unclosed():
     # one transposition generates a proper subgroup of S3
     with pytest.raises(at.ConsistencyError):

@@ -35,7 +35,7 @@ from itertools import product
 from .core import (COORD_PERMS, AstScheme, GroundSet, TriplePartition,
                    ViolationReport, cube_typecode, trivial_cube, verify_ast)
 from .errors import PreconditionError, SizeGuardError
-from .permgroup import PermutationGroup, _transversals, close, is_transitive
+from .permgroup import PermutationGroup, _forest, close, is_transitive
 from .record import Record
 
 #: Guards: full search with no invariance, and with a transitive group.
@@ -77,8 +77,7 @@ def _orbit_blocks(ground, group, cells, symmetric):
     if symmetric:
         acts += [[position[(t[a] * nu + t[b]) * nu + t[c]] for t in triples]
                  for a, b, c in COORD_PERMS[1:]]
-    orbits, _ = _transversals(range(len(cells)), acts, list.__getitem__,
-                              len(cells))
+    orbits = _forest(range(len(cells)), acts, len(cells))[0]
     return sorted((tuple(sorted(cells[i] for i in orbit))
                    for orbit in orbits), key=lambda block: block[0])
 

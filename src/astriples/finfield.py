@@ -112,11 +112,16 @@ class FiniteField:
         return total
 
     def add(self, a: int, b: int) -> int:
+        # For p = 2 the encoding packs the coefficients as bits.
+        if self.p == 2:
+            return a ^ b
         if self.k == 1:
             return (a + b) % self.p
         return self.element(map(int.__add__, self.coeffs(a), self.coeffs(b)))
 
     def neg(self, a: int) -> int:
+        if self.p == 2:
+            return a
         if self.k == 1:
             return (-a) % self.p
         return self.element(-c for c in self.coeffs(a))

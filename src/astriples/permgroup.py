@@ -8,19 +8,25 @@ under the pointwise stabilizer of b_0..b_{i-1}.  The order is the product
 of the transversal sizes and membership is decided by sifting, so no
 element is listed unless ``elements`` is asked for.
 
-Orbits on ordered pairs and triples come from one routine: a
-breadth-first search over the pairs with a transversal, then Schreier's
-lemma for the stabilizer of each pair orbit's representative.
+Orbits come from one breadth-first routine, :func:`_forest`, which
+records for each point the point and generator it was reached from; group
+elements are composed along that forest only where they are needed (the
+transversals of the chain, and Schreier's lemma for the stabilizer of
+each pair orbit's least pair).  The label cube of the orbits on triples
+is carried down the pair forest a row at a time, as bytes (as a 16-bit
+array past 255 classes).
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from itertools import permutations
+from array import array
+from functools import cached_property, partial
+from itertools import islice, permutations
 from operator import itemgetter
 
-from .core import AstScheme, GroundSet, TriplePartition, relabel
+from .core import (AstScheme, GroundSet, TriplePartition, cube_typecode,
+                   relabel)
 from .errors import (ConsistencyError, PreconditionError, SizeGuardError,
                      StructuralError)
 from .record import Record
@@ -154,7 +160,10 @@ class PermutationGroup(Record, eq=False):
         return math.prod(len(t) for t in self.transversals)
 
     def __contains__(self, p):
-        p = tuple(p)
+        try:
+            p = tuple(p)
+        except TypeError:
+            return False
         if not _is_perm(p, self.degree):
             return False
         residue, _ = _sift(p, self.base, self.transversals, 0)
@@ -162,8 +171,8 @@ class PermutationGroup(Record, eq=False):
 
     @cached_property
     def pair_transversal(self):
-        """Orbits on ordered pairs with a transversal, built once per group
-        (see :func:`_pair_transversal`)."""
+        """Orbits on ordered pairs with their breadth-first forest, built
+        once per group (see :func:`_pair_transversal`)."""
         return _pair_transversal(self)
 
     @cached_property
@@ -190,24 +199,45 @@ def _sift(g, base, transversals, level):
     return g, len(base)
 
 
-def _transversals(starts, gens, act, degree):
-    """Orbits of ``gens``, acting by ``act(g, point)``, of the points in
-    ``starts``.  Each orbit lists its points in breadth-first order from
-    the first start it contains, and ``u`` maps each of them to an element
-    carrying that start to it.  Returns ``(orbits, u)``."""
-    u, orbits = {}, []
+def _forest(starts, actions, size):
+    """Orbits of the points in ``starts`` under ``actions``, each a
+    sequence holding the image of every point 0..size-1, with their
+    breadth-first forest.  Each orbit lists its points in breadth-first
+    order from its root, the first start it contains; ``parent[d]`` is the
+    point d was first reached from, by ``actions[via[d]]``, and a root is
+    its own parent.  Returns ``(orbits, parent, via)``."""
+    parent, via, orbits = [-1] * size, [0] * size, []
+    indexed = list(enumerate(actions))
     for start in starts:
-        if start not in u:
-            u[start] = identity_perm(degree)
+        if parent[start] < 0:
+            parent[start] = start
             orbit = [start]
             for c in orbit:
-                for g in gens:
-                    d = act(g, c)
-                    if d not in u:
-                        u[d] = compose(u[c], g)
+                for i, act in indexed:
+                    d = act[c]
+                    if parent[d] < 0:
+                        parent[d], via[d] = c, i
                         orbit.append(d)
             orbits.append(orbit)
-    return orbits, u
+    return orbits, parent, via
+
+
+def _tree_elements(parent, via, gens, degree):
+    """``u(c)``: the product of ``gens[via[d]]`` along the forest's path
+    from c's root down to c, an element carrying the root to c; each is
+    composed once, from its parent's."""
+    memo = {}
+
+    def u(c):
+        path = []
+        while c not in memo and parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        g = memo[c] if c in memo else identity_perm(degree)
+        for d in reversed(path):
+            g = memo[d] = compose(g, gens[via[d]])
+        return g
+    return u
 
 
 def close(generators, degree=None,
@@ -243,9 +273,9 @@ def close(generators, degree=None,
             trans.append(None)
         for i in range(top, level + 1):
             strong[i].append(h)
-            _, u = _transversals([base[i]], strong[i], tuple.__getitem__,
-                                 degree)
-            trans[i] = {x: inverse_perm(ux) for x, ux in u.items()}
+            (orbit,), parent, via = _forest([base[i]], strong[i], degree)
+            u = _tree_elements(parent, via, strong[i], degree)
+            trans[i] = {x: inverse_perm(u(x)) for x in orbit}
         if math.prod(map(len, trans)) > max_elements:
             raise SizeGuardError(f"group exceeds {max_elements} elements")
         return level
@@ -277,79 +307,61 @@ def group_from_elements(degree, seed_generators, order) -> PermutationGroup:
 
 
 def is_transitive(group: PermutationGroup) -> bool:
-    orbits, _ = _transversals(range(group.degree), group.generators,
-                              tuple.__getitem__, group.degree)
-    return len(orbits) == 1
+    n = group.degree
+    return len(_forest(range(n), group.generators, n)[0]) == 1
 
 
 def _pair_transversal(group: PermutationGroup):
-    """Orbits on ordered pairs, with a transversal.
-
-    Pairs are flat indices x * degree + y.  Returns ``(orbits, u)``: each
-    orbit lists its pairs in breadth-first order from its least pair r,
-    and ``u[c]`` is a group element carrying r to c.
-    """
+    """Orbits on ordered pairs, flat indices x * degree + y, with their
+    breadth-first forest under the generators (see :func:`_forest`); each
+    orbit's root is its least pair."""
     n = group.degree
     if n > ORBIT_DEGREE_LIMIT:
         raise SizeGuardError(f"orbits on pairs and triples are guarded to "
                              f"degree <= {ORBIT_DEGREE_LIMIT}, got {n}")
-
-    def on_pair(g, c):
-        return g[c // n] * n + g[c % n]
-
-    return _transversals(range(n * n), group.generators, on_pair, n)
+    acts = [[a + b for a in [x * n for x in g] for b in g]
+            for g in group.generators]
+    return _forest(range(n * n), acts, n * n)
 
 
-def _triple_rows(group: PermutationGroup):
-    """Whether the group is two-transitive, and ``row(c)``: the class
-    label of (c, z) for each z.
+def _row_keys(group: PermutationGroup, orbit, u) -> list[int]:
+    """Key each cell (r, z) of the least pair r of a pair orbit by the
+    least cell r * degree + min(o) of its orbit on triples, where o is the
+    orbit of z under the stabilizer of r.
 
-    By Schreier's lemma the products u_c g u_{g(c)}^-1 over the pairs c of
-    an orbit and the generators g generate the stabilizer of its least
-    pair r.  Its orbits on points label row r, and row c is row r
-    transported through u_c.  Labels are unique across pair orbits.
+    By Schreier's lemma the products u(c) g u(g(c))^-1 over the pairs c of
+    the orbit and the generators g generate that stabilizer; ``u`` is the
+    pair forest's :func:`_tree_elements`.
     """
-    n = group.degree
-    orbits, u = group.pair_transversal
-    rows, orbit_of = [], {}
-    for k, orbit in enumerate(orbits):
-        orbit_of.update(dict.fromkeys(orbit, k))
-        # The stabilizer has |G| / |orbit| elements: stop as soon as the
-        # Schreier generators found so far generate that many.
-        size, stab = group.order // len(orbit), set()
-        for i, c in enumerate(orbit, 1):
-            for g in group.generators:
-                d = g[c // n] * n + g[c % n]
-                h = compose(u[c], g)
-                if h != u[d]:
-                    stab.add(compose(h, inverse_perm(u[d])))
-            if i & (i - 1) == 0 and close(
-                    stab, degree=n, max_elements=size).order == size:
-                break
-        points, _ = _transversals(range(n), stab, tuple.__getitem__, n)
-        label = {x: k * n + p[0] for p in points for x in p}
-        rows.append([label[x] for x in range(n)])
-
-    def row(c):
-        # u_c carries (r, w) to (c, u_c[w])
-        out = [0] * n
-        for w, label in zip(u[c], rows[orbit_of[c]]):
-            out[w] = label
-        return out
-    return sum(1 for orbit in orbits if orbit[0] % (n + 1)) == 1, row
+    n, r = group.degree, orbit[0]
+    # The stabilizer has |G| / |orbit| elements: stop as soon as the
+    # Schreier generators found so far generate that many.
+    size, stab = group.order // len(orbit), set()
+    for i, c in enumerate(orbit, 1):
+        for g in group.generators:
+            h, ud = compose(u(c), g), u(g[c // n] * n + g[c % n])
+            if h != ud:
+                stab.add(compose(h, inverse_perm(ud)))
+        if i & (i - 1) == 0 and close(
+                stab, degree=n, max_elements=size).order == size:
+            break
+    points = _forest(range(n), list(stab), n)[0]
+    key = {x: r * n + p[0] for p in points for x in p}
+    return [key[x] for x in range(n)]
 
 
 def is_two_transitive(group: PermutationGroup) -> bool:
     """Single orbit on ordered pairs of distinct points."""
-    return len(pair_orbits(group)) == 1
+    n = group.degree
+    return sum(1 for orbit in group.pair_transversal[0]
+               if orbit[0] % (n + 1)) == 1
 
 
 def pair_orbits(group: PermutationGroup) -> list[tuple]:
     """Orbits on ordered distinct pairs, each as a sorted tuple of pairs."""
     n = group.degree
-    orbits, _ = group.pair_transversal
     return [tuple(divmod(c, n) for c in sorted(orbit))
-            for orbit in orbits if orbit[0] % (n + 1)]
+            for orbit in group.pair_transversal[0] if orbit[0] % (n + 1)]
 
 
 def orbits_on_triples(group: PermutationGroup) -> TriplePartition:
@@ -357,24 +369,34 @@ def orbits_on_triples(group: PermutationGroup) -> TriplePartition:
 
     For two-transitive groups the four trivial orbits come first in their
     standard order; remaining classes are ordered by least representative.
+    Each pair orbit's root row is labelled from its stabilizer's orbits
+    (:func:`_row_keys`), and the row of a pair d reached from c by the
+    generator g is the row of c gathered through g^-1, as the label of
+    (d, g(z)) is that of (c, z).
     """
-    n = group.degree
-    ground = GroundSet(n)
-    two_transitive, row = _triple_rows(group)
-    final = {}
-    if two_transitive:
-        lead = [row(c)[z] for c, z in ((0, 0), (1, 1), (n, 1), (n + 1, 0))]
+    n, ground = group.degree, GroundSet(group.degree)
+    orbits, parent, via = group.pair_transversal
+    u = _tree_elements(parent, via, group.generators, n)
+    keys = [_row_keys(group, orbit, u) for orbit in orbits]
+    order = sorted(set().union(*keys))
+    if is_two_transitive(group):
+        # R_0..R_3 first, keyed by their least cells (0, 0, 0), (0, 1, 1),
+        # (0, 1, 0) and (0, 0, 1), in the rows of the roots 0 and 1
+        lead = [keys[0][0], keys[1][1], keys[1][0], keys[0][1]]
         if len(set(lead)) != 4:
             raise ConsistencyError("trivial orbits collide")
-        final = {label: i for i, label in enumerate(lead)}
-    labels = []
-    for c in range(n * n):
-        r = row(c)
-        for label in r:
-            if label not in final:
-                final[label] = len(final)
-        labels += map(final.__getitem__, r)
-    return TriplePartition.from_labels(ground, labels)
+        order = lead + [key for key in order if key not in lead]
+    rank = {key: label for label, key in enumerate(order)}
+    typecode = cube_typecode(len(order))
+    make = bytes if typecode == "B" else partial(array, typecode)
+    gathers = [itemgetter(*inverse_perm(g)) for g in group.generators]
+    rows = [b""] * (n * n)
+    for orbit, row in zip(orbits, keys):
+        rows[orbit[0]] = make(map(rank.__getitem__, row))
+        for d in islice(orbit, 1, None):
+            rows[d] = make(gathers[via[d]](rows[parent[d]]))
+    return TriplePartition.from_labels(ground,
+                                       array(typecode, b"".join(rows)))
 
 
 def two_point_stabilizer_orbits(group: PermutationGroup, x: int, y: int):
@@ -388,14 +410,16 @@ def two_point_stabilizer_orbits(group: PermutationGroup, x: int, y: int):
         raise PreconditionError("stabilizer points must be distinct")
     if not (0 <= x < n and 0 <= y < n):
         raise PreconditionError(f"points ({x}, {y}) out of range")
-    two_transitive, row = _triple_rows(group)
-    if not two_transitive:
+    if not is_two_transitive(group):
         raise PreconditionError("two-point stabilizer orbits are only "
                                 "meaningful for two-transitive groups here")
+    # (x, y) is in the orbit of (0, 1): u carries (0, 1, w) to (x, y, u[w])
+    orbits, parent, via = group.pair_transversal
+    u = _tree_elements(parent, via, group.generators, n)
     buckets = {}
-    for z, label in enumerate(row(x * n + y)):
+    for z, key in sorted(zip(u(x * n + y), _row_keys(group, orbits[1], u))):
         if z != x and z != y:
-            buckets.setdefault(label, []).append(z)
+            buckets.setdefault(key, []).append(z)
     return [tuple(b) for b in buckets.values()]
 
 

@@ -4,13 +4,15 @@ Everything here is written straight from the defining conditions with
 plain set/dict scans and no reuse of library internals, so a library bug
 cannot hide in a shared code path.  The last sections are different:
 they hold the first, plain versions of the census kernels, of the scheme
-reader and of the permutation-group predicates on triple sets, verbatim,
-so the fast versions can be checked against them output for output.  The
+reader, of the permutation-group predicates on triple sets and of the
+orbit routines, verbatim, so the fast versions can be checked against
+them output for output.  The
 record classes are checked against the frozen dataclasses the stdlib
 makes of the same declarations (:func:`dataclass_twin`).
 """
 
 import dataclasses
+import math
 from array import array
 from itertools import combinations, permutations, product
 from itertools import permutations as _point_perms
@@ -21,9 +23,12 @@ from astriples.core import (LABEL_LIMIT, AstScheme, GroundSet, TernaryRelation,
 from astriples.designs import (TWO_GRAPH_SEARCH_LIMIT, TwoGraph, _clean_subsets,
                                is_regular)
 from astriples.enumeration import CANONICAL_NU_LIMIT
-from astriples.errors import (PreconditionError, RefusalError, SizeGuardError,
-                              StructuralError)
-from astriples.permgroup import ThinDecomposition, check_perm
+from astriples.errors import (ConsistencyError, PreconditionError, RefusalError,
+                              SizeGuardError, StructuralError)
+from astriples.permgroup import (DEFAULT_MAX_ELEMENTS, ORBIT_DEGREE_LIMIT,
+                                 PermutationGroup, ThinDecomposition, _sift,
+                                 check_perm, compose, identity_perm,
+                                 inverse_perm)
 
 
 def naive_trivial_relations(nu):
@@ -625,6 +630,183 @@ def naive_thin_circulant_decomposition(rel: TernaryRelation, cycle,
                 return ThinDecomposition(coords=(a, b), pieces=pieces,
                                          orbits=tuple(orbits))
     return None
+
+
+# ---------------------------------------------------------------------------
+# The orbit routines as first written, verbatim but for their names: a
+# breadth-first search that composes a group element for every point it
+# reaches, the stabilizer chain built on it, and the triple orbits filled
+# and relabelled cell by cell.  The pair transversal is rebuilt per call
+# rather than cached on the group.
+
+def naive_transversals(starts, gens, act, degree):
+    """Orbits of ``gens``, acting by ``act(g, point)``, of the points in
+    ``starts``.  Each orbit lists its points in breadth-first order from
+    the first start it contains, and ``u`` maps each of them to an element
+    carrying that start to it.  Returns ``(orbits, u)``."""
+    u, orbits = {}, []
+    for start in starts:
+        if start not in u:
+            u[start] = identity_perm(degree)
+            orbit = [start]
+            for c in orbit:
+                for g in gens:
+                    d = act(g, c)
+                    if d not in u:
+                        u[d] = compose(u[c], g)
+                        orbit.append(d)
+            orbits.append(orbit)
+    return orbits, u
+
+
+def naive_close(generators, degree=None,
+                max_elements=DEFAULT_MAX_ELEMENTS) -> PermutationGroup:
+    """The group generated by a generator list, as a stabilizer chain.
+
+    An empty generator list needs an explicit ``degree`` and yields the
+    trivial group.  :class:`SizeGuardError` is raised as soon as the
+    product of the transversal sizes, a lower bound on the order, passes
+    ``max_elements``.
+    """
+    gens = [check_perm(g) for g in generators]
+    if gens:
+        degs = {len(g) for g in gens}
+        if len(degs) != 1:
+            raise PreconditionError(f"mixed generator degrees: {sorted(degs)}")
+        degree = degs.pop()
+    elif degree is None:
+        raise PreconditionError("empty generator list needs a degree")
+    ident = identity_perm(degree)
+    base, strong, trans = [], [], []
+
+    def join(g, top):
+        # A residue h that fixes base[:level] joins the strong generators
+        # of levels top..level; the base grows when h fixes every base
+        # point.  Returns the level, or None when g sifts to the identity.
+        h, level = _sift(g, base, trans, top)
+        if h == ident:
+            return None
+        if level == len(base):
+            base.append(next(x for x in range(degree) if h[x] != x))
+            strong.append([])
+            trans.append(None)
+        for i in range(top, level + 1):
+            strong[i].append(h)
+            _, u = naive_transversals([base[i]], strong[i], tuple.__getitem__,
+                                      degree)
+            trans[i] = {x: inverse_perm(ux) for x, ux in u.items()}
+        if math.prod(map(len, trans)) > max_elements:
+            raise SizeGuardError(f"group exceeds {max_elements} elements")
+        return level
+
+    for g in gens:
+        join(g, 0)
+    # Sims: once the levels below i are complete, every Schreier generator
+    # u_x s u_{s(x)}^-1 of level i must sift through them to the identity.
+    i = len(base) - 1
+    while i >= 0:
+        schreier = (compose(compose(inverse_perm(w), s), trans[i][s[x]])
+                    for x, w in trans[i].items() for s in strong[i])
+        level = next(filter(None, (join(g, i + 1) for g in schreier)), None)
+        i = i - 1 if level is None else level
+    return PermutationGroup(degree=degree, generators=tuple(gens),
+                            base=tuple(base), transversals=tuple(trans))
+
+
+def naive_pair_transversal(group: PermutationGroup):
+    """Orbits on ordered pairs, with a transversal.
+
+    Pairs are flat indices x * degree + y.  Returns ``(orbits, u)``: each
+    orbit lists its pairs in breadth-first order from its least pair r,
+    and ``u[c]`` is a group element carrying r to c.
+    """
+    n = group.degree
+    if n > ORBIT_DEGREE_LIMIT:
+        raise SizeGuardError(f"orbits on pairs and triples are guarded to "
+                             f"degree <= {ORBIT_DEGREE_LIMIT}, got {n}")
+
+    def on_pair(g, c):
+        return g[c // n] * n + g[c % n]
+
+    return naive_transversals(range(n * n), group.generators, on_pair, n)
+
+
+def naive_triple_rows(group: PermutationGroup):
+    """Whether the group is two-transitive, and ``row(c)``: the class
+    label of (c, z) for each z.
+
+    By Schreier's lemma the products u_c g u_{g(c)}^-1 over the pairs c of
+    an orbit and the generators g generate the stabilizer of its least
+    pair r.  Its orbits on points label row r, and row c is row r
+    transported through u_c.  Labels are unique across pair orbits.
+    """
+    n = group.degree
+    orbits, u = naive_pair_transversal(group)
+    rows, orbit_of = [], {}
+    for k, orbit in enumerate(orbits):
+        orbit_of.update(dict.fromkeys(orbit, k))
+        # The stabilizer has |G| / |orbit| elements: stop as soon as the
+        # Schreier generators found so far generate that many.
+        size, stab = group.order // len(orbit), set()
+        for i, c in enumerate(orbit, 1):
+            for g in group.generators:
+                d = g[c // n] * n + g[c % n]
+                h = compose(u[c], g)
+                if h != u[d]:
+                    stab.add(compose(h, inverse_perm(u[d])))
+            if i & (i - 1) == 0 and naive_close(
+                    stab, degree=n, max_elements=size).order == size:
+                break
+        points, _ = naive_transversals(range(n), stab, tuple.__getitem__, n)
+        label = {x: k * n + p[0] for p in points for x in p}
+        rows.append([label[x] for x in range(n)])
+
+    def row(c):
+        # u_c carries (r, w) to (c, u_c[w])
+        out = [0] * n
+        for w, label in zip(u[c], rows[orbit_of[c]]):
+            out[w] = label
+        return out
+    return sum(1 for orbit in orbits if orbit[0] % (n + 1)) == 1, row
+
+
+def naive_orbits_on_triples(group: PermutationGroup) -> TriplePartition:
+    """Orbit partition of the cube under the diagonal action.
+
+    For two-transitive groups the four trivial orbits come first in their
+    standard order; remaining classes are ordered by least representative.
+    """
+    n = group.degree
+    ground = GroundSet(n)
+    two_transitive, row = naive_triple_rows(group)
+    final = {}
+    if two_transitive:
+        lead = [row(c)[z] for c, z in ((0, 0), (1, 1), (n, 1), (n + 1, 0))]
+        if len(set(lead)) != 4:
+            raise ConsistencyError("trivial orbits collide")
+        final = {label: i for i, label in enumerate(lead)}
+    labels = []
+    for c in range(n * n):
+        r = row(c)
+        for label in r:
+            if label not in final:
+                final[label] = len(final)
+        labels += map(final.__getitem__, r)
+    return TriplePartition.from_labels(ground, labels)
+
+
+def naive_field_add(field, a, b):
+    """GF(p^k) addition on coefficient digits, as first written."""
+    if field.k == 1:
+        return (a + b) % field.p
+    return field.element(map(int.__add__, field.coeffs(a), field.coeffs(b)))
+
+
+def naive_field_neg(field, a):
+    """GF(p^k) negation on coefficient digits, as first written."""
+    if field.k == 1:
+        return (-a) % field.p
+    return field.element(-c for c in field.coeffs(a))
 
 
 # ---------------------------------------------------------------------------

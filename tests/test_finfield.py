@@ -3,6 +3,8 @@ import pytest
 import astriples as at
 from astriples.finfield import _primitive_element, field_from_order, make_field
 
+from naive import naive_field_add, naive_field_neg
+
 
 def test_gf2_addition():
     f = make_field(2, 1)
@@ -167,3 +169,14 @@ def test_group_from_spec(tmp_path):
         at.group_from_spec("asl2")
     with pytest.raises(at.StructuralError):
         at.group_from_spec("file:/nonexistent/path.txt")
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32])
+def test_characteristic_two_addition_matches_the_digits(q):
+    field = field_from_order(q)
+    for a in range(q):
+        assert field.neg(a) == naive_field_neg(field, a)
+        for b in range(q):
+            total = naive_field_add(field, a, b)
+            assert field.add(a, b) == total
+            assert field.sub(total, b) == a

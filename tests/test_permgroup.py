@@ -4,17 +4,17 @@ from itertools import permutations
 import pytest
 
 import astriples as at
-from astriples.permgroup import (CYCLE_SEARCH_LIMIT, check_perm, compose,
-                                 cycle_type, generators_from_text,
-                                 group_from_elements, identity_perm,
-                                 inverse_perm, parse_permutation_line,
-                                 permutation_to_line)
+from astriples.permgroup import (CYCLE_SEARCH_LIMIT, ORBIT_DEGREE_LIMIT,
+                                 check_perm, compose, cycle_type,
+                                 generators_from_text, group_from_elements,
+                                 identity_perm, inverse_perm,
+                                 parse_permutation_line, permutation_to_line)
 
 from conftest import PSL11_CYCLE
-from naive import (naive_closure, naive_cycle_orbits_on_relation,
-                   naive_is_invariant, naive_is_thin,
+from naive import (naive_close, naive_closure, naive_cycle_orbits_on_relation,
+                   naive_is_invariant, naive_is_thin, naive_orbits_on_triples,
                    naive_thin_circulant_decomposition, naive_trivial_relations,
-                   naive_triple_orbits)
+                   naive_triple_orbits, naive_triple_rows)
 
 
 def _symmetric_gens(n):
@@ -455,3 +455,66 @@ def test_membership_by_sifting_matches_naive_closure():
                 assert (p in group) == (p in elements)
             assert (0,) * n not in group
             assert identity_perm(n + 1) not in group
+
+
+def test_membership_of_non_sequences_is_false():
+    group = at.close([(1, 0, 2)])
+    for bad in (5, None, 1.5, object()):
+        assert bad not in group
+    assert (1, 0, 2) in group
+
+
+# The groups whose orbit cubes are compared byte for byte with the first
+# routines, built when the test runs.
+_REFERENCE_GROUPS = (
+    [(f"asl2:{q}", at.asl2_group, q) for q in range(2, 10) if q != 6]
+    + [(f"agl2:{q}", at.agl2_group, q) for q in (2, 3, 4)]
+    + [(f"agl1:{q}", at.agl1_group, q) for q in (7, 8, 9, 29)]
+    + [(f"psl2:{q}", at.psl2_group, q) for q in (5, 7, 11)]
+    + [(name, at.close, gens) for name, gens in CROSS_CHECK_GROUPS]
+    + [("trivial7", lambda n: at.close([], degree=n), 7)])
+
+
+@pytest.mark.parametrize("name,build,arg", _REFERENCE_GROUPS,
+                         ids=[name for name, _, _ in _REFERENCE_GROUPS])
+def test_orbit_forest_matches_the_first_routines(name, build, arg):
+    group = build(arg)
+    n = group.degree
+    reference = naive_close(group.generators, degree=n,
+                            max_elements=group.order)
+    assert reference.base == group.base
+    assert [list(t.items()) for t in reference.transversals] == \
+        [list(t.items()) for t in group.transversals]
+    got, want = at.orbits_on_triples(group), naive_orbits_on_triples(group)
+    assert got.labels.typecode == want.labels.typecode
+    assert got.labels.tobytes() == want.labels.tobytes()
+    two_transitive, row = naive_triple_rows(group)
+    assert at.is_two_transitive(group) == two_transitive
+    if name == "trivial7":
+        assert got.m + 1 == 343 and got.labels.typecode == "H"
+    if two_transitive:
+        for x, y in ((0, 1), (n - 1, 0), (1, n - 1)):
+            buckets = {}
+            for z, label in enumerate(row(x * n + y)):
+                if z not in (x, y):
+                    buckets.setdefault(label, []).append(z)
+            assert at.two_point_stabilizer_orbits(group, x, y) == \
+                [tuple(b) for b in buckets.values()]
+
+
+def test_orbit_degree_guard_fires_before_pair_lists():
+    import tracemalloc
+    n = ORBIT_DEGREE_LIMIT + 1
+    group = at.close([at.perm_from_cycles(n, [tuple(range(n))])])
+    calls = (at.is_two_transitive, at.pair_orbits, at.orbits_on_triples,
+             lambda g: at.two_point_stabilizer_orbits(g, 0, 1))
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            with pytest.raises(at.SizeGuardError):
+                call(group)
+            # a list of n * n entries would take 8 n^2 bytes
+            assert tracemalloc.get_traced_memory()[1] < n * n
+    finally:
+        tracemalloc.stop()

@@ -10,6 +10,9 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
+#: Version tag of the JSON scheme interchange format.
+SCHEME_FORMAT_VERSION = "1"
+
 _EXPORTS = {
     "core": (
         "AstScheme", "GroundSet", "IntersectionTensor", "TernaryRelation",

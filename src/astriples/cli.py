@@ -5,36 +5,44 @@ to paths named by --out/--tensor/--report flags.  Exit codes: 0 success,
 1 mathematical refusal (invalid scheme, non-design, refused construction),
 2 usage error (bad arguments, unreadable or malformed files).
 
-The group constructors (``finfield``) and the oracle (``asl2``, with the
-hypermatrix algebra) are imported by the commands that use them, so the
-other commands start without them.
+Each command imports the library modules it uses when it runs, so
+``--version`` loads none but ``errors`` and ``verify`` only ``core``.  The seven
+library functions that ``bench/tracer.py`` wraps in this module are
+module-level forwarders, which import their module on first call; each
+command imports that module before it calls one, so a forwarder's span
+holds no import.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
+from importlib import import_module
 
-from . import __version__
-from .constructions import (ast_from_design, ast_from_group,
-                            ast_from_two_graph, design_from_symmetric_relation,
-                            fuse, grouping_from_json, grouping_to_json,
-                            is_fission_of, two_graph_from_ast)
-from .core import (SCHEME_FORMAT_VERSION, AstScheme, GroundSet,
-                   ViolationReport, intersection_numbers, is_symmetric_ast,
-                   partition_from_json, read_text, scheme_json_chunks,
-                   scheme_to_json, verify_ast)
-from .designs import (design_from_json, design_to_json,
-                      find_regular_two_graphs, is_regular,
-                      two_graph_from_json, two_graph_to_json)
-from .enumeration import EnumerationTask, enumerate_asts, enumerate_circulant
+from . import SCHEME_FORMAT_VERSION, __version__
 from .errors import (AstriplesError, ConsistencyError, PreconditionError,
                      RefusalError, SizeGuardError, StructuralError)
 
 USAGE_EXIT = 2
 REFUSAL_EXIT = 1
+
+
+def _forwarder(module, name):
+    """A function calling ``module.name``, imported when first called."""
+    def forward(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__),
+                       name)(*args, **kwargs)
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+ast_from_group = _forwarder("constructions", "ast_from_group")
+verify_ast = _forwarder("core", "verify_ast")
+partition_from_json = _forwarder("core", "partition_from_json")
+scheme_to_json = _forwarder("core", "scheme_to_json")
+enumerate_asts = _forwarder("enumeration", "enumerate_asts")
+enumerate_circulant = _forwarder("enumeration", "enumerate_circulant")
+find_regular_two_graphs = _forwarder("designs", "find_regular_two_graphs")
 
 
 def _write_chunks(path, chunks):
@@ -62,7 +70,9 @@ def _one_chunk(to_text):
     return lambda obj: (to_text(obj),)
 
 
-def _load_scheme(path) -> AstScheme:
+def _load_scheme(path):
+    """The scheme in the file at ``path``, refused unless it verifies."""
+    from .core import ViolationReport, read_text
     partition = partition_from_json(read_text(path))
     result = verify_ast(partition)
     if isinstance(result, ViolationReport):
@@ -71,7 +81,8 @@ def _load_scheme(path) -> AstScheme:
     return result
 
 
-def _print_scheme_summary(scheme: AstScheme):
+def _print_scheme_summary(scheme):
+    from .core import is_symmetric_ast
     print(f"nu={scheme.nu} classes={scheme.m + 1} "
           f"nontrivial={scheme.m - 3} symmetric={is_symmetric_ast(scheme)}")
     for i in range(scheme.m + 1):
@@ -81,6 +92,8 @@ def _print_scheme_summary(scheme: AstScheme):
 
 
 def _cmd_construct(args):
+    from . import constructions  # noqa: F401 (before its forwarder runs)
+    from .core import scheme_json_chunks
     from .finfield import group_from_spec
     group = group_from_spec(args.group)
     scheme = ast_from_group(group)
@@ -91,6 +104,7 @@ def _cmd_construct(args):
 
 
 def _cmd_verify(args):
+    from .core import ViolationReport, read_text
     partition = partition_from_json(read_text(args.scheme))
     result = verify_ast(partition, full_check=args.full_check or None)
     if isinstance(result, ViolationReport):
@@ -102,6 +116,9 @@ def _cmd_verify(args):
 
 
 def _cmd_params(args):
+    import json
+
+    from .core import intersection_numbers
     scheme = _load_scheme(args.scheme)
     tensor = intersection_numbers(scheme, full_check=args.full_check or None)
     entries = [[i, j, k, l, p] for (i, j, k, l, p) in tensor.nonzero()]
@@ -114,6 +131,8 @@ def _cmd_params(args):
 
 
 def _cmd_fuse(args):
+    from .constructions import fuse, grouping_from_json
+    from .core import ViolationReport, read_text, scheme_json_chunks
     scheme = _load_scheme(args.scheme)
     grouping = grouping_from_json(read_text(args.grouping))
     result = fuse(scheme, grouping)
@@ -127,6 +146,7 @@ def _cmd_fuse(args):
 
 
 def _cmd_fission_check(args):
+    from .constructions import grouping_to_json, is_fission_of
     fine = _load_scheme(args.fine)
     coarse = _load_scheme(args.coarse)
     grouping = is_fission_of(fine, coarse)
@@ -140,6 +160,8 @@ def _cmd_fission_check(args):
 
 
 def _cmd_oracle(args):
+    import json
+
     from .asl2 import run_asl2_oracle
     report = run_asl2_oracle(args.q)
     status = "PASS" if report.passed else "FAIL"
@@ -158,19 +180,25 @@ def _cmd_oracle(args):
 
 
 def _cmd_enumerate(args):
-    ground = GroundSet(args.nu)
+    import json
+    from pathlib import Path
+
+    from .core import GroundSet
+    from .enumeration import EnumerationTask
     if args.circulant:
         if args.group or args.symmetric:
             raise StructuralError(
                 "--circulant fixes the invariance group to the standard "
                 "cycle; it cannot be combined with --group or --symmetric")
-        schemes = enumerate_circulant(args.nu)
+        schemes = enumerate_circulant(args.nu, allow_large=args.allow_large)
         if args.max_classes is not None:
             schemes = [s for s in schemes if s.m - 3 <= args.max_classes]
     else:
-        from .finfield import group_from_spec
-        group = group_from_spec(args.group) if args.group else None
-        task = EnumerationTask(ground=ground, invariance=group,
+        group = None
+        if args.group:
+            from .finfield import group_from_spec
+            group = group_from_spec(args.group)
+        task = EnumerationTask(ground=GroundSet(args.nu), invariance=group,
                                symmetric_only=args.symmetric,
                                max_nontrivial_classes=args.max_classes,
                                allow_large=args.allow_large)
@@ -208,6 +236,9 @@ def _cmd_enumerate(args):
 
 
 def _cmd_designs(args):
+    from .constructions import ast_from_design, design_from_symmetric_relation
+    from .core import read_text, scheme_json_chunks
+    from .designs import design_from_json, design_to_json
     if args.action == "verify":
         design = design_from_json(read_text(args.path))
         print(f"2-design: b={design.b} v={design.v} k={design.k} "
@@ -230,28 +261,36 @@ def _cmd_designs(args):
 def _cmd_twograph(args):
     if args.action != "find" and args.path is None:
         raise StructuralError(f"twograph {args.action} needs a PATH")
+    if args.action == "find" and args.path is not None:
+        raise StructuralError("twograph find takes no PATH")
+    from .designs import is_regular, two_graph_from_json, two_graph_to_json
+    if args.action == "find":
+        found = find_regular_two_graphs(args.nu)
+        print(f"regular two-graphs on {args.nu} points (proper): "
+              f"{len(found)}")
+        if args.out and found:
+            _write_text(args.out, two_graph_to_json(found[0]))
+            print(f"wrote first instance to {args.out}")
+        return 0
+    from .core import read_text
     if args.action == "verify":
         tg = two_graph_from_json(read_text(args.path))
         print(f"two-graph: v={tg.v} triples={len(tg.triples)} "
               f"regular={is_regular(tg)}")
         return 0
     if args.action == "to-ast":
+        from .constructions import ast_from_two_graph
+        from .core import scheme_json_chunks
         tg = two_graph_from_json(read_text(args.path))
         scheme = ast_from_two_graph(tg)
         _print_scheme_summary(scheme)
         _write_out(args.out, scheme_json_chunks, scheme)
         return 0
-    if args.action == "from-ast":
-        scheme = _load_scheme(args.path)
-        tg = two_graph_from_ast(scheme, mode=args.mode)
-        print(f"two-graph: v={tg.v} triples={len(tg.triples)}")
-        _write_out(args.out, _one_chunk(two_graph_to_json), tg)
-        return 0
-    found = find_regular_two_graphs(args.nu)    # find
-    print(f"regular two-graphs on {args.nu} points (proper): {len(found)}")
-    if args.out and found:
-        _write_text(args.out, two_graph_to_json(found[0]))
-        print(f"wrote first instance to {args.out}")
+    from .constructions import two_graph_from_ast    # from-ast
+    scheme = _load_scheme(args.path)
+    tg = two_graph_from_ast(scheme, mode=args.mode)
+    print(f"two-graph: v={tg.v} triples={len(tg.triples)}")
+    _write_out(args.out, _one_chunk(two_graph_to_json), tg)
     return 0
 
 

@@ -63,9 +63,6 @@ COORD_PERMS: tuple[Triple, ...] = tuple(permutations(range(3)))
 #: about nu^4 / 6 steps, and at all nu^3 cells only when that check fails.
 FULL_CHECK_LIMIT = 30
 
-#: Version tag of the JSON scheme interchange format.
-SCHEME_FORMAT_VERSION = "1"
-
 #: Labels are at most unsigned 16-bit; the top value of a cube's typecode
 #: marks an uncovered cell while the cube is read, so a partition has at
 #: most this many classes.

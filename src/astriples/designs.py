@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
-from .core import json_int, json_object
 from .errors import PreconditionError, RefusalError, SizeGuardError, StructuralError
 from .record import Record
 
@@ -213,6 +212,7 @@ def design_to_json(d: TwoDesign) -> str:
 
 
 def design_from_json(text: str) -> TwoDesign:
+    from .core import json_int, json_object
     data = json_object(text, "design", "v", "blocks")
     return verify_design(json_int(data, "v"), data["blocks"])
 
@@ -223,5 +223,6 @@ def two_graph_to_json(tg: TwoGraph) -> str:
 
 
 def two_graph_from_json(text: str) -> TwoGraph:
+    from .core import json_int, json_object
     data = json_object(text, "two-graph", "v", "triples")
     return verify_two_graph(json_int(data, "v"), data["triples"])

@@ -16,12 +16,22 @@ before it changes any state:
   permutation sigma is again a block, so colors must induce one class
   bijection F_sigma with color(sigma(b)) = F_sigma(color(b)) for every
   block.  Each such constraint is tested against that one map at the
-  later of its two blocks, and a map already defined on a colored
-  neighbour's class forces the color of the next block.
+  later of its two blocks;
+* forward checking through the maps (Haralick & Elliott, Artificial
+  Intelligence 14, 1980): placing a block, or adding a map entry, forces
+  the color of each uncolored sigma-image of a block whose class the map
+  defines, and in turn of the blocks each forced one reaches.  A forced
+  block's counts join its class's row at once, so the bound tests, the
+  lock's included, see them; a second color or a passed bound ends the
+  node.  Every survivor meets the maps and the bounds, so only subtrees
+  without a survivor are cut.  Forced colors are undone last in, first
+  out, and a forced block is only tried in its color.
 
-Survivors are verified outright and reduced modulo point relabeling.
-Every candidate is a union of invariance orbits, so invariant by
-construction: the circulant census checks no survivor for circulance.
+Survivors are verified outright.  The first survivor of each isomorphism
+class represents it, and only the representatives get the canonical
+forms that sort them.  Every candidate is a union of invariance orbits,
+so invariant by construction: the circulant census checks no survivor
+for circulance.
 """
 
 from __future__ import annotations
@@ -122,21 +132,32 @@ def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
     first = width * done[0]
     # Valencies are nonzero and sum to nu - 2, which bounds the classes.
     limit = cap if max_classes is None else min(max_classes, cap)
-    # One class map per coordinate permutation, defined as colors are
-    # placed: F(color(b)) = color(image of b).  Each constraint is tested
-    # at the later of its two blocks, through the map or its inverse, so
-    # block b holds (m, m_inv, other) meaning m[color(b)] = color(other).
+    # One class map F per coordinate permutation sigma, defined as colors
+    # are placed: F(color(b)) = color(sigma(b)).  Each constraint is tested
+    # at the later of its two blocks, through F or its inverse, so block b
+    # holds (m, m_inv, other, images, is_f) meaning m[color(b)] =
+    # color(other), where is_f tells whether m is F and images is sigma on
+    # blocks.  ``arrows`` holds each F with its sigma, to force colors
+    # ahead; no inverse is followed, as sigma's inverse is a coordinate
+    # permutation too and the checks keep its map equal to F's inverse.
     checks = [[] for _ in range(n_blocks)]
+    arrows = []
     for images in sigma_images:
         fwd, inv = [-1] * (limit + 1), [-1] * (limit + 1)
+        arrows.append((fwd, images))
         for src, dst in enumerate(images):
             if dst <= src:
-                checks[src].append((fwd, inv, dst))
+                checks[src].append((fwd, inv, dst, images, True))
             else:
-                checks[dst].append((inv, fwd, src))
+                checks[dst].append((inv, fwd, src, images, False))
 
+    # Blocks before b are placed; a later block with a color is forced.
     colors = [-1] * n_blocks
     rows, bounds = [], []          # per class: counts, slack of its bound
+    members = []                   # per class: placed and forced blocks,
+                                   # whose counts its row holds
+    trail = []                     # blocks colored, in order
+    marks = [0] * n_blocks         # per block: the trail length before it
     logs = [()] * n_blocks         # per block: the map entries it added
     lasts = [0] * n_blocks         # per block: the last color to try
     nodes = 0
@@ -150,23 +171,46 @@ def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
                 f"enumeration search exceeded {node_limit} nodes")
         if b == n_blocks:
             return 0
+        if colors[b] != -1:
+            lasts[b] = colors[b]
+            return colors[b]
         n = len(rows)
-        start, last = 0, n if b <= lock and n < limit else n - 1
-        # A map already defined on an earlier block's class forces the color.
-        for _m, m_inv, other in checks[b]:
-            if other != b and m_inv[colors[other]] != -1:
-                start = max(start, m_inv[colors[other]])
-                last = min(last, m_inv[colors[other]])
-        lasts[b] = last
-        return start
+        lasts[b] = n if b <= lock and n < limit else n - 1
+        return 0
+
+    def force(queue):
+        """Color the queued (block, color) pairs and every block their
+        maps force in turn; False once a color or a bound conflicts."""
+        while queue:
+            u, color = queue.pop()
+            if colors[u] != -1:
+                if colors[u] != color:
+                    return False
+                continue
+            colors[u] = color
+            trail.append(u)
+            members[color].append(u)
+            rows[color] += vectors[u]
+            if rows[color] + bounds[color] & high:
+                return False
+            for m, step in arrows:
+                image, w = m[color], step[u]
+                if image != -1 and colors[w] != image:
+                    queue.append((w, image))
+        return True
 
     def unplace(b):
-        color, colors[b] = colors[b], -1
-        rows[color] -= vectors[b]
-        if not rows[color]:
-            del rows[color], bounds[color]
+        color = colors[b]
         for m, m_inv, target in logs[b]:
             m[color] = m_inv[target] = -1
+        for u in reversed(trail[marks[b]:]):
+            forced = colors[u]
+            colors[u] = -1
+            members[forced].pop()
+            rows[forced] -= vectors[u]
+        del trail[marks[b]:]
+        if not rows[-1]:
+            del rows[-1], bounds[-1], members[-1]
         if b == lock:
             bounds[:] = [slack[cap]] * len(bounds)
         return color
@@ -180,7 +224,8 @@ def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
             color = unplace(b) + 1
             continue
         n = len(rows)
-        row = vectors[b] + (rows[color] if color < n else 0)
+        row = (rows[color] if color < n else 0) + (
+            vectors[b] if colors[b] == -1 else 0)
         if row + (bounds[color] if color < n else slack[cap]) & high:
             color += 1
             continue
@@ -193,8 +238,8 @@ def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
                        for r, v in zip(trial, valencies)):
                 color += 1
                 continue
-        added = []
-        for m, m_inv, other in checks[b]:
+        added, queue = [], []
+        for m, m_inv, other, images, is_f in checks[b]:
             target = colors[other] if other != b else color
             image = m[color]
             if image == target:
@@ -205,15 +250,23 @@ def _search_colorings(nu, blocks, sigma_images, max_classes, node_limit):
                 break
             m[color], m_inv[target] = target, color
             added.append((m, m_inv, target))
+            # The new entry F(s) = t forces the image of each block of s.
+            s, t = (color, target) if is_f else (target, color)
+            if s < n:
+                queue += [(images[a], t) for a in members[s]
+                          if colors[images[a]] != t]
         else:
-            if color < n:
-                rows[color] = row
-            else:
-                rows.append(row)
+            if color == n:
+                rows.append(0)
                 bounds.append(slack[cap])
+                members.append([])
             if b == lock:
                 bounds[:] = [slack[v] for v in valencies]
-            logs[b], colors[b] = added, color
+            logs[b], marks[b] = added, len(trail)
+            queue.append((b, color))
+            if not force(queue):
+                color = unplace(b) + 1
+                continue
             b += 1
             color = visit(b)
             if b < n_blocks:
@@ -247,7 +300,6 @@ def enumerate_asts(task: EnumerationTask) -> list[AstScheme]:
                 block_of[(t[a] * nu + t[b]) * nu + t[c]] for t in leads))
 
     found = []
-    seen_keys = {}
     for coloring in _search_colorings(nu, blocks, sigma_block_images,
                                       task.max_nontrivial_classes,
                                       task.node_limit):
@@ -258,33 +310,30 @@ def enumerate_asts(task: EnumerationTask) -> list[AstScheme]:
         result = verify_ast(TriplePartition.from_labels(task.ground, labels))
         if isinstance(result, ViolationReport):
             continue
-        if nu <= CANONICAL_NU_LIMIT:
-            key = canonical_key(result)
-            if key not in seen_keys:
-                seen_keys[key] = result
-                found.append((key, result))
-        else:
-            if all(are_isomorphic(result, other) is None
-                   for _k, other in found):
-                found.append((result.serialized(), result))
-    found.sort(key=lambda pair: (pair[1].m, pair[0]))
-    return [scheme for _key, scheme in found]
+        # The first survivor of each isomorphism class represents it.
+        if all(are_isomorphic(result, other) is None for other in found):
+            found.append(result)
+    key = canonical_key if nu <= CANONICAL_NU_LIMIT else AstScheme.serialized
+    return sorted(found, key=lambda scheme: (scheme.m, key(scheme)))
 
 
-def enumerate_circulant(nu: int) -> list[AstScheme]:
+def enumerate_circulant(nu: int, allow_large: bool = False
+                        ) -> list[AstScheme]:
     """All circulant schemes on nu points up to isomorphism.
 
     Any scheme invariant under some full cycle is isomorphic to one
     invariant under the standard cycle, so enumerating with that one
-    cycle is complete.
+    cycle is complete.  ``allow_large`` skips the guards.
     """
-    if nu > GROUP_NU_LIMIT:
+    if nu > GROUP_NU_LIMIT and not allow_large:
         raise SizeGuardError(f"circulant enumeration is guarded to "
-                             f"nu <= {GROUP_NU_LIMIT}")
+                             f"nu <= {GROUP_NU_LIMIT}; pass allow_large "
+                             "to override")
     ground = GroundSet(nu)
     cycle = tuple((i + 1) % nu for i in range(nu))
     group = close([cycle])
-    return enumerate_asts(EnumerationTask(ground=ground, invariance=group))
+    return enumerate_asts(EnumerationTask(ground=ground, invariance=group,
+                                          allow_large=allow_large))
 
 
 def _class_profiles(scheme):

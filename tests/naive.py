@@ -5,8 +5,9 @@ plain set/dict scans and no reuse of library internals, so a library bug
 cannot hide in a shared code path.  The last sections are different:
 they hold the first, plain versions of the census kernels, of the scheme
 reader, of the permutation-group predicates on triple sets and of the
-orbit routines, verbatim, so the fast versions can be checked against
-them output for output.  The
+orbit routines, and the census search and deduplication before forward
+checking, verbatim, so the fast versions can be checked against them
+output for output.  The
 record classes are checked against the frozen dataclasses the stdlib
 makes of the same declarations (:func:`dataclass_twin`).
 """
@@ -14,15 +15,19 @@ makes of the same declarations (:func:`dataclass_twin`).
 import dataclasses
 import math
 from array import array
+from collections import Counter
 from itertools import combinations, permutations, product
 from itertools import permutations as _point_perms
 
-from astriples.core import (LABEL_LIMIT, AstScheme, GroundSet, TernaryRelation,
-                            TriplePartition, cube_typecode, json_int,
-                            json_object)
+from astriples.core import (COORD_PERMS, LABEL_LIMIT, AstScheme, GroundSet,
+                            TernaryRelation, TriplePartition, ViolationReport,
+                            cube_typecode, json_int, json_object, trivial_cube,
+                            verify_ast)
 from astriples.designs import (TWO_GRAPH_SEARCH_LIMIT, TwoGraph, _clean_subsets,
                                is_regular)
-from astriples.enumeration import CANONICAL_NU_LIMIT
+from astriples.enumeration import (CANONICAL_NU_LIMIT, _check_guards,
+                                   _orbit_blocks, are_isomorphic,
+                                   canonical_key)
 from astriples.errors import (ConsistencyError, PreconditionError, RefusalError,
                               SizeGuardError, StructuralError)
 from astriples.permgroup import (DEFAULT_MAX_ELEMENTS, ORBIT_DEGREE_LIMIT,
@@ -630,6 +635,185 @@ def naive_thin_circulant_decomposition(rel: TernaryRelation, cycle,
                 return ThinDecomposition(coords=(a, b), pieces=pieces,
                                          orbits=tuple(orbits))
     return None
+
+
+# ---------------------------------------------------------------------------
+# The class-map search that tested each constraint only at the later of its
+# two blocks, and the census that took a canonical key of every survivor,
+# verbatim: same survivors, same schemes, in the same order.
+
+def naive_class_map_search(nu, blocks, sigma_images, max_classes, node_limit):
+    """Yield block colorings (class assignments) surviving the prunes:
+    ``enumeration._search_colorings`` before it forced colors ahead."""
+    n_blocks, cap = len(blocks), nu - 2
+    # One int per class holds its counts, a field of ``width`` bits per
+    # ordered pair; adding slack[v] sets a field's top bit iff it passes v.
+    per_pair = [Counter(idx // nu for idx in block) for block in blocks]
+    width = max([nu] + [max(c.values()) for c in per_pair]).bit_length() + 1
+    ones = sum(1 << width * pid for pid in range(nu * nu))
+    mask = (1 << width - 1) - 1
+    high = ones * (mask + 1)
+    slack = [(mask - v) * ones for v in range(cap + 1)]
+    vectors = [sum(c << width * pid for pid, c in counts.items())
+               for counts in per_pair]
+    # The first block to complete a pair locks the classes and valencies.
+    remaining = sum(per_pair, Counter())
+    for lock, counts in enumerate(per_pair):
+        remaining.subtract(counts)
+        done = [pid for pid in counts if not remaining[pid]]
+        if done:
+            break
+    first = width * done[0]
+    # Valencies are nonzero and sum to nu - 2, which bounds the classes.
+    limit = cap if max_classes is None else min(max_classes, cap)
+    # One class map per coordinate permutation, defined as colors are
+    # placed: F(color(b)) = color(image of b).  Each constraint is tested
+    # at the later of its two blocks, through the map or its inverse, so
+    # block b holds (m, m_inv, other) meaning m[color(b)] = color(other).
+    checks = [[] for _ in range(n_blocks)]
+    for images in sigma_images:
+        fwd, inv = [-1] * (limit + 1), [-1] * (limit + 1)
+        for src, dst in enumerate(images):
+            if dst <= src:
+                checks[src].append((fwd, inv, dst))
+            else:
+                checks[dst].append((inv, fwd, src))
+
+    colors = [-1] * n_blocks
+    rows, bounds = [], []          # per class: counts, slack of its bound
+    logs = [()] * n_blocks         # per block: the map entries it added
+    lasts = [0] * n_blocks         # per block: the last color to try
+    nodes = 0
+
+    def visit(b):
+        """Count a node; return the first color to try at block b."""
+        nonlocal nodes
+        nodes += 1
+        if node_limit is not None and nodes > node_limit:
+            raise SizeGuardError(
+                f"enumeration search exceeded {node_limit} nodes")
+        if b == n_blocks:
+            return 0
+        n = len(rows)
+        start, last = 0, n if b <= lock and n < limit else n - 1
+        # A map already defined on an earlier block's class forces the color.
+        for _m, m_inv, other in checks[b]:
+            if other != b and m_inv[colors[other]] != -1:
+                start = max(start, m_inv[colors[other]])
+                last = min(last, m_inv[colors[other]])
+        lasts[b] = last
+        return start
+
+    def unplace(b):
+        color, colors[b] = colors[b], -1
+        rows[color] -= vectors[b]
+        if not rows[color]:
+            del rows[color], bounds[color]
+        for m, m_inv, target in logs[b]:
+            m[color] = m_inv[target] = -1
+        if b == lock:
+            bounds[:] = [slack[cap]] * len(bounds)
+        return color
+
+    b, color = 0, visit(0)
+    while True:
+        if color > lasts[b]:
+            b -= 1
+            if b < 0:
+                return
+            color = unplace(b) + 1
+            continue
+        n = len(rows)
+        row = vectors[b] + (rows[color] if color < n else 0)
+        if row + (bounds[color] if color < n else slack[cap]) & high:
+            color += 1
+            continue
+        if b == lock:
+            # No count above its valency: with the sums equal, every
+            # completed pair then holds exactly the valencies.
+            trial = rows[:color] + [row] + rows[color + 1:]
+            valencies = [r >> first & mask for r in trial]
+            if not all(v and not (r + slack[v]) & high
+                       for r, v in zip(trial, valencies)):
+                color += 1
+                continue
+        added = []
+        for m, m_inv, other in checks[b]:
+            target = colors[other] if other != b else color
+            image = m[color]
+            if image == target:
+                continue
+            if image != -1 or m_inv[target] != -1:
+                for m, m_inv, target in added:
+                    m[color] = m_inv[target] = -1
+                break
+            m[color], m_inv[target] = target, color
+            added.append((m, m_inv, target))
+        else:
+            if color < n:
+                rows[color] = row
+            else:
+                rows.append(row)
+                bounds.append(slack[cap])
+            if b == lock:
+                bounds[:] = [slack[v] for v in valencies]
+            logs[b], colors[b] = added, color
+            b += 1
+            color = visit(b)
+            if b < n_blocks:
+                continue
+            yield tuple(colors)
+            b -= 1
+            color = unplace(b)
+        color += 1
+
+
+def naive_key_dedup_enumerate_asts(task) -> list[AstScheme]:
+    """All schemes whose nontrivial relations are unions of invariance
+    orbits, one representative per isomorphism class, deterministically
+    ordered by class count then canonical form: ``enumerate_asts`` when
+    it took a canonical key of every survivor up to CANONICAL_NU_LIMIT."""
+    _check_guards(task)
+    nu = task.ground.nu
+    group = task.invariance
+    if group is not None and group.degree != nu:
+        raise PreconditionError("invariance group degree differs from nu")
+    # The trivial relations, with 4 on the all-distinct cells to be colored.
+    base = trivial_cube(nu, 4)
+    cells = [idx for idx, label in enumerate(base) if label == 4]
+    blocks = _orbit_blocks(task.ground, group, cells, task.symmetric_only)
+
+    sigma_block_images = []
+    if not task.symmetric_only:
+        block_of = {idx: i for i, block in enumerate(blocks) for idx in block}
+        leads = [task.ground.triple(block[0]) for block in blocks]
+        for a, b, c in COORD_PERMS[1:]:
+            sigma_block_images.append(tuple(
+                block_of[(t[a] * nu + t[b]) * nu + t[c]] for t in leads))
+
+    found = []
+    seen_keys = {}
+    for coloring in naive_class_map_search(nu, blocks, sigma_block_images,
+                                           task.max_nontrivial_classes,
+                                           task.node_limit):
+        labels = array(cube_typecode(5 + max(coloring)), base)
+        for block, color in zip(blocks, coloring):
+            for idx in block:
+                labels[idx] = 4 + color
+        result = verify_ast(TriplePartition.from_labels(task.ground, labels))
+        if isinstance(result, ViolationReport):
+            continue
+        if nu <= CANONICAL_NU_LIMIT:
+            key = canonical_key(result)
+            if key not in seen_keys:
+                seen_keys[key] = result
+                found.append((key, result))
+        else:
+            if all(are_isomorphic(result, other) is None
+                   for _k, other in found):
+                found.append((result.serialized(), result))
+    found.sort(key=lambda pair: (pair[1].m, pair[0]))
+    return [scheme for _key, scheme in found]
 
 
 # ---------------------------------------------------------------------------

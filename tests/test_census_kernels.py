@@ -1,8 +1,11 @@
-"""The census kernels against the verbatim first versions in naive.py.
+"""The census kernels against the verbatim earlier versions in naive.py.
 
 The enumeration search must yield the reference colorings that induce a
-class bijection for every coordinate permutation, in the same order; the
-two-graph finder the same list, and canonical forms the same keys.
+class bijection for every coordinate permutation, in the same order, and
+exactly the colorings of the class-map search before it forced colors
+ahead; the census the schemes of the one that took a canonical key of
+every survivor; the two-graph finder the same list, and canonical forms
+the same keys.
 """
 
 import random
@@ -16,8 +19,10 @@ from astriples.designs import find_regular_two_graphs
 from astriples.enumeration import (EnumerationTask, canonical_key,
                                    enumerate_asts, enumerate_circulant)
 
-from naive import (naive_canonical_key, naive_find_regular_two_graphs,
-                   naive_search_colorings, naive_sigma_consistent)
+from naive import (naive_canonical_key, naive_class_map_search,
+                   naive_find_regular_two_graphs,
+                   naive_key_dedup_enumerate_asts, naive_search_colorings,
+                   naive_sigma_consistent)
 
 
 def _task(nu, **kwargs):
@@ -81,13 +86,67 @@ def test_search_yields_the_reference_colorings(monkeypatch, name, run):
         assert verdict.condition == 3
 
 
+FORCED = SEARCHES + [("circulant-8", lambda: enumerate_circulant(8))]
+
+
+@pytest.mark.parametrize("name, run", FORCED,
+                         ids=[name for name, _run in FORCED])
+def test_search_yields_the_class_map_search_colorings(monkeypatch, name,
+                                                      run):
+    # forcing colors ahead cuts only subtrees without a survivor
+    search = enumeration._search_colorings
+    calls = []
+
+    def both(*args):
+        got = list(search(*args))
+        calls.append((got, list(naive_class_map_search(*args))))
+        return iter(got)
+
+    monkeypatch.setattr(enumeration, "_search_colorings", both)
+    assert run()
+    assert len(calls) == 1
+    got, want = calls[0]
+    assert want and got == want
+
+
+@pytest.mark.parametrize("name, run", SEARCHES,
+                         ids=[name for name, _run in SEARCHES])
+def test_census_matches_the_key_dedup_census(monkeypatch, name, run):
+    check = enumeration._check_guards
+    tasks = []
+
+    def record(task):
+        tasks.append(task)
+        return check(task)
+
+    monkeypatch.setattr(enumeration, "_check_guards", record)
+    got = run()
+    assert len(tasks) == 1
+    want = naive_key_dedup_enumerate_asts(tasks[0])
+    assert [s.serialized() for s in got] == [s.serialized() for s in want]
+
+
+def test_canonical_keys_only_for_representatives(monkeypatch):
+    key = enumeration.canonical_key
+    calls = []
+
+    def counted(scheme):
+        calls.append(scheme)
+        return key(scheme)
+
+    monkeypatch.setattr(enumeration, "canonical_key", counted)
+    schemes = enumerate_asts(_task(6))
+    assert len(schemes) == 2
+    assert sorted(map(id, calls)) == sorted(map(id, schemes))
+
+
 def _cycle(nu):
     return at.close([tuple((i + 1) % nu for i in range(nu))])
 
 
 #: Search nodes, the root and every leaf included; they may only fall.
 @pytest.mark.parametrize("nu, circulant, nodes",
-                         [(8, True, 33459), (6, False, 17856), (7, True, 2152)],
+                         [(8, True, 4721), (6, False, 8292), (7, True, 732)],
                          ids=["circulant-8", "trivial-6", "circulant-7"])
 def test_search_node_counts_are_pinned(nu, circulant, nodes):
     group = _cycle(nu) if circulant else None

@@ -149,6 +149,15 @@ def test_enumerate_circulant_max_classes(capsys):
         'nu=7 schemes=2 by_nontrivial_classes={"1": 1, "2": 1}\n'
 
 
+def test_enumerate_circulant_allow_large(monkeypatch, capsys):
+    from astriples import enumeration
+    monkeypatch.setattr(enumeration, "GROUP_NU_LIMIT", 6)
+    assert run(["enumerate", "--nu", "7", "--circulant"]) == 1
+    assert "guarded to nu <= 6" in capsys.readouterr().err
+    assert run(["enumerate", "--nu", "7", "--circulant", "--allow-large"]) == 0
+    assert capsys.readouterr().out.startswith("nu=7 schemes=3 ")
+
+
 def test_enumerate_rejects_conflicting_filters(capsys):
     assert run(["enumerate", "--nu", "5", "--circulant", "--symmetric"]) == 2
     capsys.readouterr()
@@ -223,6 +232,14 @@ def test_twograph_without_path_exits_two():
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "needs a PATH" in proc.stderr
+
+
+def test_twograph_find_with_path_exits_two():
+    proc = _cli_process("twograph", "find", "missing.json", "--nu", "4")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "usage error: twograph find takes no PATH\n"
+    assert proc.stdout == ""
 
 
 def test_fuse_grouping_of_bare_labels_exits_two(tmp_path, capsys):
@@ -517,31 +534,34 @@ def test_tracer_bindings_resolve():
         assert callable(getattr(module, attr, None)), (module_name, attr)
 
 
-def test_version_loads_no_oracle_or_group_modules():
-    # the package resolves its public names on first use, and the CLI
-    # imports the group constructors and the oracle inside their commands
+def test_version_loads_no_oracle_or_group_modules(tmp_path):
+    # the package resolves its public names on first use, and each command
+    # imports the library modules it uses when it runs, --version none of
+    # them; no command loads dataclasses (the records need no generated
+    # code) or fractions (only the ternary-field certificate takes them).
+    # Modules loaded at start-up, as by site hooks, are left out.
+    scheme = str(tmp_path / "s.json")
+    assert run(["construct", "--group", "asl2:2", "--out", scheme]) == 0
     src = str(Path(at.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = ("import json, sys\n"
-             "from astriples.cli import run\n"
-             "assert run(['--version']) == 0\n"
-             "print(json.dumps(sorted(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    version, loaded = proc.stdout.splitlines()
-    assert version.startswith("astriples ")
-    loaded = set(json.loads(loaded))
-    assert "astriples.core" in loaded
-    assert not loaded & {"astriples.asl2", "astriples.finfield",
-                         "astriples.hypermatrix", "fractions"}
-    # neither --version nor the oracle loads dataclasses or fractions: the
-    # records need no generated code, and only the ternary-field
-    # certificate takes Fractions (modules loaded at start-up, as by site
-    # hooks, are left out)
-    for args in (["--version"], ["oracle", "asl2", "--q", "2"]):
+    never = {"dataclasses", "fractions"}
+    oracle = {"astriples.asl2", "astriples.finfield", "astriples.hypermatrix"}
+    beyond_core = {"astriples.permgroup", "astriples.constructions",
+                   "astriples.enumeration", "astriples.designs"}
+    cases = [
+        (["--version"], {"astriples.cli"}, {"astriples.core"} | oracle),
+        (["params", scheme], {"astriples.core"}, beyond_core | oracle),
+        (["verify", scheme], {"astriples.core"}, beyond_core | oracle),
+        (["oracle", "asl2", "--q", "2"], {"astriples.asl2"},
+         {"astriples.enumeration"}),
+        (["enumerate", "--nu", "4"], {"astriples.enumeration"},
+         {"astriples.constructions", "astriples.designs"} | oracle),
+        (["twograph", "find", "--nu", "4"], {"astriples.designs"},
+         {"astriples.core"} | beyond_core - {"astriples.designs"} | oracle),
+    ]
+    for args, present, absent in cases:
         probe = ("import json, sys\n"
                  "before = set(sys.modules)\n"
                  "from astriples.cli import run\n"
@@ -550,10 +570,13 @@ def test_version_loads_no_oracle_or_group_modules():
         proc = subprocess.run([sys.executable, "-c", probe],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
-        assert "astriples.core" in loaded
-        assert ("astriples.asl2" in loaded) == (args[0] == "oracle")
-        assert not loaded & {"dataclasses", "fractions"}, args
+        lines = proc.stdout.splitlines()
+        loaded = set(json.loads(lines[-1]))
+        assert present <= loaded, args
+        assert not loaded & (absent | never), (args, loaded & absent)
+        if args == ["--version"]:
+            assert lines[0] == (f"astriples {at.__version__} (scheme "
+                                f"format {at.SCHEME_FORMAT_VERSION})")
 
 
 OLD_EXPORTS = {

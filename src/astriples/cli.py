@@ -185,6 +185,8 @@ def _cmd_enumerate(args):
 
     from .core import GroundSet
     from .enumeration import EnumerationTask
+    if args.max_classes is not None and args.max_classes < 1:
+        raise StructuralError("--max-classes must be at least 1")
     if args.circulant:
         if args.group or args.symmetric:
             raise StructuralError(

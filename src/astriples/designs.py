@@ -163,43 +163,48 @@ def find_regular_two_graphs(nu: int, proper: bool = True) -> list[TwoGraph]:
     """Exhaustive list of regular two-graphs on nu points.
 
     Every switching class contains exactly one graph in which the last
-    point is isolated, so scanning all graphs on the first nu - 1 points
-    visits each two-graph once; that is the symmetry pruning that keeps
-    the search at 2^C(nu-1, 2) candidates, walked in Gray-code order as
-    neighbour bitmasks N.  {a, b} lies in |N(a) ^ N(b) - {a, b}| triples,
-    or in nu - 2 minus that when a ~ b; a graph is dropped at its first
-    pair off the count, and hits are confirmed by :func:`is_regular`.
-    ``proper`` drops the empty and complete families (counts 0, nu - 2).
+    point n = nu - 1 is isolated, and {a, n} lies in deg(a) triples, so
+    only the d-regular graphs on the first n points are walked (Taylor,
+    Proc. LMS 1977), one degree d at a time, as neighbour bitmasks N.
+    Pairs are decided in lexicographic order: one is added only while
+    both its points have degree below d, and skipped only while both can
+    still reach d.  {a, b} lies in |N(a) ^ N(b) - {a, b}| triples, or in
+    nu - 2 minus that when a ~ b; hits on that count are confirmed by
+    :func:`is_regular`.  ``proper`` drops d = 0 and d = nu - 2.
     """
     if nu < 4:
         raise PreconditionError("search needs at least four points")
     if nu > TWO_GRAPH_SEARCH_LIMIT:
         raise SizeGuardError(
             f"two-graph search is guarded to nu <= {TWO_GRAPH_SEARCH_LIMIT}")
-    pairs = list(combinations(range(nu - 1), 2))
-    flips = [(a, b, 1 << a | 1 << b) for a, b in pairs]
-    cap = nu - 2
-    nbr = [0] * nu
+    n, cap = nu - 1, nu - 2
+    pairs = [(a, b, 1 << a | 1 << b) for a, b in combinations(range(n), 2)]
+    nbr = [0] * n
     found = []
-    for step in range(1 << len(pairs)):
-        if step:
-            a, b, ab = flips[(step & -step).bit_length() - 1]
-            nbr[a] ^= 1 << b
-            nbr[b] ^= 1 << a
-        # Pairs with the isolated last point first: their count is a degree.
-        cover = nbr[0].bit_count()
-        if nbr[1].bit_count() != cover or proper and not 0 < cover < cap:
-            continue
-        if any(n.bit_count() != cover for n in nbr[2:-1]):
-            continue
-        if any((nbr[a] ^ nbr[b]).bit_count() != cover if not nbr[a] >> b & 1
-               else cap - ((nbr[a] ^ nbr[b]) & ~ab).bit_count() != cover
-               for a, b, ab in flips):
-            continue
-        edges = [(a, b) for a, b, _ab in flips if nbr[a] >> b & 1]
-        tg = TwoGraph(v=nu, triples=_odd_triples(nu, edges))
-        if is_regular(tg):
-            found.append(tg)
+
+    def walk(i, d):
+        if i < len(pairs):
+            a, b, _ab = pairs[i]
+            deg_a, deg_b = nbr[a].bit_count(), nbr[b].bit_count()
+            if deg_a < d and deg_b < d:
+                nbr[a] ^= 1 << b
+                nbr[b] ^= 1 << a
+                walk(i + 1, d)
+                nbr[a] ^= 1 << b
+                nbr[b] ^= 1 << a
+            # Pairs left after {a, b}: n - 1 - b with a, n - 2 - a with b.
+            if deg_a + n - 1 - b >= d and deg_b + n - 2 - a >= d:
+                walk(i + 1, d)
+        elif not any((nbr[a] ^ nbr[b]).bit_count() != d if not nbr[a] >> b & 1
+                     else cap - ((nbr[a] ^ nbr[b]) & ~ab).bit_count() != d
+                     for a, b, ab in pairs):
+            edges = [(a, b) for a, b, _ab in pairs if nbr[a] >> b & 1]
+            tg = TwoGraph(v=nu, triples=_odd_triples(nu, edges))
+            if is_regular(tg):
+                found.append(tg)
+
+    for d in range(1, cap) if proper else range(cap + 1):
+        walk(0, d)
     return sorted(found, key=lambda tg: tg.triples)
 
 

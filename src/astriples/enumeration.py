@@ -28,10 +28,10 @@ before it changes any state:
   out, and a forced block is only tried in its color.
 
 Survivors are verified outright.  The first survivor of each isomorphism
-class represents it, and only the representatives get the canonical
-forms that sort them.  Every candidate is a union of invariance orbits,
-so invariant by construction: the circulant census checks no survivor
-for circulance.
+class represents it.  Representatives are sorted by class count, and
+canonical forms are taken only to order those whose class counts tie.
+Every candidate is a union of invariance orbits, so invariant by
+construction: the circulant census checks no survivor for circulance.
 """
 
 from __future__ import annotations
@@ -313,8 +313,15 @@ def enumerate_asts(task: EnumerationTask) -> list[AstScheme]:
         # The first survivor of each isomorphism class represents it.
         if all(are_isomorphic(result, other) is None for other in found):
             found.append(result)
+    return _ordered(found, nu)
+
+
+def _ordered(schemes, nu):
+    """Sorted by (m, key); the key is taken only for tied class counts."""
     key = canonical_key if nu <= CANONICAL_NU_LIMIT else AstScheme.serialized
-    return sorted(found, key=lambda scheme: (scheme.m, key(scheme)))
+    ties = Counter(scheme.m for scheme in schemes)
+    return sorted(schemes, key=lambda scheme: (
+        scheme.m, key(scheme) if ties[scheme.m] > 1 else ()))
 
 
 def enumerate_circulant(nu: int, allow_large: bool = False

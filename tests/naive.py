@@ -5,10 +5,10 @@ plain set/dict scans and no reuse of library internals, so a library bug
 cannot hide in a shared code path.  The last sections are different:
 they hold the first, plain versions of the census kernels, of the scheme
 reader, of the permutation-group predicates on triple sets and of the
-orbit routines, and the census search and deduplication before forward
-checking, verbatim, so the fast versions can be checked against them
-output for output.  The
-record classes are checked against the frozen dataclasses the stdlib
+orbit routines, the census search and deduplication before forward
+checking, and the Gray-code two-graph scan over every graph, verbatim,
+so the fast versions can be checked against them output for output.
+The record classes are checked against the frozen dataclasses the stdlib
 makes of the same declarations (:func:`dataclass_twin`).
 """
 
@@ -24,7 +24,7 @@ from astriples.core import (COORD_PERMS, LABEL_LIMIT, AstScheme, GroundSet,
                             cube_typecode, json_int, json_object, trivial_cube,
                             verify_ast)
 from astriples.designs import (TWO_GRAPH_SEARCH_LIMIT, TwoGraph, _clean_subsets,
-                               is_regular)
+                               _odd_triples, is_regular)
 from astriples.enumeration import (CANONICAL_NU_LIMIT, _check_guards,
                                    _orbit_blocks, are_isomorphic,
                                    canonical_key)
@@ -413,6 +413,51 @@ def naive_find_regular_two_graphs(nu: int, proper: bool = True) -> list[TwoGraph
         if proper and (not triples or len(triples) == n_triples):
             continue
         tg = TwoGraph(v=nu, triples=triples)
+        if is_regular(tg):
+            found.append(tg)
+    return sorted(found, key=lambda tg: tg.triples)
+
+
+def naive_gray_code_find_regular_two_graphs(nu: int, proper: bool = True
+                                            ) -> list[TwoGraph]:
+    """Exhaustive list of regular two-graphs on nu points.
+
+    Every switching class contains exactly one graph in which the last
+    point is isolated, so scanning all graphs on the first nu - 1 points
+    visits each two-graph once; that is the symmetry pruning that keeps
+    the search at 2^C(nu-1, 2) candidates, walked in Gray-code order as
+    neighbour bitmasks N.  {a, b} lies in |N(a) ^ N(b) - {a, b}| triples,
+    or in nu - 2 minus that when a ~ b; a graph is dropped at its first
+    pair off the count, and hits are confirmed by :func:`is_regular`.
+    ``proper`` drops the empty and complete families (counts 0, nu - 2).
+    """
+    if nu < 4:
+        raise PreconditionError("search needs at least four points")
+    if nu > TWO_GRAPH_SEARCH_LIMIT:
+        raise SizeGuardError(
+            f"two-graph search is guarded to nu <= {TWO_GRAPH_SEARCH_LIMIT}")
+    pairs = list(combinations(range(nu - 1), 2))
+    flips = [(a, b, 1 << a | 1 << b) for a, b in pairs]
+    cap = nu - 2
+    nbr = [0] * nu
+    found = []
+    for step in range(1 << len(pairs)):
+        if step:
+            a, b, ab = flips[(step & -step).bit_length() - 1]
+            nbr[a] ^= 1 << b
+            nbr[b] ^= 1 << a
+        # Pairs with the isolated last point first: their count is a degree.
+        cover = nbr[0].bit_count()
+        if nbr[1].bit_count() != cover or proper and not 0 < cover < cap:
+            continue
+        if any(n.bit_count() != cover for n in nbr[2:-1]):
+            continue
+        if any((nbr[a] ^ nbr[b]).bit_count() != cover if not nbr[a] >> b & 1
+               else cap - ((nbr[a] ^ nbr[b]) & ~ab).bit_count() != cover
+               for a, b, ab in flips):
+            continue
+        edges = [(a, b) for a, b, _ab in flips if nbr[a] >> b & 1]
+        tg = TwoGraph(v=nu, triples=_odd_triples(nu, edges))
         if is_regular(tg):
             found.append(tg)
     return sorted(found, key=lambda tg: tg.triples)

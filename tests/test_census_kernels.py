@@ -4,8 +4,8 @@ The enumeration search must yield the reference colorings that induce a
 class bijection for every coordinate permutation, in the same order, and
 exactly the colorings of the class-map search before it forced colors
 ahead; the census the schemes of the one that took a canonical key of
-every survivor; the two-graph finder the same list, and canonical forms
-the same keys.
+every survivor; the two-graph finder the same list as the scan over
+every graph, and canonical forms the same keys.
 """
 
 import random
@@ -14,13 +14,16 @@ import pytest
 
 import astriples as at
 from astriples import enumeration
-from astriples.core import trivial_cube
+from astriples.core import AstScheme, trivial_cube
 from astriples.designs import find_regular_two_graphs
-from astriples.enumeration import (EnumerationTask, canonical_key,
-                                   enumerate_asts, enumerate_circulant)
+from astriples.enumeration import (EnumerationTask, are_isomorphic,
+                                   canonical_key, enumerate_asts,
+                                   enumerate_circulant)
+from astriples.finfield import field_from_order, point_index
 
 from naive import (naive_canonical_key, naive_class_map_search,
                    naive_find_regular_two_graphs,
+                   naive_gray_code_find_regular_two_graphs,
                    naive_key_dedup_enumerate_asts, naive_search_colorings,
                    naive_sigma_consistent)
 
@@ -126,18 +129,59 @@ def test_census_matches_the_key_dedup_census(monkeypatch, name, run):
     assert [s.serialized() for s in got] == [s.serialized() for s in want]
 
 
-def test_canonical_keys_only_for_representatives(monkeypatch):
-    key = enumeration.canonical_key
+def _count_sort_keys(monkeypatch):
+    """Record every scheme that enumeration takes a sort key of."""
     calls = []
 
-    def counted(scheme):
-        calls.append(scheme)
-        return key(scheme)
+    def counted(key):
+        def wrapper(scheme):
+            calls.append(scheme)
+            return key(scheme)
+        return wrapper
 
-    monkeypatch.setattr(enumeration, "canonical_key", counted)
-    schemes = enumerate_asts(_task(6))
-    assert len(schemes) == 2
-    assert sorted(map(id, calls)) == sorted(map(id, schemes))
+    monkeypatch.setattr(enumeration, "canonical_key",
+                        counted(enumeration.canonical_key))
+    monkeypatch.setattr(AstScheme, "serialized",
+                        counted(AstScheme.serialized))
+    return calls
+
+
+def test_canonical_keys_only_for_representatives(monkeypatch):
+    # no census in reach has two representatives with one class count,
+    # so none takes a key
+    calls = _count_sort_keys(monkeypatch)
+    for name, run in SEARCHES:
+        schemes = run()
+        assert len({s.m for s in schemes}) == len(schemes), name
+        assert calls == [], name
+
+
+def _ag24_design_scheme():
+    """The scheme of the 20 lines of the affine plane AG(2, 4)."""
+    field = field_from_order(4)
+    directions = [(0, 1)] + [(1, s) for s in range(4)]
+    lines = {tuple(sorted(point_index(field, field.add(x, field.mul(t, dx)),
+                                      field.add(y, field.mul(t, dy)))
+                          for t in range(4)))
+             for x in range(4) for y in range(4) for dx, dy in directions}
+    return at.ast_from_design(at.verify_design(16, sorted(lines)))
+
+
+def test_tied_class_counts_are_ordered_by_key(monkeypatch, asl2_schemes):
+    asl2, labeling = asl2_schemes[4]
+    j_labels = sorted(labeling.line_labels.values())[:2]
+    fusion = at.ast_from_two_graph(
+        at.two_graph_fusion(asl2, j_labels).two_graph)
+    design = _ag24_design_scheme()
+    assert design.m == fusion.m == 5 < asl2.m
+    assert are_isomorphic(design, fusion) is None
+    want = sorted([design, fusion, asl2],
+                  key=lambda scheme: (scheme.m, scheme.serialized()))
+    calls = _count_sort_keys(monkeypatch)
+    for order in ([asl2, design, fusion], [fusion, asl2, design]):
+        assert enumeration._ordered(order, 16) == want
+    # the key is taken for the two tied schemes only
+    assert sorted(map(id, calls)) == sorted(map(id, [design, fusion] * 2))
 
 
 def _cycle(nu):
@@ -164,6 +208,12 @@ def test_search_node_counts_are_pinned(nu, circulant, nodes):
 def test_two_graph_finder_matches_reference(nu, proper):
     assert (find_regular_two_graphs(nu, proper=proper)
             == naive_find_regular_two_graphs(nu, proper=proper))
+
+
+@pytest.mark.parametrize("proper", (True, False))
+def test_two_graph_finder_matches_gray_code_scan(proper):
+    assert (find_regular_two_graphs(8, proper=proper)
+            == naive_gray_code_find_regular_two_graphs(8, proper=proper))
 
 
 def _relabeled(scheme, rng):

@@ -242,6 +242,18 @@ def test_twograph_find_with_path_exits_two():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("bound", ("-1", "0"))
+@pytest.mark.parametrize("mode", ([], ["--circulant"]),
+                         ids=["trivial", "circulant"])
+def test_enumerate_max_classes_below_one_exits_two(bound, mode):
+    proc = _cli_process("enumerate", "--nu", "6", *mode,
+                        f"--max-classes={bound}")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "usage error: --max-classes must be at least 1\n"
+    assert proc.stdout == ""
+
+
 def test_fuse_grouping_of_bare_labels_exits_two(tmp_path, capsys):
     scheme_path = tmp_path / "s.json"
     assert run(["construct", "--group", "asl2:2",

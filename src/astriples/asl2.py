@@ -13,6 +13,7 @@ asserting the predicted values.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 
 from .constructions import ast_from_group
 from .core import AstScheme
@@ -101,10 +102,7 @@ def check_asl2_valencies(q: int) -> OracleCheck:
 
 
 def _expected_vector(scheme, support):
-    vec = [0] * (scheme.m + 1)
-    for label, coeff in support.items():
-        vec[label] = coeff
-    return tuple(vec)
+    return tuple(map(support.get, range(scheme.m + 1), repeat(0)))
 
 
 def _nontrivial_families(scheme, labeling):
@@ -272,8 +270,8 @@ def check_asl2_trivial_products(q: int) -> tuple[OracleCheck, ...]:
     hypermatrix space.
 
     Every instance goes through the class kernel on the scheme's cached
-    z-fibers; the first instance of each family is also run through the
-    public ``ternary_product`` pipeline as a cross-check.
+    class broadcasts; the first instance of each family is also run
+    through the public ``ternary_product`` pipeline as a cross-check.
     """
     scheme, labeling = _context(q)
     return _run_families(scheme, _trivial_families(scheme, labeling),

@@ -15,11 +15,12 @@ from itertools import combinations, permutations, product
 from .core import (AstScheme, GroundSet, TriplePartition, ViolationReport,
                    json_object, label_map, relabel, trivial_cube,
                    verify_ast)
-from .designs import TwoDesign, TwoGraph, is_regular, verify_design, verify_two_graph
 from .errors import (ConsistencyError, PreconditionError, RefusalError,
                      StructuralError)
 from .permgroup import PermutationGroup, is_two_transitive, orbits_on_triples, pair_orbits
 from .record import Record
+
+# ``designs`` is imported where used, so ``construct`` and ``oracle`` skip it.
 
 #: The eight vanishing intersection numbers of the two-graph equivalence.
 #: The strict form ends in p_554^4, the lenient form in p_554^5 (which
@@ -98,6 +99,7 @@ def design_from_symmetric_relation(scheme: AstScheme, i: int) -> TwoDesign:
     as a 2-design (its lambda equals the relation's third valency)."""
     if i < 4 or i > scheme.m:
         raise PreconditionError(f"label {i} is not a nontrivial relation")
+    from .designs import verify_design
     blocks = _symmetric_subsets(scheme, {i})
     try:
         return verify_design(scheme.nu, blocks)
@@ -114,6 +116,7 @@ def ast_from_two_graph(tg: TwoGraph) -> AstScheme:
     vanish; the values of both eight-entry readings are available through
     :func:`vanishing_report`.
     """
+    from .designs import is_regular
     if not is_regular(tg):
         raise RefusalError("two-graph is not regular")
     n_all = tg.v * (tg.v - 1) * (tg.v - 2) // 6
@@ -163,6 +166,7 @@ def two_graph_from_ast(scheme: AstScheme, mode: str = "strict") -> TwoGraph:
             i, j, k, l = entry
             raise RefusalError(
                 f"p_{i}{j}{k}^{l} = {value} is nonzero", witness=(entry, value))
+    from .designs import is_regular, verify_two_graph
     tg = verify_two_graph(scheme.nu, delta)
     if not is_regular(tg):
         raise ConsistencyError(
@@ -350,6 +354,7 @@ def two_graph_fusion(scheme: AstScheme, j_labels) -> TwoGraphFusionResult:
         if members % 2 and tensor.get(*quadruple):
             return TwoGraphFusionResult(two_graph=None,
                                         failing_quadruple=quadruple)
+    from .designs import is_regular, verify_two_graph
     try:
         tg = verify_two_graph(scheme.nu, delta)
     except RefusalError as exc:

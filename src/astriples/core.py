@@ -433,15 +433,11 @@ class AstScheme(Record):
         return self.labels[self.ground.index(t)]
 
     @cached_property
-    def zfibers(self) -> tuple[tuple[int, ...], ...]:
-        """Per-class z-fibers: ``zfibers[l][x*nu + y]`` is the bitmask of
-        the z with ``label(x, y, z) == l``.  Built on first use only."""
-        nu = self.nu
-        out = [[0] * (nu * nu) for _ in range(self.m + 1)]
-        for idx, label in enumerate(self.labels):
-            xy, z = divmod(idx, nu)
-            out[label][xy] |= 1 << z
-        return tuple(tuple(fib) for fib in out)
+    def bit_cache(self) -> dict:
+        """Whole-cube bit ints of the classes, filled on first use by
+        :func:`hypermatrix.class_product_mismatch`: ``[l]`` is class l as
+        one nu^3-bit int, ``[l, slot]`` its nu product broadcasts."""
+        return {}
 
     @cached_property
     def action(self) -> MappingProxyType:

@@ -10,7 +10,7 @@ from .record import Record
 
 #: Bounds on the exhaustive regular-two-graph search and on the points of
 #: a design or two-graph to check.
-TWO_GRAPH_SEARCH_LIMIT = 8
+TWO_GRAPH_SEARCH_LIMIT = 9
 POINT_LIMIT = 256
 
 

@@ -93,6 +93,10 @@ def _orbit_blocks(ground, group, cells, symmetric):
 
 
 def _check_guards(task: EnumerationTask):
+    bound = task.max_nontrivial_classes
+    if bound is not None and bound < 1:
+        raise PreconditionError(
+            f"max_nontrivial_classes must be at least 1, got {bound}")
     nu = task.ground.nu
     if task.allow_large:
         return

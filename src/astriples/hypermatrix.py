@@ -7,27 +7,34 @@ hypermatrix D with
 
 Adjacency hypermatrices of a verified scheme multiply according to its
 intersection numbers: A_i A_j A_k = sum over l of p_ijk^l A_l.  All
-arithmetic is exact (ints and Fractions); 0/1 inputs take a bitset kernel
-that ANDs per-fiber masks and popcounts.
+arithmetic is exact (ints and Fractions).  0/1 products are counted on
+whole-cube bit ints: each factor becomes nu broadcasts, one per w, that
+copy its w-slab, w-rows or w-columns across the cube, and the nu ANDs
+are carry-save added into bit planes of the counts.
 
-Checking that law for one class triple does not need any nu^3 array:
-:func:`class_product_mismatch` works on the scheme's cached per-class
-z-fibers (:attr:`AstScheme.zfibers`), one row (x, y) at a time, with the
-counts held in bit planes.  The structure-constant check and the ASL(2, q)
-oracle use it for every product; the oracle also runs the public
-:func:`ternary_product` pipeline once per family as a cross-check.
+Checking that law for one class triple needs no nu^3 array:
+:func:`class_product_mismatch` runs the same count on class broadcasts
+cached on the scheme (:attr:`AstScheme.bit_cache`) and compares the
+planes with ORs of the classes.  The structure-constant check and the
+ASL(2, q) oracle use it for every product; the oracle also runs the
+public :func:`ternary_product` pipeline once per family as a cross-check.
+Both are refused past nu = DENSE_LIMIT.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from array import array
+from itertools import product, zip_longest
 
 from .core import COORD_PERMS, AstScheme, is_symmetric_ast, relabel
 from .errors import ConsistencyError, PreconditionError
 from .record import Record
 
-#: Dense storage bound; products above this are refused.
+#: Dense storage bound; products and class products above it are refused.
 DENSE_LIMIT = 64
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")    # 0/1 cell bytes to binary digits
+_CELLS = bytes.maketrans(b"01", b"\0\1")     # and back
 
 
 class CubicHypermatrix:
@@ -69,7 +76,7 @@ class CubicHypermatrix:
         return not any(self.entries)
 
     def is_zero_one(self):
-        return set(self.entries) <= {0, 1}
+        return _zero_one_bits(self.entries) is not None
 
     def scaled(self, c):
         return CubicHypermatrix(self.nu, tuple(c * v for v in self.entries))
@@ -85,82 +92,93 @@ class CubicHypermatrix:
 
     def dump_nonzero(self) -> str:
         """Diagnostic dump: one "x y z value" line per nonzero entry."""
-        nu = self.nu
-        lines = []
-        for idx, v in enumerate(self.entries):
-            if v:
-                xy, z = divmod(idx, nu)
-                x, y = divmod(xy, nu)
-                lines.append(f"{x} {y} {z} {v}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        cells = product(range(self.nu), repeat=3)
+        return "".join(f"{x} {y} {z} {v}\n"
+                       for (x, y, z), v in zip(cells, self.entries) if v)
 
 
 def adjacency(scheme: AstScheme, i: int) -> CubicHypermatrix:
     """The 0/1 adjacency hypermatrix of relation i."""
-    if not 0 <= i <= scheme.m:
-        raise PreconditionError(f"relation label {i} out of range 0..{scheme.m}")
     table = [0] * (scheme.m + 1)
-    table[i] = 1
+    table[scheme.check_label(i)] = 1
     return CubicHypermatrix(scheme.nu, relabel(scheme.labels, table))
 
 
-def _product_bitset(a, b, c):
-    """Ternary product of 0/1 hypermatrices via per-fiber AND + popcount."""
-    nu = a.nu
+def _zero_one_bits(entries):
+    """The nu^3-bit int with bit c set where entry c is 1, when every
+    entry equals 0 or 1; else None."""
+    try:
+        cells = bytes(entries)
+    except (TypeError, ValueError):     # 1.0, Fraction(1), -1, 256, ...
+        if not set(entries) <= {0, 1}:
+            return None
+        cells = bytes(map(bool, entries))
+    if cells.translate(None, b"\0\1"):
+        return None
+    return int(cells[::-1].translate(_DIGITS), 2)
+
+
+def _spread(bits: int, stride: int, count: int) -> int:
+    """``bits`` ORed with its copies shifted by 1 .. count-1 strides."""
+    done = 1
+    while done < count:
+        step = min(done, count - done)
+        bits |= bits << step * stride
+        done += step
+    return bits
+
+
+def _broadcasts(cube: int, nu: int, slot: int) -> list[int]:
+    """The nu broadcasts of a nu^3-bit cube as factor ``slot`` of the
+    product: broadcast w holds, at every cell (x, y, z), the cube's bit at
+    (w, y, z) for slot 0, at (x, w, z) for slot 1, at (x, y, w) for slot 2."""
     nu2 = nu * nu
-    afib = [0] * nu2   # (y, z) -> bits over w with a[w,y,z] = 1
-    for idx, v in enumerate(a.entries):
-        if v:
-            afib[idx % nu2] |= 1 << (idx // nu2)
-    bfib = [0] * nu2   # (x, z) -> bits over w with b[x,w,z] = 1
-    for idx, v in enumerate(b.entries):
-        if v:
-            rest, z = divmod(idx, nu)
-            x, w = divmod(rest, nu)
-            bfib[x * nu + z] |= 1 << w
-    cfib = [0] * nu2   # (x, y) -> bits over w with c[x,y,w] = 1
-    for idx, v in enumerate(c.entries):
-        if v:
-            cfib[idx // nu] |= 1 << (idx % nu)
-    out = [0] * nu**3
-    pos = 0
-    for x in range(nu):
-        xrow = x * nu
-        for y in range(nu):
-            cf = cfib[xrow + y]
-            if cf:
-                yrow = y * nu
-                for z in range(nu):
-                    hit = afib[yrow + z] & bfib[xrow + z] & cf
-                    if hit:
-                        out[pos + z] = hit.bit_count()
-            pos += nu
-    return CubicHypermatrix(nu, out)
+    if slot == 0:       # the w-slab, tiled over x
+        slab = (1 << nu2) - 1
+        return [_spread(cube >> w * nu2 & slab, nu2, nu) for w in range(nu)]
+    if slot == 1:       # the w-row of each slab, spread over y
+        rows = _spread((1 << nu) - 1, nu2, nu)
+        return [_spread(cube >> w * nu & rows, nu, nu) for w in range(nu)]
+    cols = _spread(1, nu, nu2)      # the w-column, filled over z
+    return [(col << nu) - col for col in (cube >> w & cols for w in range(nu))]
+
+
+def _count_planes(a_casts, b_casts, c_casts) -> list[int]:
+    """Bit planes (plane b holds bit b of every count) of the count, at
+    each cell, of the w whose three broadcasts all hold it; carry-save."""
+    planes = []
+    for a, b, c in zip(a_casts, b_casts, c_casts):
+        carry = a & b & c
+        if not carry:
+            continue
+        for p, plane in enumerate(planes):
+            planes[p] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    return planes
 
 
 def _product_dense(a, b, c):
+    """The defining sum, cell by cell, skipping zero factors."""
     nu = a.nu
-    nu2 = nu * nu
     ae, be, ce = a.entries, b.entries, c.entries
-    out = [0] * nu**3
-    pos = 0
-    for x in range(nu):
-        xb = x * nu2
-        for y in range(nu):
-            ybase = y * nu
-            xyb = xb + ybase
-            for z in range(nu):
-                acc = 0
-                for w in range(nu):
-                    av = ae[w * nu2 + ybase + z]
-                    if av:
-                        bv = be[xb + w * nu + z]
-                        if bv:
-                            cv = ce[xyb + w]
-                            if cv:
-                                acc += av * bv * cv
-                out[pos] = acc
-                pos += 1
+    nu2 = nu * nu
+    out = []
+    for x, y, z in product(range(nu), repeat=3):
+        a0, b0, c0 = y * nu + z, x * nu2 + z, (x * nu + y) * nu
+        acc = 0
+        for w in range(nu):
+            av = ae[a0 + w * nu2]
+            if av:
+                bv = be[b0 + w * nu]
+                if bv:
+                    cv = ce[c0 + w]
+                    if cv:
+                        acc += av * bv * cv
+        out.append(acc)
     return CubicHypermatrix(nu, out)
 
 
@@ -170,9 +188,17 @@ def ternary_product(a: CubicHypermatrix, b: CubicHypermatrix,
     if not (a.nu == b.nu == c.nu):
         raise PreconditionError(
             f"dimension mismatch: {a.nu}, {b.nu}, {c.nu}")
-    if a.is_zero_one() and b.is_zero_one() and c.is_zero_one():
-        return _product_bitset(a, b, c)
-    return _product_dense(a, b, c)
+    cubes = [_zero_one_bits(h.entries) for h in (a, b, c)]
+    if None in cubes:
+        return _product_dense(a, b, c)
+    nu, size = a.nu, a.nu**3
+    planes = _count_planes(*map(_broadcasts, cubes, (nu,) * 3, range(3)))
+    # Counts are at most nu <= 64, so each fits in one byte lane.
+    lanes = 0
+    for bit, plane in enumerate(planes):
+        digits = format(plane, f"0{size}b").encode()[::-1]
+        lanes |= int.from_bytes(digits.translate(_CELLS), "little") << bit
+    return CubicHypermatrix(nu, lanes.to_bytes(size, "little"))
 
 
 def class_product_mismatch(scheme: AstScheme, i: int, j: int, k: int,
@@ -183,83 +209,54 @@ def class_product_mismatch(scheme: AstScheme, i: int, j: int, k: int,
     for the first differing triple in flat index order, where ``got`` is
     the product's entry and ``want = expected[label(cell)]``.
 
-    Row (x, y) of the product, as a vector over z, is the sum over
-    w in zfib[k][x, y] of zfib[i][w, y] & zfib[j][x, w].  The sum is kept
-    in bit planes (plane b holds bit b of every count) by carry-save adds.
-    Classes are disjoint, so plane b of the expected row is the OR of
-    zfib[l][x, y] over the l whose coefficient has bit b set.
+    The product is counted (:func:`_count_planes`) on the class
+    broadcasts cached in :attr:`AstScheme.bit_cache`, nu^4/8 bytes per
+    class and slot, so nu > DENSE_LIMIT is refused.  Classes are disjoint:
+    plane b of the expectation is the OR of the classes whose coefficient
+    has bit b set, and the first differing cell is the lowest set bit of
+    the planes' XOR.
     """
     m = scheme.m
-    for label in (i, j, k):
-        if not 0 <= label <= m:
-            raise PreconditionError(
-                f"relation label {label} out of range 0..{m}")
+    i, j, k = map(scheme.check_label, (i, j, k))
     if len(expected) != m + 1:
         raise PreconditionError(
             f"need {m + 1} coefficients, got {len(expected)}")
     nu = scheme.nu
-    fibers = scheme.zfibers
-    # Expected planes per row; a row stays [] when its expectation is 0
-    # and becomes None when it meets a class no count can equal.
-    wants = [[]] * (nu * nu)
-    unreachable = []    # fibers of negative or fractional coefficients
-    for label, want in enumerate(expected):
-        if not want:
-            continue
-        n = int(want)
-        if n != want or n < 0:
-            unreachable.append(fibers[label])
-            continue
-        bits = [b for b in range(n.bit_length()) if n >> b & 1]
-        for xy, f in enumerate(fibers[label]):
-            if f:
-                row = wants[xy] + [0] * (bits[-1] + 1 - len(wants[xy]))
-                for b in bits:
-                    row[b] |= f
-                wants[xy] = row
-    for fib in unreachable:
-        for xy, f in enumerate(fib):
-            if f:
-                wants[xy] = None
-    fi, fj, fk = fibers[i], fibers[j], fibers[k]
-    icols = [fi[y::nu] for y in range(nu)]   # icols[y][w] = zfib[i][w, y]
-    xy = 0
-    for x in range(nu):
-        jrow = fj[x * nu:x * nu + nu]        # jrow[w] = zfib[j][x, w]
-        for icol in icols:
-            got = []
-            ws = fk[xy]
-            while ws:
-                low = ws & -ws
-                ws ^= low
-                w = low.bit_length() - 1
-                carry = icol[w] & jrow[w]
-                if not carry:
-                    continue
-                for b, plane in enumerate(got):
-                    got[b] = plane ^ carry
-                    carry &= plane
-                    if not carry:
-                        break
-                else:
-                    got.append(carry)
-            # Both plane lists end in a nonzero plane, so they are equal
-            # exactly when every count in the row matches.
-            if got != wants[xy]:
-                return _first_row_mismatch(scheme, expected, xy, got)
-            xy += 1
-    return None
+    if nu > DENSE_LIMIT:
+        raise PreconditionError(
+            f"class products support nu <= {DENSE_LIMIT}, got {nu}")
+    cache = scheme.bit_cache
 
+    def bits(label):    # class ``label`` as one nu^3-bit int
+        if label not in cache:
+            table = bytes(l == label for l in range(m + 1))
+            cache[label] = _zero_one_bits(
+                array("B", relabel(scheme.labels, table)))
+        return cache[label]
 
-def _first_row_mismatch(scheme, expected, xy, got):
-    """Decode the first cell of row ``xy`` whose count is not expected."""
-    for idx in range(xy * scheme.nu, (xy + 1) * scheme.nu):
-        z = idx % scheme.nu
-        count = sum((plane >> z & 1) << b for b, plane in enumerate(got))
-        want = expected[scheme.labels[idx]]
-        if count != want:
-            return scheme.ground.triple(idx), count, want
-    raise ConsistencyError(f"row {xy} planes differ but no count does")
+    for slot, label in enumerate((i, j, k)):
+        if (label, slot) not in cache:
+            cache[label, slot] = _broadcasts(bits(label), nu, slot)
+    got = _count_planes(cache[i, 0], cache[j, 1], cache[k, 2])
+    diff = 0            # cells whose count differs from the expectation
+    want = [0] * nu.bit_length()
+    for label, coeff in enumerate(expected):
+        if not coeff:
+            continue
+        n = int(coeff)
+        if n != coeff or not 0 <= n <= nu:  # no count (0..nu) can equal it
+            diff |= bits(label)
+            continue
+        for b in range(n.bit_length()):
+            if n >> b & 1:
+                want[b] |= bits(label)
+    for got_plane, want_plane in zip_longest(got, want, fillvalue=0):
+        diff |= got_plane ^ want_plane
+    if not diff:
+        return None
+    cell = (diff & -diff).bit_length() - 1
+    count = sum((plane >> cell & 1) << b for b, plane in enumerate(got))
+    return scheme.ground.triple(cell), count, expected[scheme.labels[cell]]
 
 
 class AlgebraElement(Record):
@@ -293,8 +290,11 @@ class AlgebraElement(Record):
     def expand(self) -> CubicHypermatrix:
         """The hypermatrix sum of the scaled adjacency hypermatrices."""
         coeffs = [c if c else 0 for c in self.coeffs]
+        labels = self.scheme.labels
+        if all(type(c) is int and 0 <= c <= 0xFF for c in coeffs):
+            return CubicHypermatrix(self.scheme.nu, relabel(labels, coeffs))
         return CubicHypermatrix(self.scheme.nu,
-                                map(coeffs.__getitem__, self.scheme.labels))
+                                map(coeffs.__getitem__, labels))
 
 
 def product_in_coefficients(x: AlgebraElement, y: AlgebraElement,
@@ -358,21 +358,18 @@ def verify_structure_constants(scheme: AstScheme,
                  else scheme.nontrivial_labels)
     failures = []
     checked = 0
-    for i in idx_range:
-        for j in idx_range:
-            for k in idx_range:
-                checked += 1
-                mismatch = class_product_mismatch(scheme, i, j, k,
-                                                  tensor.slice(i, j, k))
-                if mismatch is None:
-                    continue
-                cell, got, want = mismatch
-                failures.append((i, j, k, cell, got, want))
-                if i >= 4 and j >= 4 and k >= 4:
-                    raise ConsistencyError(
-                        f"product A_{i} A_{j} A_{k} breaks the "
-                        f"structure-constant law at {cell}: "
-                        f"{got} != {want}")
+    for i, j, k in product(idx_range, repeat=3):
+        checked += 1
+        mismatch = class_product_mismatch(scheme, i, j, k,
+                                          tensor.slice(i, j, k))
+        if mismatch is None:
+            continue
+        cell, got, want = mismatch
+        failures.append((i, j, k, cell, got, want))
+        if i >= 4 and j >= 4 and k >= 4:
+            raise ConsistencyError(
+                f"product A_{i} A_{j} A_{k} breaks the structure-constant "
+                f"law at {cell}: {got} != {want}")
     return StructureConstantReport(checked=checked, failures=tuple(failures))
 
 

@@ -6,8 +6,9 @@ cannot hide in a shared code path.  The last sections are different:
 they hold the first, plain versions of the census kernels, of the scheme
 reader, of the permutation-group predicates on triple sets and of the
 orbit routines, the census search and deduplication before forward
-checking, and the Gray-code two-graph scan over every graph, verbatim,
-so the fast versions can be checked against them output for output.
+checking, the Gray-code two-graph scan over every graph, and the
+row-by-row class product kernel on z-fibers, verbatim, so the fast
+versions can be checked against them output for output.
 The record classes are checked against the frozen dataclasses the stdlib
 makes of the same declarations (:func:`dataclass_twin`).
 """
@@ -1040,6 +1041,104 @@ def naive_field_neg(field, a):
 
 # ---------------------------------------------------------------------------
 # Record classes: the frozen dataclass of the same declaration.
+
+def naive_zfibers(scheme: AstScheme) -> tuple[tuple[int, ...], ...]:
+    """Per-class z-fibers: ``zfibers[l][x*nu + y]`` is the bitmask of
+    the z with ``label(x, y, z) == l``."""
+    nu = scheme.nu
+    out = [[0] * (nu * nu) for _ in range(scheme.m + 1)]
+    for idx, label in enumerate(scheme.labels):
+        xy, z = divmod(idx, nu)
+        out[label][xy] |= 1 << z
+    return tuple(tuple(fib) for fib in out)
+
+
+def naive_class_product_mismatch(scheme: AstScheme, i: int, j: int, k: int,
+                                 expected, fibers=None):
+    """The row kernel the whole-cube ``class_product_mismatch`` replaced:
+    first cell where A_i A_j A_k differs from sum_l expected[l] A_l, as
+    ``(cell, got, want)``, or None.  ``fibers`` defaults to
+    :func:`naive_zfibers` of the scheme.
+
+    Row (x, y) of the product, as a vector over z, is the sum over
+    w in zfib[k][x, y] of zfib[i][w, y] & zfib[j][x, w].  The sum is kept
+    in bit planes (plane b holds bit b of every count) by carry-save adds.
+    Classes are disjoint, so plane b of the expected row is the OR of
+    zfib[l][x, y] over the l whose coefficient has bit b set.
+    """
+    m = scheme.m
+    for label in (i, j, k):
+        if not 0 <= label <= m:
+            raise PreconditionError(
+                f"relation label {label} out of range 0..{m}")
+    if len(expected) != m + 1:
+        raise PreconditionError(
+            f"need {m + 1} coefficients, got {len(expected)}")
+    nu = scheme.nu
+    if fibers is None:
+        fibers = naive_zfibers(scheme)
+    # Expected planes per row; a row stays [] when its expectation is 0
+    # and becomes None when it meets a class no count can equal.
+    wants = [[]] * (nu * nu)
+    unreachable = []    # fibers of negative or fractional coefficients
+    for label, want in enumerate(expected):
+        if not want:
+            continue
+        n = int(want)
+        if n != want or n < 0:
+            unreachable.append(fibers[label])
+            continue
+        bits = [b for b in range(n.bit_length()) if n >> b & 1]
+        for xy, f in enumerate(fibers[label]):
+            if f:
+                row = wants[xy] + [0] * (bits[-1] + 1 - len(wants[xy]))
+                for b in bits:
+                    row[b] |= f
+                wants[xy] = row
+    for fib in unreachable:
+        for xy, f in enumerate(fib):
+            if f:
+                wants[xy] = None
+    fi, fj, fk = fibers[i], fibers[j], fibers[k]
+    icols = [fi[y::nu] for y in range(nu)]   # icols[y][w] = zfib[i][w, y]
+    xy = 0
+    for x in range(nu):
+        jrow = fj[x * nu:x * nu + nu]        # jrow[w] = zfib[j][x, w]
+        for icol in icols:
+            got = []
+            ws = fk[xy]
+            while ws:
+                low = ws & -ws
+                ws ^= low
+                w = low.bit_length() - 1
+                carry = icol[w] & jrow[w]
+                if not carry:
+                    continue
+                for b, plane in enumerate(got):
+                    got[b] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    got.append(carry)
+            # Both plane lists end in a nonzero plane, so they are equal
+            # exactly when every count in the row matches.
+            if got != wants[xy]:
+                return _naive_first_row_mismatch(scheme, expected, xy, got)
+            xy += 1
+    return None
+
+
+def _naive_first_row_mismatch(scheme, expected, xy, got):
+    """Decode the first cell of row ``xy`` whose count is not expected."""
+    for idx in range(xy * scheme.nu, (xy + 1) * scheme.nu):
+        z = idx % scheme.nu
+        count = sum((plane >> z & 1) << b for b, plane in enumerate(got))
+        want = expected[scheme.labels[idx]]
+        if count != want:
+            return scheme.ground.triple(idx), count, want
+    raise ConsistencyError(f"row {xy} planes differ but no count does")
+
 
 def dataclass_twin(cls, eq=True):
     """The class ``@dataclass(frozen=True, eq=eq)`` makes of the body of

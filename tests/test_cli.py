@@ -567,7 +567,11 @@ def test_version_loads_no_oracle_or_group_modules(tmp_path):
         (["params", scheme], {"astriples.core"}, beyond_core | oracle),
         (["verify", scheme], {"astriples.core"}, beyond_core | oracle),
         (["oracle", "asl2", "--q", "2"], {"astriples.asl2"},
-         {"astriples.enumeration"}),
+         {"astriples.enumeration", "astriples.designs"}),
+        (["construct", "--group", "asl2:2", "--out", str(tmp_path / "c.json")],
+         {"astriples.constructions"},
+         {"astriples.designs", "astriples.enumeration"}
+         | oracle - {"astriples.finfield"}),
         (["enumerate", "--nu", "4"], {"astriples.enumeration"},
          {"astriples.constructions", "astriples.designs"} | oracle),
         (["twograph", "find", "--nu", "4"], {"astriples.designs"},

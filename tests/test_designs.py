@@ -143,8 +143,11 @@ def test_loaders_refuse_more_points_than_the_guard():
 
 
 def test_find_guard():
+    # nu = 9 walks the regular graphs on eight points and finds none;
+    # nu = 10 is refused before any walk
+    assert at.find_regular_two_graphs(9) == []
     with pytest.raises(at.SizeGuardError):
-        at.find_regular_two_graphs(9)
+        at.find_regular_two_graphs(10)
     with pytest.raises(at.PreconditionError):
         at.find_regular_two_graphs(3)
 

@@ -204,6 +204,15 @@ def test_max_classes_filter():
     assert [s.m - 3 for s in bounded] == [1]
 
 
+def test_max_classes_below_one_is_refused():
+    # also with allow_large, whose guards are otherwise skipped
+    for bound in (0, -1):
+        for allow_large in (False, True):
+            with pytest.raises(at.PreconditionError):
+                census(4, max_nontrivial_classes=bound,
+                       allow_large=allow_large)
+
+
 def test_invariance_group_restricts_output():
     sym4 = at.close([at.perm_from_cycles(4, [(0, 1)]),
                      at.perm_from_cycles(4, [(0, 1, 2, 3)])])

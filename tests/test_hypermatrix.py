@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from types import MappingProxyType
@@ -6,9 +7,11 @@ from types import MappingProxyType
 import pytest
 
 import astriples as at
-from astriples.hypermatrix import CubicHypermatrix, _product_dense
+from astriples.core import trivial_cube
+from astriples.hypermatrix import DENSE_LIMIT, CubicHypermatrix, _product_dense
 
-from naive import naive_ternary_product
+from naive import (naive_class_product_mismatch, naive_ternary_product,
+                   naive_zfibers)
 
 
 def random_zero_one(nu, rng):
@@ -87,6 +90,36 @@ def test_bitset_kernel_agrees_with_dense_path():
         b = random_zero_one(5, rng)
         c = random_zero_one(5, rng)
         assert at.ternary_product(a, b, c) == _product_dense(a, b, c)
+
+
+def test_bitset_kernel_agrees_with_dense_path_off_powers_of_two():
+    rng = random.Random(2718)
+    for nu in (1, 2, 3, 6, 7, 9):
+        a, b, c = (random_zero_one(nu, rng) for _ in range(3))
+        assert at.ternary_product(a, b, c) == _product_dense(a, b, c)
+
+
+def test_bitset_kernel_counts_up_to_nu():
+    # every w counts at every cell; at nu = 64 the count needs 7 planes
+    for nu in (8, 63, 64):
+        ones = CubicHypermatrix(nu, (1,) * nu**3)
+        assert at.ternary_product(ones, ones, ones).entries == (nu,) * nu**3
+
+
+def test_ternary_product_takes_zero_one_entries_of_any_type(three_point,
+                                                            monkeypatch):
+    from astriples import hypermatrix
+
+    def no_dense(*args):
+        raise AssertionError("0/1 operands went to the dense path")
+
+    a4, a1 = at.adjacency(three_point, 4), at.adjacency(three_point, 1)
+    want = at.ternary_product(a4, a1, a4)
+    monkeypatch.setattr(hypermatrix, "_product_dense", no_dense)
+    for one in (True, 1.0, Fraction(1)):
+        typed = CubicHypermatrix(3, (one if v else 0 for v in a4.entries))
+        assert at.ternary_product(typed, a1, typed) == want, one
+        assert at.ternary_product(typed, a1, a4).entries == want.entries
 
 
 def test_dense_product_on_rationals_matches_naive():
@@ -223,16 +256,86 @@ def test_class_kernel_fractional_expectation(three_point):
     assert at.class_product_mismatch(three_point, 0, 0, 0, expected) is None
 
 
-def test_zfibers_built_on_first_product_check_only(three_point):
+def _perturbed(exact, rng):
+    """Expectations near ``exact``: off by one, negative, fractional and
+    beyond any count at one random label, and the exact vector as
+    Fractions."""
+    n = len(exact)
+    out = [[Fraction(p) for p in exact]]
+    for change in (lambda p: p + rng.choice((-1, 1)), lambda p: -p - 1,
+                   lambda p: p + Fraction(1, 2), lambda p: Fraction(p + 2),
+                   lambda p: p + 2**70):
+        vector = list(exact)
+        at_label = rng.randrange(n)
+        vector[at_label] = change(vector[at_label])
+        out.append(vector)
+    return out
+
+
+def test_class_kernel_matches_row_kernel(constructed_schemes):
+    # every class triple of every scheme the suite builds, asl2:2..5
+    # among them: the exact slice and one perturbation of it per triple
+    rng = random.Random(8086)
+    mismatches = 0
+    for name, scheme in constructed_schemes.items():
+        fibers = naive_zfibers(scheme)
+        n = scheme.m + 1
+        for i, j, k in product(range(n), repeat=3):
+            exact = scheme.tensor.slice(i, j, k)
+            variants = _perturbed(exact, rng)
+            for expected in (exact, variants[0], rng.choice(variants[1:])):
+                want = naive_class_product_mismatch(scheme, i, j, k,
+                                                    expected, fibers)
+                got = at.class_product_mismatch(scheme, i, j, k, expected)
+                assert got == want, (name, i, j, k, expected)
+                mismatches += want is not None
+    assert mismatches > 0
+
+
+def test_bit_cache_built_on_first_use(three_point):
     fresh = at.ensure_ast(three_point.partition)
-    assert "zfibers" not in fresh.__dict__
-    at.verify_structure_constants(fresh, scope="nontrivial")
-    assert "zfibers" in fresh.__dict__
     nu = fresh.nu
-    for l, fib in enumerate(fresh.zfibers):
-        cells = {(xy // nu, xy % nu, z) for xy, mask in enumerate(fib)
-                 for z in range(nu) if mask >> z & 1}
-        assert cells == set(fresh.relation(l).triples)
+    assert "bit_cache" not in fresh.__dict__
+    expected = [0] * 5
+    expected[1] = 1
+    at.class_product_mismatch(fresh, 4, 0, 4, expected)
+    cache = fresh.__dict__["bit_cache"]
+    assert set(cache) == {4, 0, 1, (4, 0), (0, 1), (4, 2)}
+    for label in (0, 1, 4):
+        cells = {fresh.ground.triple(c) for c in range(nu**3)
+                 if cache[label] >> c & 1}
+        assert cells == set(fresh.relation(label).triples)
+    # broadcast w holds, at (x, y, z), the class bit at (w, y, z),
+    # (x, w, z) or (x, y, w) for slot 0, 1 or 2
+    for label, slot in ((4, 0), (0, 1), (4, 2)):
+        broadcasts = cache[label, slot]
+        assert len(broadcasts) == nu
+        for w, cast in enumerate(broadcasts):
+            for x, y, z in product(range(nu), repeat=3):
+                source = [x, y, z]
+                source[slot] = w
+                assert (cast >> (x * nu + y) * nu + z & 1) == \
+                    (fresh.label_of(tuple(source)) == label)
+    kept = dict(cache)
+    at.verify_structure_constants(fresh, scope="all")
+    assert all(cache[key] is value for key, value in kept.items())
+    assert len(cache) == 4 * 5
+
+
+def test_class_kernel_refuses_large_nu_before_allocating():
+    nu = DENSE_LIMIT + 1
+    scheme = at.ensure_ast(at.TriplePartition.from_labels(
+        at.GroundSet(nu), trivial_cube(nu, 4)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(at.PreconditionError):
+            at.class_product_mismatch(scheme, 4, 4, 4, (0,) * 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one class alone, as one bit int, would take nu^3 / 8 bytes
+    assert peak < nu**3 // 8
+    assert "bit_cache" not in scheme.__dict__
 
 
 def _tampered_asl2_3(asl2_schemes):

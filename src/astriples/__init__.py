@@ -15,11 +15,10 @@ SCHEME_FORMAT_VERSION = "1"
 
 _EXPORTS = {
     "core": (
-        "AstScheme", "GroundSet", "IntersectionTensor", "TernaryRelation",
-        "TriplePartition", "ValencyTable", "ViolationReport",
-        "coordinate_class_action", "ensure_ast", "intersection_numbers",
-        "is_symmetric_ast", "partition_from_json", "scheme_to_json",
-        "trivial_relations", "verify_ast"),
+        "AstScheme", "GroundSet", "IntersectionTensor", "TriplePartition",
+        "ValencyTable", "ViolationReport", "coordinate_class_action",
+        "ensure_ast", "intersection_numbers", "is_symmetric_ast",
+        "partition_from_json", "scheme_to_json", "verify_ast"),
     "designs": (
         "TwoDesign", "TwoGraph", "complement_two_graph",
         "find_regular_two_graphs", "is_regular", "pair_coverage",

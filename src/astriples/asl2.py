@@ -321,7 +321,8 @@ def run_asl2_oracle(q: int) -> Asl2OracleReport:
     """All checks for one q: labeling, valencies, both product theorems.
 
     Commutativity of the nontrivial subalgebra is computed and reported as
-    an observation; it is not part of the pass/fail verdict.
+    an observation; it is not part of the pass/fail verdict.  The cached
+    scheme's class broadcasts are dropped on return.
     """
     scheme, labeling = _context(q)
     expected_classes = 2 * q - 3
@@ -329,12 +330,15 @@ def run_asl2_oracle(q: int) -> Asl2OracleReport:
         raise ConsistencyError(
             f"scheme has {scheme.m - 3} nontrivial classes, "
             f"expected {expected_classes}")
-    return Asl2OracleReport(
-        q=q,
-        nu=scheme.nu,
-        nontrivial_relations=expected_classes,
-        valencies=check_asl2_valencies(q),
-        nontrivial_products=check_asl2_nontrivial_products(q),
-        trivial_products=check_asl2_trivial_products(q),
-        commutative_observed=is_commutative_subalgebra(scheme),
-    )
+    try:
+        return Asl2OracleReport(
+            q=q,
+            nu=scheme.nu,
+            nontrivial_relations=expected_classes,
+            valencies=check_asl2_valencies(q),
+            nontrivial_products=check_asl2_nontrivial_products(q),
+            trivial_products=check_asl2_trivial_products(q),
+            commutative_observed=is_commutative_subalgebra(scheme),
+        )
+    finally:
+        scheme.bit_cache.clear()

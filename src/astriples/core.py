@@ -1,4 +1,4 @@
-"""Ground sets, ternary relations, and schemes on triples.
+"""Ground sets, partitions of the cube, and schemes on triples.
 
 A scheme on triples is a partition of the cube Omega^3 into relations
 R_0..R_m (m >= 4) satisfying four conditions:
@@ -30,9 +30,7 @@ by that action.
 Relations given as triples are placed in the cube one class at a time by
 one routine, for ``TriplePartition(ground, classes)`` and for the JSON
 reader, which decodes a scheme file class by class (or, spelled as the
-writer spells it, one run of x at a time); relations as sets of triples
-(:class:`TernaryRelation`) are otherwise built from the cube only when
-asked for.
+writer spells it, one run of x at a time).
 
 Everything here is exact: points are 0-based integers, counts are ints.
 All types are immutable after construction and safe to share.
@@ -144,54 +142,17 @@ class GroundSet(Record):
         return (x, y, z)
 
 
-class TernaryRelation(Record):
-    """A set of ordered triples over a ground set.
-
-    Triples are stored sorted lexicographically with duplicates removed,
-    so equal relations compare and hash equal.
-    """
-
-    ground: GroundSet
-    triples: tuple[Triple, ...]
-
-    def __post_init__(self):
-        nu, ts = self.ground.nu, tuple(self.triples)
-        for t in ts:            # checked before they are sorted
-            if not (isinstance(t, (tuple, list)) and len(t) == 3 and all(
-                    type(c) is int and 0 <= c < nu for c in t)):
-                raise StructuralError(f"triple {t!r} out of range for nu={nu}")
-        object.__setattr__(self, "triples", tuple(sorted(set(map(tuple, ts)))))
-
-    @classmethod
-    def _view(cls, ground: GroundSet, triples: tuple) -> TernaryRelation:
-        """A relation on triples already sorted, distinct and in range."""
-        rel = object.__new__(cls)
-        object.__setattr__(rel, "ground", ground)
-        object.__setattr__(rel, "triples", triples)
-        return rel
-
-    def __len__(self):
-        return len(self.triples)
-
-    def __contains__(self, t):
-        return t in self.triple_set
-
-    @cached_property
-    def triple_set(self) -> frozenset:
-        return frozenset(self.triples)
-
-
 class TriplePartition:
     """An ordered partition of Omega^3 into nonempty classes R_0..R_m.
 
     The only stored state is the label cube ``labels``, not to be mutated:
     an ``array`` of the typecode :func:`cube_typecode` picks for the number
     of classes, so equal partitions hold equal bytes.
-    ``TriplePartition(ground, classes)`` reads
-    relations, given as :class:`TernaryRelation` objects or sequences of
-    triples, and raises :class:`StructuralError` unless they partition the
-    cube; :meth:`from_labels` takes a cube written by a producer.  Whether
-    the partition is a scheme is decided by :func:`verify_ast`.
+    ``TriplePartition(ground, classes)`` reads relations given as
+    sequences of triples and raises :class:`StructuralError` unless they
+    partition the cube; :meth:`from_labels` takes a cube written by a
+    producer.  Whether the partition is a scheme is decided by
+    :func:`verify_ast`.
     """
 
     def __init__(self, ground: GroundSet, classes):
@@ -251,11 +212,10 @@ class TriplePartition:
         return out
 
     @cached_property
-    def classes(self) -> tuple[TernaryRelation, ...]:
-        """Each class as a relation, built from the cube on first use."""
-        ground = self.ground
-        return tuple(TernaryRelation._view(ground, tuple(map(ground.triple,
-                                                             cells)))
+    def classes(self) -> tuple[tuple[Triple, ...], ...]:
+        """Each class as its ascending triples, built on first use; no
+        computation here reads it."""
+        return tuple(tuple(map(self.ground.triple, cells))
                      for cells in self.cells())
 
     def __eq__(self, other):
@@ -270,17 +230,12 @@ def _cube_from_relations(ground: GroundSet, classes) -> array:
     """The label cube of relations that must partition the cube; the
     first problem found raises :class:`StructuralError`."""
     nu = ground.nu
-    rels, total = [], 0
-    for i, rel in enumerate(classes):
-        if isinstance(rel, TernaryRelation):
-            if rel.ground != ground:
-                raise StructuralError("relation on a different ground set")
-            rel = rel.triples
+    rels, total = list(classes), 0
+    for rel in rels:
         try:
             total += len(rel)
         except TypeError:
             raise StructuralError(f"bad relation entry: {rel!r}") from None
-        rels.append(rel)
     if len(rels) > LABEL_LIMIT:
         raise StructuralError(f"{len(rels)} classes; a partition holds at "
                               f"most {LABEL_LIMIT}")
@@ -406,19 +361,12 @@ class AstScheme(Record):
     def m(self) -> int:
         return self.partition.m
 
-    @property
-    def classes(self) -> tuple[TernaryRelation, ...]:
-        return self.partition.classes
-
     def check_label(self, i) -> int:
         """``i`` when it is a class label 0..m, else
         :class:`PreconditionError`."""
         if type(i) is not int or not 0 <= i <= self.m:
             raise PreconditionError(f"label {i!r} outside 0..{self.m}")
         return i
-
-    def relation(self, i: int) -> TernaryRelation:
-        return self.partition.classes[self.check_label(i)]
 
     @property
     def nontrivial_labels(self) -> range:
@@ -430,6 +378,12 @@ class AstScheme(Record):
         return self.partition.labels
 
     def label_of(self, t: Triple) -> int:
+        """The label of the cell of ``t``, a triple in range(nu)^3; any
+        other input raises :class:`PreconditionError`."""
+        nu = self.nu
+        if not (isinstance(t, tuple) and len(t) == 3 and all(
+                type(c) is int and 0 <= c < nu for c in t)):
+            raise PreconditionError(f"triple {t!r} outside range({nu})^3")
         return self.labels[self.ground.index(t)]
 
     @cached_property
@@ -468,15 +422,6 @@ def trivial_cube(nu: int, distinct: int) -> array:
             labels[y * nu2 + y * nu + x] = 3
         labels[x * nu2 + x * nu + x] = 0
     return labels
-
-
-def trivial_relations(ground: GroundSet) -> list[TernaryRelation]:
-    """The four fixed relations R_0..R_3 on a ground set."""
-    cells = [[], [], [], []]
-    for idx, label in enumerate(trivial_cube(ground.nu, 4)):
-        if label < 4:
-            cells[label].append(ground.triple(idx))
-    return [TernaryRelation._view(ground, tuple(c)) for c in cells]
 
 
 def is_symmetric_ast(scheme: AstScheme) -> bool:

@@ -6,7 +6,7 @@ built from its generators by a deterministic Schreier-Sims algorithm
 base b_0, b_1, .. and, for each level i, a transversal of the orbit of b_i
 under the pointwise stabilizer of b_0..b_{i-1}.  The order is the product
 of the transversal sizes and membership is decided by sifting, so no
-element is listed unless ``elements`` is asked for.
+element is listed.
 
 Orbits come from one breadth-first routine, :func:`_forest`, which
 records for each point the point and generator it was reached from; group
@@ -174,14 +174,6 @@ class PermutationGroup(Record, eq=False):
         """Orbits on ordered pairs with their breadth-first forest, built
         once per group (see :func:`_pair_transversal`)."""
         return _pair_transversal(self)
-
-    @cached_property
-    def elements(self) -> frozenset:
-        """Every element, enumerated from the chain on first use."""
-        elements = [identity_perm(self.degree)]
-        for trans in self.transversals:
-            elements = [compose(e, w) for e in elements for w in trans.values()]
-        return frozenset(elements)
 
     def __repr__(self):
         return (f"PermutationGroup(degree={self.degree}, "

@@ -50,9 +50,7 @@ def ag23_blocks():
 @pytest.fixture(scope="session")
 def three_point():
     ground = at.GroundSet(3)
-    partition = at.TriplePartition(
-        ground, tuple(at.TernaryRelation(ground, rel)
-                      for rel in THREE_POINT_RELATIONS))
+    partition = at.TriplePartition(ground, THREE_POINT_RELATIONS)
     return at.ensure_ast(partition)
 
 

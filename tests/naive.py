@@ -21,9 +21,8 @@ from itertools import combinations, permutations, product
 from itertools import permutations as _point_perms
 
 from astriples.core import (COORD_PERMS, LABEL_LIMIT, AstScheme, GroundSet,
-                            TernaryRelation, TriplePartition, ViolationReport,
-                            cube_typecode, json_int, json_object, trivial_cube,
-                            verify_ast)
+                            TriplePartition, ViolationReport, cube_typecode,
+                            json_int, json_object, trivial_cube, verify_ast)
 from astriples.designs import (TWO_GRAPH_SEARCH_LIMIT, TwoGraph, _clean_subsets,
                                _odd_triples, is_regular)
 from astriples.enumeration import (CANONICAL_NU_LIMIT, _check_guards,
@@ -45,8 +44,19 @@ def naive_trivial_relations(nu):
     return [r0, r1, r2, r3]
 
 
-def permute_relation(rel: TernaryRelation, sigma) -> TernaryRelation:
-    """Image of a relation under a coordinate permutation.
+def naive_classes(obj):
+    """The classes of a scheme or partition as frozensets of triples, read
+    cell by cell off its label cube."""
+    partition = getattr(obj, "partition", obj)
+    classes = [set() for _ in range(partition.m + 1)]
+    for t, label in zip(product(range(partition.ground.nu), repeat=3),
+                        partition.labels):
+        classes[label].add(t)
+    return list(map(frozenset, classes))
+
+
+def permute_relation(triples, sigma) -> tuple:
+    """Image of a set of triples under a coordinate permutation, sorted.
 
     ``sigma`` is a 0-based permutation of (0, 1, 2); the triple
     (x_0, x_1, x_2) maps to (x_sigma[0], x_sigma[1], x_sigma[2]).
@@ -55,15 +65,14 @@ def permute_relation(rel: TernaryRelation, sigma) -> TernaryRelation:
     if sorted(sigma) != [0, 1, 2]:
         raise PreconditionError(f"not a coordinate permutation: {sigma!r}")
     a, b, c = sigma
-    return TernaryRelation(
-        rel.ground, tuple((t[a], t[b], t[c]) for t in rel.triples))
+    return tuple(sorted({(t[a], t[b], t[c]) for t in triples}))
 
 
-def is_symmetric_relation(rel: TernaryRelation) -> bool:
-    """True iff the relation is fixed by all six coordinate permutations."""
-    ts = rel.triple_set
+def is_symmetric_relation(triples) -> bool:
+    """True iff the triples are fixed by all six coordinate permutations."""
+    ts = set(triples)
     for sigma in permutations(range(3)):
-        if any(t not in ts for t in permute_relation(rel, sigma).triples):
+        if any(t not in ts for t in permute_relation(ts, sigma)):
             return False
     return True
 
@@ -526,11 +535,7 @@ def naive_cube_from_relations(ground, classes):
     ``core._cube_from_relations`` ran, verbatim."""
     nu = ground.nu
     rels, total = [], 0
-    for i, rel in enumerate(classes):
-        if isinstance(rel, TernaryRelation):
-            if rel.ground != ground:
-                raise StructuralError("relation on a different ground set")
-            rel = rel.triples
+    for rel in classes:
         try:
             total += len(rel)
         except TypeError:
@@ -569,32 +574,32 @@ def naive_cube_from_relations(ground, classes):
     return labels
 
 
-# The permutation-group predicates on relations as sorted triple tuples and
-# frozensets, as ``permgroup`` ran them before they read the label cube,
-# verbatim (the decomposition with its backtracking search and budget).
+# The permutation-group predicates on a relation over nu points, given as
+# its sorted triples, as ``permgroup`` ran them before they read the label
+# cube, verbatim but for the arguments (the decomposition with its
+# backtracking search and budget).
 
 
-def naive_is_invariant(rel: TernaryRelation, p) -> bool:
+def naive_is_invariant(nu, triples, p) -> bool:
     """True iff the diagonal action of p maps the relation onto itself."""
     p = check_perm(p)
-    if len(p) != rel.ground.nu:
+    if len(p) != nu:
         raise PreconditionError("permutation degree differs from ground set")
-    ts = rel.triple_set
-    return all((p[x], p[y], p[z]) in ts for x, y, z in rel.triples)
+    ts = set(triples)
+    return all((p[x], p[y], p[z]) in ts for x, y, z in triples)
 
 
-def naive_is_thin(rel: TernaryRelation, a: int, b: int) -> bool:
+def naive_is_thin(nu, triples, a: int, b: int) -> bool:
     """True iff projecting triples to coordinates (a, b) is injective with
     image exactly the ordered distinct pairs.  Coordinates are 0-based."""
     if a == b:
         raise PreconditionError("projection coordinates must differ")
     if not (0 <= a <= 2 and 0 <= b <= 2):
         raise PreconditionError("projection coordinates must be in {0, 1, 2}")
-    nu = rel.ground.nu
-    if len(rel.triples) != nu * (nu - 1):
+    if len(triples) != nu * (nu - 1):
         return False
     seen = set()
-    for t in rel.triples:
+    for t in triples:
         pair = (t[a], t[b])
         if pair[0] == pair[1] or pair in seen:
             return False
@@ -602,10 +607,10 @@ def naive_is_thin(rel: TernaryRelation, a: int, b: int) -> bool:
     return True
 
 
-def naive_cycle_orbits_on_relation(rel: TernaryRelation, cycle) -> list[tuple]:
+def naive_cycle_orbits_on_relation(triples, cycle) -> list[tuple]:
     """Orbits of the cyclic group generated by ``cycle`` on the relation."""
     cycle = check_perm(cycle)
-    remaining = set(rel.triples)
+    remaining = set(triples)
     orbits = []
     while remaining:
         start = min(remaining)
@@ -619,7 +624,7 @@ def naive_cycle_orbits_on_relation(rel: TernaryRelation, cycle) -> list[tuple]:
     return orbits
 
 
-def naive_thin_circulant_decomposition(rel: TernaryRelation, cycle,
+def naive_thin_circulant_decomposition(nu, triples, cycle,
                                        node_budget=200_000):
     """Try to split a circulant relation into thin circulant pieces.
 
@@ -628,12 +633,11 @@ def naive_thin_circulant_decomposition(rel: TernaryRelation, cycle,
     :class:`ThinDecomposition` or None when no split is found within the
     budget; callers treat None as "flagged", not as a disproof.
     """
-    nu = rel.ground.nu
-    orbits = naive_cycle_orbits_on_relation(rel, cycle)
+    orbits = naive_cycle_orbits_on_relation(triples, cycle)
     pair_target = nu * (nu - 1)
-    if len(rel.triples) % pair_target:
+    if len(triples) % pair_target:
         return None
-    n_pieces = len(rel.triples) // pair_target
+    n_pieces = len(triples) // pair_target
     for a in range(3):
         for b in range(3):
             if a == b:
@@ -941,6 +945,15 @@ def naive_close(generators, degree=None,
         i = i - 1 if level is None else level
     return PermutationGroup(degree=degree, generators=tuple(gens),
                             base=tuple(base), transversals=tuple(trans))
+
+
+def naive_chain_elements(group: PermutationGroup) -> frozenset:
+    """Every element of a group, one product of transversal entries per
+    element: the ``elements`` view the library once kept, verbatim."""
+    elements = [identity_perm(group.degree)]
+    for trans in group.transversals:
+        elements = [compose(e, w) for e in elements for w in trans.values()]
+    return frozenset(elements)
 
 
 def naive_pair_transversal(group: PermutationGroup):

@@ -38,8 +38,8 @@ def test_point_classes_follow_affine_ratio(asl2_schemes):
         scheme, labeling = asl2_schemes[q]
         F = field_from_order(q)
         for a, label in labeling.point_labels.items():
-            rel = scheme.relation(label)
-            for (u, v, t) in rel.triples[:40]:
+            rel = scheme.partition.classes[label]
+            for (u, v, t) in rel[:40]:
                 ux, uy = divmod(u, q)
                 vx, vy = divmod(v, q)
                 tx, ty = divmod(t, q)
@@ -54,8 +54,8 @@ def test_line_classes_follow_determinant(asl2_schemes):
         scheme, labeling = asl2_schemes[q]
         F = field_from_order(q)
         for a, label in labeling.line_labels.items():
-            rel = scheme.relation(label)
-            for (u, v, t) in rel.triples[:40]:
+            rel = scheme.partition.classes[label]
+            for (u, v, t) in rel[:40]:
                 ux, uy = divmod(u, q)
                 vx, vy = divmod(v, q)
                 tx, ty = divmod(t, q)
@@ -153,6 +153,22 @@ def test_oracle_guard_boundary_q8():
     assert report.passed
     assert report.nontrivial_relations == 13
     assert report.nu == 64
+
+
+def test_oracle_drops_its_class_broadcasts(monkeypatch):
+    # the scheme stays cached for the next run, its broadcasts do not, and
+    # a second run, which builds them again, gives the same report
+    from astriples import asl2
+    first = run_asl2_oracle(4)
+    scheme, _ = label_asl2_ast(4)
+    assert scheme.bit_cache == {}
+    assert run_asl2_oracle(4) == first
+    assert scheme.bit_cache == {}
+    monkeypatch.setattr(asl2, "is_commutative_subalgebra",
+                        lambda scheme: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run_asl2_oracle(4)
+    assert scheme.bit_cache == {}
 
 
 def test_oracle_report_serializes(tmp_path):

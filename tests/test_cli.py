@@ -531,19 +531,35 @@ def test_unwritable_outputs_exit_two(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
-def test_tracer_bindings_resolve():
-    # bench/tracer.py wraps module bindings by name; a rename in the
-    # package must not silently break the traced benchmark run
-    import importlib
+def _bench_tracer():
     import importlib.util
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_bindings_resolve():
+    # bench/tracer.py wraps module bindings by name; a rename in the
+    # package must not silently break the traced benchmark run
+    import importlib
+    tracer = _bench_tracer()
     assert tracer.BINDINGS
     for module_name, attr, _name, _counter in tracer.BINDINGS:
         module = importlib.import_module(f"astriples.{module_name}")
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_tracer_counts_orbit_classes():
+    # the tracer's orbit counter reads the partition the orbit routine
+    # returns; the asl2:3 orbit scheme has m + 1 = 7 classes
+    tracer = _bench_tracer()
+    collector = tracer.Collector()
+    partition = at.orbits_on_triples(at.asl2_group(3))
+    tracer._count_orbits(collector, (), partition)
+    assert collector.counts == {"permgroup.orbit_classes": 7}
+    assert partition.m + 1 == 7
 
 
 def test_version_loads_no_oracle_or_group_modules(tmp_path):
@@ -596,11 +612,10 @@ def test_version_loads_no_oracle_or_group_modules(tmp_path):
 
 
 OLD_EXPORTS = {
-    "core": "AstScheme GroundSet IntersectionTensor TernaryRelation "
-            "TriplePartition ValencyTable ViolationReport "
-            "coordinate_class_action ensure_ast intersection_numbers "
-            "is_symmetric_ast partition_from_json scheme_to_json "
-            "trivial_relations verify_ast",
+    "core": "AstScheme GroundSet IntersectionTensor TriplePartition "
+            "ValencyTable ViolationReport coordinate_class_action ensure_ast "
+            "intersection_numbers is_symmetric_ast partition_from_json "
+            "scheme_to_json verify_ast",
     "designs": "TwoDesign TwoGraph complement_two_graph "
                "find_regular_two_graphs is_regular pair_coverage "
                "two_graph_from_graph verify_design verify_two_graph",

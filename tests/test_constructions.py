@@ -9,13 +9,13 @@ from astriples.constructions import (VANISHING_LENIENT, VANISHING_STRICT,
 from astriples.enumeration import EnumerationTask, enumerate_asts
 
 from conftest import THREE_POINT_RELATIONS
-from naive import is_symmetric_relation
+from naive import is_symmetric_relation, naive_classes
 
 
 def test_ast_from_s3_reproduces_reference_relations():
     s3 = at.close([(1, 0, 2), (1, 2, 0)])
     scheme = at.ast_from_group(s3)
-    assert [rel.triples for rel in scheme.classes] == \
+    assert list(scheme.partition.classes) == \
         [tuple(sorted(r)) for r in THREE_POINT_RELATIONS]
 
 
@@ -44,8 +44,8 @@ def test_ast_from_design_fano(fano_scheme):
     assert fano_scheme.nu == 7
     assert fano_scheme.m == 5
     assert at.is_symmetric_ast(fano_scheme)
-    assert len(fano_scheme.relation(4)) == 42
-    assert len(fano_scheme.relation(5)) == 168
+    assert len(fano_scheme.partition.classes[4]) == 42
+    assert len(fano_scheme.partition.classes[5]) == 168
 
 
 def test_ast_from_design_ag23():
@@ -129,7 +129,7 @@ def test_design_extraction_rejects_non_symmetric(asl2_schemes):
 def test_ast_from_two_graph(two_graph_scheme, six_point_two_graph):
     assert two_graph_scheme.nu == 6 and two_graph_scheme.m == 5
     assert at.is_symmetric_ast(two_graph_scheme)
-    assert len(two_graph_scheme.relation(4)) == 60
+    assert len(two_graph_scheme.partition.classes[4]) == 60
 
 
 def test_two_graph_vanishing_entries(two_graph_scheme):
@@ -203,7 +203,7 @@ def test_fuse_all_into_one(constructed_schemes):
         assert isinstance(fused, at.AstScheme), name
         assert fused.m == 4, name
         # the single nontrivial class holds every all-distinct triple
-        assert len(fused.relation(4)) == \
+        assert len(fused.partition.classes[4]) == \
             scheme.nu * (scheme.nu - 1) * (scheme.nu - 2), name
 
 
@@ -329,7 +329,7 @@ def test_fused_product_expansion(asl2_schemes):
 def test_two_graph_fusion_negative_witness(asl2_schemes):
     scheme, labeling = asl2_schemes[3]
     j_label = labeling.point_labels[2]
-    assert is_symmetric_relation(scheme.relation(j_label))
+    assert is_symmetric_relation(scheme.partition.classes[j_label])
     result = at.two_graph_fusion(scheme, [j_label])
     assert result.two_graph is None
     quad = result.failing_quadruple
@@ -357,8 +357,9 @@ def test_two_graph_fusion_of_two_asl2_line_classes(asl2_schemes):
     for j_labels in combinations(sorted(lines.values()), 2):
         tg = at.two_graph_fusion(scheme, j_labels).two_graph
         assert (tg.v, len(tg.triples)) == (16, 320)
-        subsets = [t for rel in map(scheme.relation, j_labels)
-                   for t in rel.triples if t[0] < t[1] < t[2]]
+        subsets = [t for label in j_labels
+                   for t in scheme.partition.classes[label]
+                   if t[0] < t[1] < t[2]]
         assert naive_verify_two_graph(16, subsets) == tg
         assert at.verify_ast(at.ast_from_two_graph(tg).partition).m == 5
     for j_labels in [(lines[1],), (lines[2],), (lines[3],),
@@ -401,7 +402,7 @@ def test_two_graph_fusion_search_is_empty_at_desk_scale(asl2_schemes):
             if scheme.m - 3 <= 2:
                 continue
             symmetric = [i for i in scheme.nontrivial_labels
-                         if is_symmetric_relation(scheme.relation(i))]
+                         if is_symmetric_relation(scheme.partition.classes[i])]
             if symmetric:
                 qualifying.append((scheme.nu, symmetric))
     assert qualifying == []
@@ -463,7 +464,7 @@ def test_fuse_fission_and_tensor_match_naive_on_random_groupings(
     verdicts = set()
     for name, scheme in schemes.items():
         nu = scheme.nu
-        fine = [rel.triple_set for rel in scheme.classes]
+        fine = naive_classes(scheme)
         want = naive_full_tensor(nu, fine)
         assert {e[:4]: e[4] for e in scheme.tensor.nonzero()} == want
         for _ in range(6):
@@ -476,7 +477,7 @@ def test_fuse_fission_and_tensor_match_naive_on_random_groupings(
             verdicts.add(ok)
             if not ok:
                 continue
-            assert [rel.triple_set for rel in fused.classes] == coarse
+            assert naive_classes(fused) == coarse
             want = naive_full_tensor(nu, coarse)
             assert {e[:4]: e[4]
                     for e in fused.tensor.nonzero()} == want

@@ -1,4 +1,5 @@
 import random
+import re
 from array import array
 from collections import Counter
 from itertools import permutations, product
@@ -10,9 +11,9 @@ from astriples import core
 from astriples.core import COORD_PERMS, cube_typecode, trivial_cube
 
 from conftest import THREE_POINT_RELATIONS
-from naive import (is_symmetric_relation, naive_full_tensor, naive_is_ast,
-                   naive_label_map, naive_trivial_relations, naive_valencies,
-                   permute_relation)
+from naive import (is_symmetric_relation, naive_classes, naive_full_tensor,
+                   naive_is_ast, naive_label_map, naive_trivial_relations,
+                   naive_valencies, permute_relation)
 
 
 def test_ground_set_requires_three_points():
@@ -21,61 +22,48 @@ def test_ground_set_requires_three_points():
     assert at.GroundSet(3).nu == 3
 
 
+def _trivial_classes(nu):
+    # R_0..R_3 as the library lays them out in the trivial cube
+    return at.TriplePartition.from_labels(at.GroundSet(nu),
+                                          trivial_cube(nu, 4)).classes[:4]
+
+
 def test_trivial_relations_sizes():
     for nu in (3, 4, 7):
-        ground = at.GroundSet(nu)
-        r = at.trivial_relations(ground)
+        r = _trivial_classes(nu)
         assert [len(rel) for rel in r] == [nu, nu * (nu - 1), nu * (nu - 1),
                                            nu * (nu - 1)]
 
 
 def test_trivial_relations_match_reference_three_point_lists():
-    ground = at.GroundSet(3)
-    rels = at.trivial_relations(ground)
+    rels = _trivial_classes(3)
     for i in range(4):
-        assert rels[i].triples == tuple(sorted(THREE_POINT_RELATIONS[i]))
-    assert rels[0].triples == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
+        assert rels[i] == tuple(sorted(THREE_POINT_RELATIONS[i]))
+    assert rels[0] == ((0, 0, 0), (1, 1, 1), (2, 2, 2))
 
 
 def test_trivial_relations_match_naive_oracle():
     for nu in (3, 4, 5):
-        rels = at.trivial_relations(at.GroundSet(nu))
+        rels = _trivial_classes(nu)
         for rel, want in zip(rels, naive_trivial_relations(nu)):
-            assert rel.triple_set == frozenset(want)
-
-
-def test_relation_normalization_and_membership():
-    ground = at.GroundSet(3)
-    rel = at.TernaryRelation(ground, ((2, 1, 0), (0, 1, 2), (2, 1, 0)))
-    assert rel.triples == ((0, 1, 2), (2, 1, 0))
-    assert (0, 1, 2) in rel and (1, 1, 1) not in rel
-    with pytest.raises(at.StructuralError):
-        at.TernaryRelation(ground, ((0, 1, 3),))
-    for bad in ((0, 1, True), (0, 1.0, 2), (0, 1, "2")):
-        with pytest.raises(at.StructuralError, match="out of range"):
-            at.TernaryRelation(ground, (bad,))
-    # entries are checked before they are sorted
-    with pytest.raises(at.StructuralError, match="out of range"):
-        at.TernaryRelation(ground, [(0, 1, "a"), (0, 1, 2)])
-    with pytest.raises(at.StructuralError, match="triple 5 out of range"):
-        at.TernaryRelation(ground, [5])
+            assert frozenset(rel) == frozenset(want)
 
 
 def test_verify_ast_accepts_reference_three_point_partition(three_point):
     assert three_point.m == 4
-    assert [rel.triples for rel in three_point.classes] == \
+    assert list(three_point.partition.classes) == \
         [tuple(sorted(r)) for r in THREE_POINT_RELATIONS]
 
 
 def test_verify_ast_structural_errors():
     ground = at.GroundSet(3)
-    trivial = at.trivial_relations(ground)
+    trivial = naive_trivial_relations(3)
     # missing the nontrivial triples entirely
     with pytest.raises(at.StructuralError):
         at.verify_ast(at.TriplePartition(ground, tuple(trivial)))
     # overlap between classes
-    r4 = at.TernaryRelation(ground, THREE_POINT_RELATIONS[4])
-    overlap = at.TernaryRelation(ground, ((0, 1, 2), (0, 0, 0)))
+    r4 = THREE_POINT_RELATIONS[4]
+    overlap = ((0, 1, 2), (0, 0, 0))
     with pytest.raises(at.StructuralError):
         at.verify_ast(at.TriplePartition(
             ground, tuple(trivial) + (r4, overlap)))
@@ -87,13 +75,8 @@ def test_verify_ast_reports_moved_triple(three_point):
     ground = three_point.ground
     r1 = set(THREE_POINT_RELATIONS[1]) | {(0, 1, 2)}
     r4 = set(THREE_POINT_RELATIONS[4]) - {(0, 1, 2)}
-    classes = (
-        at.TernaryRelation(ground, THREE_POINT_RELATIONS[0]),
-        at.TernaryRelation(ground, tuple(r1)),
-        at.TernaryRelation(ground, THREE_POINT_RELATIONS[2]),
-        at.TernaryRelation(ground, THREE_POINT_RELATIONS[3]),
-        at.TernaryRelation(ground, tuple(r4)),
-    )
+    classes = (THREE_POINT_RELATIONS[0], tuple(r1), THREE_POINT_RELATIONS[2],
+               THREE_POINT_RELATIONS[3], tuple(r4))
     report = at.verify_ast(at.TriplePartition(ground, classes))
     assert isinstance(report, at.ViolationReport)
     assert report.condition in (1, 4)
@@ -103,12 +86,11 @@ def test_verify_ast_reports_moved_triple(three_point):
 def test_verify_ast_condition_one_witness():
     # valid trivial classes, nontrivial split breaking valency constancy
     ground = at.GroundSet(4)
-    trivial = at.trivial_relations(ground)
+    trivial = naive_trivial_relations(4)
     distinct = [t for t in product(range(4), repeat=3) if len(set(t)) == 3]
     part_a = tuple(t for t in distinct if t[2] in (t[0] + 1, t[0] - 3))
     part_b = tuple(t for t in distinct if t not in set(part_a))
-    classes = tuple(trivial) + (at.TernaryRelation(ground, part_a),
-                                at.TernaryRelation(ground, part_b))
+    classes = tuple(trivial) + (part_a, part_b)
     report = at.verify_ast(at.TriplePartition(ground, classes))
     assert isinstance(report, at.ViolationReport)
     assert report.condition in (1, 2, 3)
@@ -131,9 +113,7 @@ def _two_fano_planes_partition():
     covered_set = set(covered)
     rest = tuple(t for t in product(range(7), repeat=3)
                  if len(set(t)) == 3 and t not in covered_set)
-    classes = tuple(at.trivial_relations(ground)) + (
-        at.TernaryRelation(ground, covered),
-        at.TernaryRelation(ground, rest))
+    classes = tuple(naive_trivial_relations(7)) + (covered, rest)
     return at.TriplePartition(ground, classes)
 
 
@@ -154,11 +134,20 @@ def test_trivial_group_orbit_partition_rejected_as_decided_by_oracle():
     assert not ok and "trivial" in reason
     ground = at.GroundSet(nu)
     partition = at.TriplePartition(
-        ground, tuple(at.TernaryRelation(ground, (t,))
-                      for t in product(range(nu), repeat=3)))
+        ground, [(t,) for t in product(range(nu), repeat=3)])
     report = at.verify_ast(partition)
     assert isinstance(report, at.ViolationReport)
     assert report.condition == 4
+
+
+def test_label_of_refuses_triples_outside_the_cube(asl2_schemes):
+    scheme, _ = asl2_schemes[3]     # nu = 9
+    assert scheme.label_of((0, 1, 0)) == 2
+    assert scheme.label_of((8, 8, 8)) == 0
+    for bad in ((0, 0, 9), (0, 0, -1), (0, 0, 729), (0, 0), (0, 0, 1.0),
+                [0, 1, 0]):
+        with pytest.raises(at.PreconditionError, match=re.escape(repr(bad))):
+            scheme.label_of(bad)
 
 
 def test_valencies_three_point(three_point):
@@ -196,7 +185,7 @@ def test_intersection_sum_identity(constructed_schemes):
 
 
 def test_fano_tensor_matches_naive_oracle(fano_scheme):
-    classes = [rel.triple_set for rel in fano_scheme.classes]
+    classes = naive_classes(fano_scheme)
     want = naive_full_tensor(7, classes)
     tensor = at.intersection_numbers(fano_scheme, full_check=True)
     c = fano_scheme.m + 1
@@ -208,43 +197,41 @@ def test_fano_tensor_matches_naive_oracle(fano_scheme):
 
 
 def test_permute_relation_trivial_swap(three_point):
-    r1 = three_point.relation(1)
-    r3 = three_point.relation(3)
-    assert permute_relation(r1, (2, 1, 0)).triples == r3.triples
-    assert permute_relation(r1, (0, 1, 2)).triples == r1.triples
+    r1 = three_point.partition.classes[1]
+    r3 = three_point.partition.classes[3]
+    assert permute_relation(r1, (2, 1, 0)) == r3
+    assert permute_relation(r1, (0, 1, 2)) == r1
 
 
 def test_permute_relation_fixes_all_distinct_class(three_point):
-    r4 = three_point.relation(4)
+    r4 = three_point.partition.classes[4]
     for sigma in permutations(range(3)):
-        assert permute_relation(r4, sigma).triples == r4.triples
+        assert permute_relation(r4, sigma) == r4
 
 
 def test_permute_relation_composition():
     rng = random.Random(7)
-    ground = at.GroundSet(4)
-    triples = tuple((rng.randrange(4), rng.randrange(4), rng.randrange(4))
-                    for _ in range(10))
-    rel = at.TernaryRelation(ground, triples)
+    rel = tuple((rng.randrange(4), rng.randrange(4), rng.randrange(4))
+                for _ in range(10))
     for s1 in permutations(range(3)):
         for s2 in permutations(range(3)):
             combined = tuple(s1[s2[i]] for i in range(3))
             step = permute_relation(permute_relation(rel, s1), s2)
-            assert step.triples == permute_relation(rel, combined).triples
+            assert step == permute_relation(rel, combined)
 
 
 def test_permute_relation_rejects_bad_sigma(three_point):
     with pytest.raises(at.PreconditionError):
-        permute_relation(three_point.relation(1), (0, 0, 1))
+        permute_relation(three_point.partition.classes[1], (0, 0, 1))
 
 
 def test_symmetry_predicates(three_point, fano_scheme):
-    assert is_symmetric_relation(three_point.relation(4))
-    assert not is_symmetric_relation(three_point.relation(1))
+    assert is_symmetric_relation(three_point.partition.classes[4])
+    assert not is_symmetric_relation(three_point.partition.classes[1])
     assert at.is_symmetric_ast(three_point)
     assert at.is_symmetric_ast(fano_scheme)
-    assert is_symmetric_relation(fano_scheme.relation(4))
-    assert is_symmetric_relation(fano_scheme.relation(5))
+    assert is_symmetric_relation(fano_scheme.partition.classes[4])
+    assert is_symmetric_relation(fano_scheme.partition.classes[5])
 
 
 def test_coordinate_class_action_is_an_action(three_point, fano_scheme, asl2_schemes):
@@ -269,7 +256,8 @@ def test_condition_three_closure_on_labels(three_point):
 
 def test_partition_property(constructed_schemes):
     for name, scheme in constructed_schemes.items():
-        assert sum(len(rel) for rel in scheme.classes) == scheme.nu**3, name
+        assert sum(len(rel) for rel in scheme.partition.classes) == \
+            scheme.nu**3, name
 
 
 def test_valency_sum_identity(constructed_schemes):
@@ -304,13 +292,11 @@ def test_intersection_numbers_detect_bypassed_verification():
     # hand-build a scheme object around a partition that is NOT regular;
     # the full-check tensor computation must flag the inconsistency
     ground = at.GroundSet(4)
-    trivial = at.trivial_relations(ground)
+    trivial = naive_trivial_relations(4)
     distinct = [t for t in product(range(4), repeat=3) if len(set(t)) == 3]
     part_a = tuple(t for t in distinct if t[2] == (t[0] + 1) % 4)
     part_b = tuple(t for t in distinct if t not in set(part_a))
-    partition = at.TriplePartition(
-        ground, tuple(trivial) + (at.TernaryRelation(ground, part_a),
-                                  at.TernaryRelation(ground, part_b)))
+    partition = at.TriplePartition(ground, tuple(trivial) + (part_a, part_b))
     assert isinstance(at.verify_ast(partition), at.ViolationReport)
     bogus = at.AstScheme(partition=partition,
                          valencies=at.ValencyTable(((0, 0, 0),) * 6))
@@ -404,7 +390,7 @@ def test_verify_ast_agrees_with_naive_checker_on_random_partitions():
                       0 if ok else verdict.condition))
         # the single-class coloring is a scheme
         if typecode == "B":
-            single = tuple(at.trivial_relations(ground)) + (
+            single = tuple(naive_trivial_relations(nu)) + (
                 [ground.triple(idx) for idx in distinct],)
             assert isinstance(
                 at.verify_ast(at.TriplePartition(ground, single)),
@@ -518,7 +504,7 @@ def test_partition_stores_only_the_label_cube(three_point):
     assert partition == three_point.partition
     assert hash(partition) == hash(three_point.partition)
     assert three_point.labels is three_point.partition.labels
-    assert [rel.triples for rel in partition.classes] == \
+    assert list(partition.classes) == \
         [tuple(sorted(rel)) for rel in THREE_POINT_RELATIONS]
     same = at.TriplePartition.from_labels(ground, list(partition.labels))
     assert same == partition
@@ -550,19 +536,20 @@ def test_cube_typecode_rule(classes, typecode):
 def test_partition_boundary_errors():
     ground = at.GroundSet(3)
     rels = [list(rel) for rel in THREE_POINT_RELATIONS]
-    cases = {
-        "on a different ground set":
-            [at.TernaryRelation(at.GroundSet(4), ((0, 0, 0),))] + rels,
-        "bad relation entry": rels + [5],
-        "the cube has 27": rels[:4],
-        "lies in classes 1 and 4":
-            rels[:4] + [rels[4] + [(0, 1, 1)]],
-        "class 5 is empty": rels + [[]],
-        "is not a triple": rels[:4] + [[(0, 1)] + rels[4][1:]],
-        "out of range": rels[:4] + [[(0, 1, 3)] + rels[4][1:]],
-        "lies in classes 4 and 4": rels[:4] + [rels[4] + rels[4][:1]],
-    }
-    for message, classes in cases.items():
+    cases = [
+        ("bad relation entry", rels + [5]),
+        ("the cube has 27", rels[:4]),
+        ("lies in classes 1 and 4", rels[:4] + [rels[4] + [(0, 1, 1)]]),
+        ("class 5 is empty", rels + [[]]),
+        ("is not a triple", rels[:4] + [[(0, 1)] + rels[4][1:]]),
+        ("5 is not a triple", rels[:4] + [[5] + rels[4]]),
+        ("out of range", rels[:4] + [[(0, 1, 3)] + rels[4][1:]]),
+        ("lies in classes 4 and 4", rels[:4] + [rels[4] + rels[4][:1]]),
+    ]
+    # a non-int coordinate, alone or beside ints
+    for bad in ((0, 1, True), (0, 1.0, 2), (0, 1, "2"), (0, 1, "a")):
+        cases.append(("out of range", rels[:4] + [[bad] + rels[4]]))
+    for message, classes in cases:
         with pytest.raises(at.StructuralError, match=message):
             at.TriplePartition(ground, classes)
     with pytest.raises(at.StructuralError, match="at most 65535"):
@@ -631,14 +618,15 @@ def test_label_map_matches_the_set_scan_and_its_witness():
 def test_class_action_matches_relation_images(constructed_schemes):
     # the cube routine behind condition 3 agrees with imaging the triples
     for name, scheme in constructed_schemes.items():
-        index = {rel.triples: i for i, rel in enumerate(scheme.classes)}
+        classes = scheme.partition.classes
+        index = {rel: i for i, rel in enumerate(classes)}
         action = at.coordinate_class_action(scheme)
         for sigma in COORD_PERMS:
             assert action[sigma] == tuple(
-                index[permute_relation(rel, sigma).triples]
-                for rel in scheme.classes), (name, sigma)
+                index[permute_relation(rel, sigma)]
+                for rel in classes), (name, sigma)
         assert at.is_symmetric_ast(scheme) == all(
-            is_symmetric_relation(scheme.relation(i))
+            is_symmetric_relation(classes[i])
             for i in scheme.nontrivial_labels), name
 
 
@@ -650,9 +638,8 @@ def test_verify_ast_condition_three_failure():
     distinct = [t for t in product(range(4), repeat=3) if len(set(t)) == 3]
     low = [t for t in distinct if t[2] == min({0, 1, 2, 3} - set(t[:2]))]
     high = [t for t in distinct if t not in low]
-    classes = at.trivial_relations(ground) + [low, high]
-    ok, _reason = naive_is_ast(4, [set(r.triples) for r in classes[:4]]
-                               + [set(low), set(high)])
+    classes = naive_trivial_relations(4) + [low, high]
+    ok, _reason = naive_is_ast(4, classes)
     assert not ok
     report = at.verify_ast(at.TriplePartition(ground, classes))
     assert isinstance(report, at.ViolationReport)
@@ -683,7 +670,7 @@ def test_valencies_and_action_match_the_definition():
     schemes = _valency_schemes()
     assert len(schemes) == 6 + 7 + 9
     for name, scheme in schemes.items():
-        classes = [rel.triple_set for rel in scheme.classes]
+        classes = naive_classes(scheme)
         assert scheme.valencies.rows == naive_valencies(scheme.nu, classes), \
             name
         assert scheme.action == {
@@ -707,9 +694,8 @@ def test_verify_ast_condition_three_failure_under_second_transposition():
 
     low = [t for t in distinct if matched(*t)]
     high = [t for t in distinct if not matched(*t)]
-    classes = at.trivial_relations(ground) + [low, high]
-    ok, _reason = naive_is_ast(nu, [set(r.triples) for r in classes[:4]]
-                               + [set(low), set(high)])
+    classes = naive_trivial_relations(nu) + [low, high]
+    ok, _reason = naive_is_ast(nu, classes)
     assert not ok
     report = at.verify_ast(at.TriplePartition(ground, classes))
     assert isinstance(report, at.ViolationReport)
@@ -721,7 +707,7 @@ def test_verified_schemes_are_read_not_rechecked(monkeypatch, asl2_schemes,
                                                  six_point_two_graph):
     # verify_ast makes two coordinate-permuted copies of the cube; the
     # symmetry queries and the constructions that need symmetric classes
-    # then read the stored action and the cube
+    # then read the stored action and the cube, never the triple view
     from astriples import core
     copies, relations = [], []
     permuted = core._permuted
@@ -730,12 +716,9 @@ def test_verified_schemes_are_read_not_rechecked(monkeypatch, asl2_schemes,
         copies.append(args[2])
         return permuted(*args)
 
-    view = core.TernaryRelation._view.__func__
     monkeypatch.setattr(core, "_permuted", counting)
-    monkeypatch.setattr(core.TernaryRelation, "_view", classmethod(
-        lambda cls, *args: relations.append(args) or view(cls, *args)))
-    monkeypatch.setattr(core.TernaryRelation, "__post_init__",
-                        lambda self: relations.append(self))
+    monkeypatch.setattr(core.TriplePartition, "classes", property(
+        lambda self: relations.append(self)))
     scheme, labeling = asl2_schemes[3]
     fresh = at.ensure_ast(at.TriplePartition.from_labels(scheme.ground,
                                                          scheme.labels))

@@ -8,7 +8,7 @@ from astriples.enumeration import (EnumerationTask, are_isomorphic,
                                    canonical_key, enumerate_asts,
                                    enumerate_circulant)
 
-from naive import all_set_partitions, naive_is_ast
+from naive import all_set_partitions, naive_is_ast, naive_trivial_relations
 
 
 def census(nu, **kwargs):
@@ -25,7 +25,7 @@ def test_three_point_completeness_against_partition_oracle():
     # ground truth: try EVERY set partition of the six all-distinct triples
     # below the fixed trivial classes, checked by the independent verifier
     distinct = [t for t in product(range(3), repeat=3) if len(set(t)) == 3]
-    trivial = [set(r.triples) for r in at.trivial_relations(at.GroundSet(3))]
+    trivial = naive_trivial_relations(3)
     valid = []
     for parts in all_set_partitions(distinct):
         classes = trivial + [set(p) for p in parts]
@@ -49,7 +49,7 @@ def test_four_point_symmetric_completeness_against_partition_oracle():
     from itertools import combinations, permutations
     nu = 4
     subsets = list(combinations(range(nu), 3))
-    trivial = [set(r.triples) for r in at.trivial_relations(at.GroundSet(nu))]
+    trivial = naive_trivial_relations(nu)
     valid = 0
     for parts in all_set_partitions(subsets):
         classes = trivial + [
@@ -164,7 +164,7 @@ def test_circulant_census_four_points_against_block_oracle():
         orbits.append(sorted(orbit))
         remaining -= orbit
     assert len(orbits) == 6
-    trivial = [set(r.triples) for r in at.trivial_relations(at.GroundSet(nu))]
+    trivial = naive_trivial_relations(nu)
     valid = 0
     for parts in all_set_partitions(list(range(6))):
         classes = trivial + [set().union(*(orbits[i] for i in part))
@@ -237,22 +237,22 @@ def test_are_isomorphic_relabeled_copy(three_point, fano_scheme):
         rng.shuffle(perm)
         ground = scheme.ground
         classes = []
-        for rel in scheme.classes:
-            classes.append(at.TernaryRelation(
-                ground, tuple((perm[x], perm[y], perm[z])
-                              for x, y, z in rel.triples)))
+        for rel in scheme.partition.classes:
+            classes.append(tuple(sorted((perm[x], perm[y], perm[z])
+                                        for x, y, z in rel)))
         # trivial classes are fixed setwise by relabeling; nontrivial images
         # may land in any order, so rebuild a valid partition first
-        trivial = at.trivial_relations(ground)
-        nontrivial = sorted(classes[4:], key=lambda r: r.triples)
+        trivial = naive_trivial_relations(nu)
+        nontrivial = sorted(classes[4:])
         relabeled = at.ensure_ast(at.TriplePartition(
             ground, tuple(trivial) + tuple(nontrivial)))
         witness = are_isomorphic(scheme, relabeled)
         assert witness is not None
         pm = witness.point_map
-        for i, rel in enumerate(scheme.classes):
-            image = {(pm[x], pm[y], pm[z]) for x, y, z in rel.triples}
-            assert image == relabeled.relation(witness.class_map[i]).triple_set
+        for i, rel in enumerate(scheme.partition.classes):
+            image = {(pm[x], pm[y], pm[z]) for x, y, z in rel}
+            assert image == \
+                set(relabeled.partition.classes[witness.class_map[i]])
 
 
 def test_are_isomorphic_self(three_point):
@@ -273,11 +273,10 @@ def test_canonical_key_is_relabeling_invariant(three_point):
         # apply a relabeling and recompute
         perm = (2, 0, 3, 1)
         ground = scheme.ground
-        trivial = at.trivial_relations(ground)
+        trivial = naive_trivial_relations(ground.nu)
         nontrivial = sorted(
-            (at.TernaryRelation(ground, tuple((perm[x], perm[y], perm[z])
-                                              for x, y, z in rel.triples))
-             for rel in scheme.classes[4:]), key=lambda r: r.triples)
+            tuple(sorted((perm[x], perm[y], perm[z]) for x, y, z in rel))
+            for rel in scheme.partition.classes[4:])
         relabeled = at.ensure_ast(at.TriplePartition(
             ground, tuple(trivial) + tuple(nontrivial)))
         assert canonical_key(relabeled) == key

@@ -3,7 +3,7 @@ import pytest
 import astriples as at
 from astriples.finfield import _primitive_element, field_from_order, make_field
 
-from naive import naive_field_add, naive_field_neg
+from naive import naive_chain_elements, naive_field_add, naive_field_neg
 
 
 def test_gf2_addition():
@@ -140,14 +140,14 @@ def test_constructors_list_no_elements():
     g = at.asl2_group(8)
     assert g.order == 32256
     assert len(g.generators) == 12
-    assert "elements" not in g.__dict__
+    assert not hasattr(g, "elements")
 
 
 def test_asl2_subset_of_agl2():
     for q in (2, 3):
         small = at.asl2_group(q)
         big = at.agl2_group(q)
-        assert small.elements <= big.elements
+        assert naive_chain_elements(small) <= naive_chain_elements(big)
 
 
 def test_group_guards():

@@ -10,8 +10,8 @@ import astriples as at
 from astriples.core import trivial_cube
 from astriples.hypermatrix import DENSE_LIMIT, CubicHypermatrix, _product_dense
 
-from naive import (naive_class_product_mismatch, naive_ternary_product,
-                   naive_zfibers)
+from naive import (naive_class_product_mismatch, naive_classes,
+                   naive_ternary_product, naive_zfibers)
 
 
 def random_zero_one(nu, rng):
@@ -22,7 +22,7 @@ def test_adjacency_entry_sums(three_point):
     total = 0
     for i in range(three_point.m + 1):
         h = at.adjacency(three_point, i)
-        assert h.entry_sum() == len(three_point.relation(i))
+        assert h.entry_sum() == len(three_point.partition.classes[i])
         total += h.entry_sum()
     assert total == 27
     assert at.adjacency(three_point, 4).entry_sum() == 6
@@ -205,7 +205,8 @@ def test_structure_constants_corruption_signal(three_point):
 def _naive_first_mismatch(scheme, naive, expected):
     """First (cell, got, want) in flat order where the four-loop product
     differs from sum_l expected[l] A_l, or None."""
-    label = {t: l for l, rel in enumerate(scheme.classes) for t in rel.triples}
+    label = {t: l for l, rel in enumerate(scheme.partition.classes)
+             for t in rel}
     for cell in product(range(scheme.nu), repeat=3):
         want = expected[label[cell]]
         if naive[cell] != want:
@@ -304,7 +305,7 @@ def test_bit_cache_built_on_first_use(three_point):
     for label in (0, 1, 4):
         cells = {fresh.ground.triple(c) for c in range(nu**3)
                  if cache[label] >> c & 1}
-        assert cells == set(fresh.relation(label).triples)
+        assert cells == set(fresh.partition.classes[label])
     # broadcast w holds, at (x, y, z), the class bit at (w, y, z),
     # (x, w, z) or (x, y, w) for slot 0, 1 or 2
     for label, slot in ((4, 0), (0, 1), (4, 2)):
@@ -492,8 +493,8 @@ def test_ternary_field_certificate_from_enumerated_scheme():
 
     census = enumerate_asts(EnumerationTask(ground=at.GroundSet(4)))
     scheme = next(s for s in census if s.m == 4)
-    classes = [rel.triple_set for rel in scheme.classes]
-    rep = scheme.relation(4).triples[0]
+    classes = naive_classes(scheme)
+    rep = scheme.partition.classes[4][0]
     p = naive_intersection_number(4, classes, 4, 4, 4, rep)
     assert p == 1
     cert = at.ternary_field_certificate(scheme)

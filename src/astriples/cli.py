@@ -70,11 +70,12 @@ def _one_chunk(to_text):
     return lambda obj: (to_text(obj),)
 
 
-def _load_scheme(path):
-    """The scheme in the file at ``path``, refused unless it verifies."""
+def _load_scheme(path, full_check=None):
+    """The scheme in the file at ``path``, refused unless it verifies
+    (``full_check`` as :func:`verify_ast` takes it)."""
     from .core import ViolationReport, read_text
     partition = partition_from_json(read_text(path))
-    result = verify_ast(partition)
+    result = verify_ast(partition, full_check=full_check)
     if isinstance(result, ViolationReport):
         raise RefusalError(f"{path}: condition {result.condition} violated: "
                            f"{result.message}", witness=result.witness)
@@ -117,10 +118,7 @@ def _cmd_verify(args):
 
 def _cmd_params(args):
     import json
-
-    from .core import intersection_numbers
-    scheme = _load_scheme(args.scheme)
-    tensor = intersection_numbers(scheme, full_check=args.full_check or None)
+    tensor = _load_scheme(args.scheme, args.full_check or None).tensor
     entries = [[i, j, k, l, p] for (i, j, k, l, p) in tensor.nonzero()]
     print(f"classes={tensor.classes} nonzero_entries={len(entries)}")
     if args.tensor:

@@ -28,9 +28,9 @@ stores the action, which the valencies and symmetry queries read.
 Condition 2 is counted on the cells x <= y <= z and carried to the rest
 by that action.
 Relations given as triples are placed in the cube one class at a time by
-one routine, for ``TriplePartition(ground, classes)`` and for the JSON
-reader, which decodes a scheme file class by class (or, spelled as the
-writer spells it, one run of x at a time).
+``TriplePartition(ground, classes)``.  The JSON reader places a file
+spelled as the writer spells it one run of x at a time, and parses any
+other text whole for that constructor.
 
 Everything here is exact: points are 0-based integers, counts are ints.
 All types are immutable after construction and safe to share.
@@ -46,8 +46,7 @@ from functools import cached_property
 from itertools import chain, permutations, product, repeat
 from types import MappingProxyType
 
-from .errors import (AstriplesError, ConsistencyError, PreconditionError,
-                     StructuralError)
+from .errors import ConsistencyError, PreconditionError, StructuralError
 from .record import Record
 
 Triple = tuple[int, int, int]
@@ -130,13 +129,20 @@ class GroundSet(Record):
                 f"ground set needs at least 3 points, got {self.nu!r}")
 
     def index(self, t: Triple) -> int:
-        """Flat index of a triple: x*nu^2 + y*nu + z."""
+        """Flat index x*nu^2 + y*nu + z of a triple in range(nu)^3; any
+        other input raises :class:`PreconditionError`."""
         nu = self.nu
+        if not (isinstance(t, tuple) and len(t) == 3 and all(
+                type(c) is int and 0 <= c < nu for c in t)):
+            raise PreconditionError(f"triple {t!r} outside range({nu})^3")
         return (t[0] * nu + t[1]) * nu + t[2]
 
     def triple(self, idx: int) -> Triple:
-        """Inverse of :meth:`index`."""
+        """Inverse of :meth:`index`: ``idx`` must be an int in
+        range(nu^3), else :class:`PreconditionError`."""
         nu = self.nu
+        if type(idx) is not int or not 0 <= idx < nu**3:
+            raise PreconditionError(f"index {idx!r} outside range({nu**3})")
         xy, z = divmod(idx, nu)
         x, y = divmod(xy, nu)
         return (x, y, z)
@@ -380,10 +386,6 @@ class AstScheme(Record):
     def label_of(self, t: Triple) -> int:
         """The label of the cell of ``t``, a triple in range(nu)^3; any
         other input raises :class:`PreconditionError`."""
-        nu = self.nu
-        if not (isinstance(t, tuple) and len(t) == 3 and all(
-                type(c) is int and 0 <= c < nu for c in t)):
-            raise PreconditionError(f"triple {t!r} outside range({nu})^3")
         return self.labels[self.ground.index(t)]
 
     @cached_property
@@ -777,105 +779,25 @@ def json_int(data: dict, key: str) -> int:
     return data[key]
 
 
-_decode = json.JSONDecoder().raw_decode
-_space = re.compile(r"[ \t\n\r]*").match
 _bulk_head = re.compile(r'\{"nu": ([1-9][0-9]{0,9}), "relations": \[').match
 
 
-def _partition_by_class(text: str):
-    """The partition in scheme JSON text whose ``"nu"`` key comes before
-    its ``"relations"`` key, or None for any other text.
-
-    The top-level object is walked with the stdlib scanner, and each class
-    is decoded and placed in the cube before the next is decoded, so one
-    class's lists are alive at a time.  Anything the whole-text reader
-    would refuse gives None: invalid JSON, a bad ``"nu"``, a second
-    ``"nu"`` or ``"relations"`` after the classes, or classes that fail
-    :func:`_place_class` or do not cover the cube.
-    """
-    fields, cube = {}, None
-    try:
-        at = _space(text).end()
-        if not text.startswith("{", at):
-            return None
-        at = _space(text, at + 1).end()
-        while text.startswith('"', at):
-            key, at = _decode(text, at)
-            at = _space(text, at).end()
-            if not text.startswith(":", at):
-                return None
-            at = _space(text, at + 1).end()
-            if cube is not None and key in ("nu", "relations"):
-                return None
-            if key == "relations":
-                if "nu" not in fields:
-                    return None
-                ground = GroundSet(json_int(fields, "nu"))
-                read = _read_classes(text, at, ground.nu)
-                if read is None:
-                    return None
-                cube, at = read
-            else:
-                fields[key], at = _decode(text, at)
-            at = _space(text, at).end()
-            if text.startswith("}", at):
-                if cube is None or _space(text, at + 1).end() < len(text):
-                    return None
-                return TriplePartition._of(ground, cube)
-            if not text.startswith(",", at):
-                return None
-            at = _space(text, at + 1).end()
-    except (AstriplesError, ValueError, RecursionError):
-        pass
-    return None
-
-
-def _read_classes(text: str, at: int, nu: int):
-    """(cube, end) for the list of classes at ``text[at]``, decoded and
-    placed one class at a time, or None unless they partition the cube.
-
-    The cube is allocated only when the text is long enough for nu^3
-    triples of at least 7 characters, ``[0,0,0]``, each.  Its typecode is
-    widened by :func:`cube_typecode` as classes come."""
-    if not text.startswith("[", at) or len(text) < 7 * nu**3:
-        return None
-    cube, placed, label = _unfilled_cube(nu, cube_typecode(1)), 0, 0
-    at = _space(text, at + 1).end()
-    if not text.startswith("]", at):
-        while label < LABEL_LIMIT:
-            wide = cube_typecode(label + 1)
-            if cube.typecode != wide:
-                cube = relabel(cube, tuple(range(_UNFILLED[cube.typecode]))
-                               + (_UNFILLED[wide],))
-            triples, at = _decode(text, at)
-            if not isinstance(triples, list):
-                return None
-            _place_class(cube, nu, label, triples)
-            placed, label = placed + len(triples), label + 1
-            del triples     # before the next class is decoded
-            at = _space(text, at).end()
-            if not text.startswith(",", at):
-                break
-            at = _space(text, at + 1).end()
-        if not text.startswith("]", at):
-            return None
-    # With nu^3 triples placed and none placed twice, every cell is covered.
-    return (cube, at + 1) if placed == nu**3 else None
-
-
 def _bulk_cube(text: str):
-    """The cube of text in the writer's exact spelling, with at most 255
-    classes, each a run of triples for every x in turn (as in a scheme),
-    or None.  Each run splits on ``"], [x, "`` into ``"y, z"`` keys of a
-    dict of the nu^2 cells; with all text read, nu^3 pieces and no cell
-    left unfilled, the classes partition the cube."""
+    """The cube of text in the writer's exact spelling, each class a run of
+    triples for every x in turn (as in a scheme), or None.  Each run splits
+    on ``"], [x, "`` into ``"y, z"`` keys of a dict of the nu^2 cells; with
+    all text read, nu^3 pieces and no cell left unfilled, the classes
+    partition the cube.  The cube is widened to ``'H'`` at the 256th class,
+    as :func:`cube_typecode` asks."""
     head = _bulk_head(text)
     nu = int(head[1]) if head else 0
     if nu < 3 or len(text) < 7 * nu**3:
         return None
     cube, at, placed = _unfilled_cube(nu, "B"), head.end(), 0
     pairs = {f"{y}, {z}": y * nu + z for y in range(nu) for z in range(nu)}
-    for label in range(0xFF):
+    for label in range(LABEL_LIMIT):
+        if label == 0xFF:
+            cube = relabel(cube, tuple(range(0xFF)) + (LABEL_LIMIT,))
         end = text.find("]]", at)
         if end < 0 or not text.startswith("[[0, ", at):
             return None
@@ -899,8 +821,12 @@ def _bulk_cube(text: str):
         at = end + 4
         if not text.startswith(", ", end + 2):
             break
+    # The mark is searched in the bytes, far faster than in the cells; in an
+    # 'H' cube a hit at an odd offset only sends the text to json.loads,
+    # which reads it alike.
+    unfilled = array(cube.typecode, [_UNFILLED[cube.typecode]]).tobytes()
     if (text[end + 2:] not in ("]}", "]}\n") or placed != nu**3
-            or b"\xff" in cube.tobytes()):
+            or unfilled in cube.tobytes()):
         return None
     return cube
 
@@ -909,16 +835,12 @@ def partition_from_json(text: str) -> TriplePartition:
     """Read scheme JSON; malformed input raises :class:`StructuralError`.
 
     The exact spelling of this package and ``json.dumps(sort_keys=True)``
-    is placed run by run (:func:`_bulk_cube`; asl2:8 in 0.08 s, was 0.21);
-    other files with ``"nu"`` first are read one class at a time
-    (:func:`_partition_by_class`); other text, malformed files included,
-    is parsed whole by ``json.loads``, which gives the error."""
+    is placed run by run (:func:`_bulk_cube`); any other text, malformed
+    files included, is parsed whole by ``json.loads``, which gives the
+    error."""
     cube = _bulk_cube(text)
     if cube is not None:
         return TriplePartition._of(GroundSet(round(len(cube) ** (1 / 3))), cube)
-    partition = _partition_by_class(text)
-    if partition is not None:
-        return partition
     data = json_object(text, "scheme", "nu", "relations")
     ground = GroundSet(json_int(data, "nu"))
     if not isinstance(data["relations"], list):

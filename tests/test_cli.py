@@ -41,6 +41,29 @@ def test_construct_verify_params_flow(tmp_path, capsys):
     assert all(len(entry) == 5 for entry in data["nonzero"])
 
 
+@pytest.mark.parametrize("spec, nu", [("asl2:5", 25), ("asl2:7", 49)])
+def test_params_counts_condition_2_once(tmp_path, capsys, monkeypatch, spec,
+                                        nu):
+    import astriples.core as core
+    scheme_path = tmp_path / "s.json"
+    assert run(["construct", "--group", spec, "--out", str(scheme_path)]) == 0
+    capsys.readouterr()
+    count, calls = core._class_signatures, []
+    monkeypatch.setattr(core, "_class_signatures", lambda *args: (
+        calls.append(args[3]), count(*args))[1])
+    outputs = []
+    for flags in ([], ["--full-check"]):
+        tensor_path = tmp_path / f"t{len(outputs)}.json"
+        calls.clear()
+        assert run(["params", str(scheme_path), "--tensor", str(tensor_path),
+                    *flags]) == 0
+        # one pass, full at nu <= 30 or when asked
+        assert calls == [bool(flags) or nu <= core.FULL_CHECK_LIMIT], flags
+        outputs.append((capsys.readouterr().out.replace(str(tensor_path), ""),
+                        tensor_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_construct_refuses_non_two_transitive(tmp_path, capsys):
     gens = tmp_path / "gens.txt"
     gens.write_text("1 2 3 4 0\n", encoding="utf-8")

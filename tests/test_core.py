@@ -148,6 +148,12 @@ def test_label_of_refuses_triples_outside_the_cube(asl2_schemes):
                 [0, 1, 0]):
         with pytest.raises(at.PreconditionError, match=re.escape(repr(bad))):
             scheme.label_of(bad)
+        with pytest.raises(at.PreconditionError, match=re.escape(repr(bad))):
+            scheme.ground.index(bad)
+    assert scheme.ground.triple(728) == (8, 8, 8)
+    for bad in (729, -1, 1.0, True):
+        with pytest.raises(at.PreconditionError, match=re.escape(repr(bad))):
+            scheme.ground.triple(bad)
 
 
 def test_valencies_three_point(three_point):

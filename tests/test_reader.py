@@ -1,12 +1,11 @@
 """The scheme reader against the whole-text reader it replaced.
 
 ``core.partition_from_json`` places a file in the writer's exact spelling
-run by run (``_bulk_cube``), decodes any other file one class at a time,
-and falls back to parsing the whole text only for malformed input and for
-files whose ``"relations"`` key comes before ``"nu"``.  For every input
-here it must return the partition ``naive.naive_partition_from_json``
-returns, in the same typecode, or raise the same error with the same
-message; the bulk path returns that cube or None.
+run by run (``_bulk_cube``), with any number of classes, and parses any
+other text whole, malformed input included.  For every input here it
+must return the partition ``naive.naive_partition_from_json`` returns, in
+the same typecode, or raise the same error with the same message; the
+bulk path returns that cube or None.
 """
 
 import json
@@ -16,7 +15,7 @@ import tracemalloc
 import pytest
 
 import astriples as at
-from astriples.core import _bulk_cube, _partition_by_class, scheme_to_json
+from astriples.core import _bulk_cube, scheme_to_json
 from astriples.enumeration import EnumerationTask, enumerate_asts
 from astriples.finfield import asl2_group
 
@@ -138,19 +137,22 @@ def test_bulk_path_leaves_every_other_spelling_to_the_reader(valid_texts):
 
 
 def test_bulk_path_class_counts():
-    # nu=16 in one class for each (y, z) but the last few: every class
-    # holds every x, and the bulk path places up to 255 classes; past that
-    # the class-at-a-time reader widens the cube to 'H'
-    cells = range(16**3)
-    for k in (254, 255, 256):
+    # nu=18 in one class for each (y, z) but the last few: every class
+    # holds every x, and the bulk path widens the cube to 'H' at the 256th
+    # class
+    cells = range(18**3)
+    for k in (254, 255, 256, 300):
         text = scheme_to_json(at.TriplePartition.from_labels(
-            at.GroundSet(16), [min(c % 256, k - 1) for c in cells]))
+            at.GroundSet(18), [min(c % 18**2, k - 1) for c in cells]))
         assert assert_same_reading(text)
         cube = _bulk_cube(text)
-        if k <= 255:
-            assert cube == naive_partition_from_json(text).labels
-        else:
-            assert cube is None
+        want = naive_partition_from_json(text).labels
+        assert cube is not None, k
+        assert (cube.typecode, cube) == (want.typecode, want), k
+        # nu^3 triples, (0, 0, 0) twice and (0, 0, 1) never
+        twice = text.replace("]], [[0, 0, 1]", "]], [[0, 0, 0]", 1)
+        assert twice != text and _bulk_cube(twice) is None, k
+        assert not assert_same_reading(twice)
 
 
 def test_bulk_path_needs_every_x_in_every_class():
@@ -167,34 +169,32 @@ def test_bulk_path_needs_every_x_in_every_class():
 def test_valid_files_are_read_one_class_at_a_time(valid_texts):
     for name, text in valid_texts.items():
         assert assert_same_reading(text), name
-        assert _partition_by_class(text) is not None, name
+        assert _bulk_cube(text) is not None, name
 
 
 def _variants(text):
-    """Valid spellings of a scheme file, and whether ``"nu"`` comes before
-    the classes in each."""
+    """Valid spellings of a scheme file other than the writer's."""
     data = json.loads(text)
     nu, rels = data["nu"], json.dumps(data["relations"])
     return [
-        (json.dumps(data, indent=2), True),
-        (json.dumps(data, indent="\t"), True),
-        (json.dumps(data, separators=(",", ":")), True),
-        (" \r\n\t" + text.replace(", ", " ,\r\n\t") + "\n \t", True),
-        (json.dumps({"relations": data["relations"], "nu": nu}), False),
-        (f'{{"format": "1", "nu": {nu}, "meta": {{"a": [1, 2.5, null]}}, '
-         f'"relations": {rels}, "tail": "x"}}', True),
+        json.dumps(data, indent=2),
+        json.dumps(data, indent="\t"),
+        json.dumps(data, separators=(",", ":")),
+        " \r\n\t" + text.replace(", ", " ,\r\n\t") + "\n \t",
+        json.dumps({"relations": data["relations"], "nu": nu}),
+        f'{{"format": "1", "nu": {nu}, "meta": {{"a": [1, 2.5, null]}}, '
+        f'"relations": {rels}, "tail": "x"}}',
         # duplicate keys: the last one wins, as with json.loads
-        (f'{{"nu": 99, "nu": {nu}, "relations": {rels}}}', True),
-        (f'{{"nu": {nu}, "relations": [[]], "relations": {rels}}}', False),
+        f'{{"nu": 99, "nu": {nu}, "relations": {rels}}}',
+        f'{{"nu": {nu}, "relations": [[]], "relations": {rels}}}',
     ]
 
 
 def test_valid_variants(valid_texts):
     for name in ("asl2_2", "census_4_0", "circulant_7_1"):
-        for text, streamed in _variants(valid_texts[name]):
+        for text in _variants(valid_texts[name]):
             assert assert_same_reading(text), text[:200]
-            assert (_partition_by_class(text) is not None) == streamed, \
-                text[:200]
+            assert _bulk_cube(text) is None, text[:200]
 
 
 def test_invalid_variants(valid_texts):
@@ -272,8 +272,7 @@ def _traced_peak(read, text):
 
 def test_reader_peaks_far_below_the_whole_text_reader(asl2_8_text):
     # the whole-text reader holds every class's lists at once: 24.4 MiB for
-    # the 3.4 MiB asl2:8 text; one class at a time, the largest class
-    # (32,256 triples) and the cube take 3.2 MiB, and run by run less
+    # the 3.4 MiB asl2:8 text; run by run, the reader peaks at 1.0 MiB
     text = asl2_8_text
     peak = _traced_peak(at.partition_from_json, text)
     whole = _traced_peak(naive_partition_from_json, text)

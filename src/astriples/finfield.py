@@ -6,6 +6,9 @@ sum c_i p^i), so 0 and 1 are always the additive and multiplicative
 identities.  The modulus is the first monic irreducible of degree k in
 that encoding order, making every construction reproducible.
 
+Products, inverses, quotients and powers read log tables, which the
+polynomial product ``_mul_raw`` fills once per field.
+
 Group constructors build only a few generators (translations, elementary
 transvections and, for the general groups, a primitive-element scaling)
 and hand them to the stabilizer-chain builder, which checks that they
@@ -18,14 +21,10 @@ from functools import lru_cache
 
 from .errors import (ConsistencyError, PreconditionError, SizeGuardError,
                      StructuralError)
-from .permgroup import (DEFAULT_MAX_ELEMENTS, PermutationGroup,
+from .permgroup import (PermutationGroup, check_orbit_degree,
                         group_from_elements)
 
 FIELD_SIZE_CAP = 2**16
-
-#: Construction guard for the affine planar groups, per their q^2-point
-#: degree and q^3 (q^2 - 1)-scale orders.
-PLANAR_GROUP_Q_CAP = 16
 PSL_Q_CAP = 32
 
 
@@ -74,30 +73,38 @@ def _is_irreducible(poly, p):
 
 
 class FiniteField:
-    """GF(p^k) with integer-encoded elements and exact operations."""
+    """GF(p^k) with integer-encoded elements and exact operations.
 
-    __slots__ = ("p", "k", "q", "modulus", "_mul_table", "_inv_table")
+    ``gamma`` is the least primitive element (1 in GF(2)); ``exp[i]`` is
+    gamma^i for 0 <= i < 2(q - 1), the cycle stored twice so that a sum
+    of two logs indexes it directly, and ``log[a]`` is the exponent of a
+    nonzero a.  A modulus that is not irreducible has no element of
+    multiplicative order q - 1 and raises :class:`ConsistencyError`.
+    """
+
+    __slots__ = ("p", "k", "q", "modulus", "gamma", "exp", "log")
 
     def __init__(self, p, k, modulus):
         self.p = p
         self.k = k
-        self.q = p**k
+        self.q = q = p**k
         self.modulus = tuple(modulus)
-        self._mul_table = None
-        self._inv_table = None
-        if self.q <= 256:
-            q = self.q
-            table = [0] * (q * q)
-            for a in range(q):
-                for b in range(a, q):
-                    v = self._mul_raw(a, b)
-                    table[a * q + b] = v
-                    table[b * q + a] = v
-            self._mul_table = table
-            inv = [0] * q
-            for a in range(1, q):
-                inv[a] = self._pow_raw(a, q - 2)
-            self._inv_table = inv
+        # The first g whose powers return to 1 after exactly q - 1 steps;
+        # each candidate is followed for at most q - 1 steps.
+        for g in range(1, q):
+            powers, x = [1], g
+            while x != 1 and len(powers) < q - 1:
+                powers.append(x)
+                x = self._mul_raw(x, g)
+            if x == 1 and len(powers) == q - 1:
+                break
+        else:
+            raise ConsistencyError(f"no primitive element modulo {modulus}")
+        self.gamma = g
+        self.exp = powers * 2
+        self.log = [0] * q
+        for i, x in enumerate(powers):
+            self.log[x] = i
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, k={self.k})"
@@ -142,31 +149,21 @@ class FiniteField:
         return self.element(_poly_rem(conv, list(self.modulus), p))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
-        return self._mul_raw(a, b)
-
-    def _pow_raw(self, a: int, n: int) -> int:
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self._mul_raw(result, base)
-            base = self._mul_raw(base, base)
-            n >>= 1
-        return result
+        if a and b:
+            return self.exp[self.log[a] + self.log[b]]
+        return 0
 
     def pow(self, a: int, n: int) -> int:
+        if a:
+            return self.exp[self.log[a] * n % (self.q - 1)]
         if n < 0:
-            return self.pow(self.inv(a), -n)
-        return self._pow_raw(a, n)
+            raise PreconditionError("zero is not invertible")
+        return 0 if n else 1
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise PreconditionError("zero is not invertible")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self._pow_raw(a, self.q - 2)
+        return self.exp[self.q - 1 - self.log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -255,14 +252,9 @@ def _affine_image(field, mat, tx=0, ty=0):
         for x in range(q) for y in range(q))
 
 
-def _affine_group(q, general, expected_order, max_elements):
+def _affine_group(q, general, expected_order):
+    check_orbit_degree(q * q)
     field = field_from_order(q)
-    if q > PLANAR_GROUP_Q_CAP:
-        raise SizeGuardError(
-            f"planar affine groups are guarded to q <= {PLANAR_GROUP_Q_CAP}")
-    if expected_order > max_elements:
-        raise SizeGuardError(
-            f"group of order {expected_order} exceeds cap {max_elements}")
     seeds = []
     for i in range(field.k):
         u = field.p**i
@@ -272,55 +264,35 @@ def _affine_group(q, general, expected_order, max_elements):
                   _affine_image(field, (1, 0, 0, 1), 0, u)]
     if general and q > 2:
         # a non-unimodular generator for the general linear case
-        gamma = _primitive_element(field)
-        seeds.append(_affine_image(field, (gamma, 0, 0, 1)))
+        seeds.append(_affine_image(field, (field.gamma, 0, 0, 1)))
     return group_from_elements(q * q, seeds, expected_order)
 
 
-def asl2_group(q: int, max_elements=DEFAULT_MAX_ELEMENTS) -> PermutationGroup:
+def asl2_group(q: int) -> PermutationGroup:
     """The affine maps v -> Av + t on GF(q)^2 with det A = 1.
 
     Order q^3 (q^2 - 1); two-transitive on the q^2 plane points.
     """
-    expected = q**3 * (q * q - 1)
-    return _affine_group(q, False, expected, max_elements)
+    return _affine_group(q, False, q**3 * (q * q - 1))
 
 
-def agl2_group(q: int, max_elements=DEFAULT_MAX_ELEMENTS) -> PermutationGroup:
+def agl2_group(q: int) -> PermutationGroup:
     """All invertible affine maps on GF(q)^2."""
-    expected = q * q * (q * q - 1) * (q * q - q)
-    return _affine_group(q, True, expected, max_elements)
+    return _affine_group(q, True, q * q * (q * q - 1) * (q * q - q))
 
 
-def _primitive_element(field: FiniteField) -> int:
-    q = field.q
-    for g in range(2, q):
-        e, order = g, 1
-        while e != 1:
-            e = field.mul(e, g)
-            order += 1
-        if order == q - 1:
-            return g
-    if q == 2:
-        return 1
-    raise ConsistencyError("no primitive element found")
-
-
-def agl1_group(q: int, max_elements=DEFAULT_MAX_ELEMENTS) -> PermutationGroup:
+def agl1_group(q: int) -> PermutationGroup:
     """The maps x -> a x + b with a != 0 on GF(q); order q(q-1)."""
+    check_orbit_degree(q)
     field = field_from_order(q)
-    expected = q * (q - 1)
-    if expected > max_elements:
-        raise SizeGuardError(f"group of order {expected} exceeds cap")
     seeds = [tuple(field.add(x, field.p**i) for x in range(q))
              for i in range(field.k)]
     if q > 2:
-        gamma = _primitive_element(field)
-        seeds.append(tuple(field.mul(gamma, x) for x in range(q)))
-    return group_from_elements(q, seeds, expected)
+        seeds.append(tuple(field.mul(field.gamma, x) for x in range(q)))
+    return group_from_elements(q, seeds, q * (q - 1))
 
 
-def psl2_group(q: int, max_elements=DEFAULT_MAX_ELEMENTS) -> PermutationGroup:
+def psl2_group(q: int) -> PermutationGroup:
     """PSL(2, q) acting on the projective line (q + 1 points).
 
     Points 0..q-1 are the affine values, point q is infinity.  Order
@@ -330,8 +302,6 @@ def psl2_group(q: int, max_elements=DEFAULT_MAX_ELEMENTS) -> PermutationGroup:
         raise SizeGuardError(f"psl2 construction is guarded to q <= {PSL_Q_CAP}")
     field = field_from_order(q)
     expected = q * (q * q - 1) // (2 if q % 2 else 1)
-    if expected > max_elements:
-        raise SizeGuardError(f"group of order {expected} exceeds cap")
     infinity = q
 
     def moebius_perm(mat):
@@ -349,7 +319,7 @@ def psl2_group(q: int, max_elements=DEFAULT_MAX_ELEMENTS) -> PermutationGroup:
     return group_from_elements(q + 1, seeds, expected)
 
 
-def group_from_spec(spec: str, max_elements=DEFAULT_MAX_ELEMENTS) -> PermutationGroup:
+def group_from_spec(spec: str) -> PermutationGroup:
     """CLI group specifiers: asl2:q, agl1:q, agl2:q, psl2:q, file:<path>."""
     if ":" not in spec:
         raise StructuralError(f"bad group spec {spec!r}; expected name:arg")
@@ -357,12 +327,13 @@ def group_from_spec(spec: str, max_elements=DEFAULT_MAX_ELEMENTS) -> Permutation
     if name == "file":
         from .core import read_text
         from .permgroup import close, generators_from_text
-        return close(generators_from_text(read_text(arg)),
-                     max_elements=max_elements)
+        generators = generators_from_text(read_text(arg))
+        check_orbit_degree(len(generators[0]))
+        return close(generators)
     builders = {"asl2": asl2_group, "agl1": agl1_group,
                 "agl2": agl2_group, "psl2": psl2_group}
     if name not in builders:
         raise StructuralError(f"unknown group family {name!r}")
     if not (arg.isascii() and arg.isdigit()):
         raise StructuralError(f"bad field order {arg!r}")
-    return builders[name](int(arg), max_elements=max_elements)
+    return builders[name](int(arg))

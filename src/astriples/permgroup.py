@@ -124,10 +124,6 @@ def parse_permutation_line(line: str, degree=None) -> Perm:
     return check_perm(images)
 
 
-def permutation_to_line(p: Perm) -> str:
-    return " ".join(str(i) for i in p)
-
-
 def generators_from_text(text: str) -> list[Perm]:
     """One permutation per non-empty line, all of the same degree."""
     perms = []
@@ -303,14 +299,20 @@ def is_transitive(group: PermutationGroup) -> bool:
     return len(_forest(range(n), group.generators, n)[0]) == 1
 
 
+def check_orbit_degree(degree: int) -> None:
+    """Refuse a degree past :data:`ORBIT_DEGREE_LIMIT`, checked before
+    anything whose size grows with the degree is built."""
+    if degree > ORBIT_DEGREE_LIMIT:
+        raise SizeGuardError(f"orbits on pairs and triples are guarded to "
+                             f"degree <= {ORBIT_DEGREE_LIMIT}, got {degree}")
+
+
 def _pair_transversal(group: PermutationGroup):
     """Orbits on ordered pairs, flat indices x * degree + y, with their
     breadth-first forest under the generators (see :func:`_forest`); each
     orbit's root is its least pair."""
     n = group.degree
-    if n > ORBIT_DEGREE_LIMIT:
-        raise SizeGuardError(f"orbits on pairs and triples are guarded to "
-                             f"degree <= {ORBIT_DEGREE_LIMIT}, got {n}")
+    check_orbit_degree(n)
     acts = [[a + b for a in [x * n for x in g] for b in g]
             for g in group.generators]
     return _forest(range(n * n), acts, n * n)

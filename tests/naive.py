@@ -1052,6 +1052,38 @@ def naive_field_neg(field, a):
     return field.element(-c for c in field.coeffs(a))
 
 
+def naive_field_mul(field, a, b):
+    """GF(p^k) product: the schoolbook product of the coefficient lists,
+    reduced by the monic modulus from the top degree down."""
+    p, k, modulus = field.p, field.k, field.modulus
+    product = [0] * (2 * k - 1)
+    for i, ca in enumerate(field.coeffs(a)):
+        for j, cb in enumerate(field.coeffs(b)):
+            product[i + j] += ca * cb
+    for top in range(2 * k - 2, k - 1, -1):
+        c = product[top] % p
+        for i in range(k + 1):
+            product[top - k + i] -= c * modulus[i]
+    return field.element(product[:k])
+
+
+def naive_primitive_element(field) -> int:
+    """The least primitive element, found by following each candidate's
+    powers until they return to 1, as first written (products by
+    :func:`naive_field_mul`)."""
+    q = field.q
+    for g in range(2, q):
+        e, order = g, 1
+        while e != 1:
+            e = naive_field_mul(field, e, g)
+            order += 1
+        if order == q - 1:
+            return g
+    if q == 2:
+        return 1
+    raise ConsistencyError("no primitive element found")
+
+
 # ---------------------------------------------------------------------------
 # Record classes: the frozen dataclass of the same declaration.
 

@@ -446,7 +446,7 @@ def test_construct_refuses_degree_over_orbit_guard(tmp_path, capsys):
     cycle = tmp_path / "cycle300.txt"
     cycle.write_text(" ".join(str((i + 1) % 300) for i in range(300)) + "\n",
                      encoding="utf-8")
-    for spec in ("agl1:257", f"file:{cycle}"):
+    for spec in ("agl1:257", "agl1:3001", f"file:{cycle}"):
         assert run(["construct", "--group", spec]) == 1
         err = capsys.readouterr().err
         assert "refused" in err and "degree <= 256" in err

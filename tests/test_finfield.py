@@ -1,9 +1,23 @@
+import random
+import tracemalloc
+
 import pytest
 
 import astriples as at
-from astriples.finfield import _primitive_element, field_from_order, make_field
+from astriples.finfield import FiniteField, field_from_order, make_field
 
-from naive import naive_chain_elements, naive_field_add, naive_field_neg
+from naive import (naive_chain_elements, naive_field_add, naive_field_mul,
+                   naive_field_neg, naive_primitive_element)
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+PRIME_POWERS = list(filter(_is_prime_power, range(2, 257)))
 
 
 def test_gf2_addition():
@@ -82,7 +96,7 @@ def test_format_element():
 def test_primitive_element():
     for q in (3, 4, 5, 7, 8, 9):
         f = field_from_order(q)
-        g = _primitive_element(f)
+        g = f.gamma
         seen = {1}
         x = g
         while x != 1:
@@ -128,7 +142,7 @@ def test_constructor_orders_match_formulas():
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         g = at.asl2_group(q)
         assert (g.degree, g.order) == (q * q, q**3 * (q * q - 1))
-        g = at.agl2_group(q, max_elements=10**8)
+        g = at.agl2_group(q)
         assert g.order == q * q * (q * q - 1) * (q * q - q)
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 31, 32):
         g = at.psl2_group(q)
@@ -180,3 +194,87 @@ def test_characteristic_two_addition_matches_the_digits(q):
             total = naive_field_add(field, a, b)
             assert field.add(a, b) == total
             assert field.sub(total, b) == a
+
+
+def naive_pow(field, a, n):
+    """a^n for n >= 0 by square-and-multiply on the schoolbook product."""
+    result = 1
+    for bit in bin(n)[2:]:
+        result = naive_field_mul(field, result, result)
+        if bit == "1":
+            result = naive_field_mul(field, result, a)
+    return result
+
+
+def test_prime_powers_up_to_256():
+    assert len(PRIME_POWERS) == 70
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_log_tables_match_the_schoolbook_product(q):
+    field = field_from_order(q)
+    assert field.gamma == naive_primitive_element(field)
+    if q <= 64:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+    for a, b in pairs:
+        assert field.mul(a, b) == naive_field_mul(field, a, b)
+        if b:
+            assert naive_field_mul(field, field.div(a, b), b) == a
+    for a in range(1, q):
+        assert naive_field_mul(field, a, field.inv(a)) == 1
+        assert naive_field_mul(field, field.pow(a, -5),
+                               naive_pow(field, a, 5)) == 1
+        assert field.pow(a, 0) == 1
+        assert field.pow(a, q + 3) == naive_pow(field, a, q + 3)
+    assert field.pow(0, 0) == 1 and field.pow(0, q + 3) == 0
+    with pytest.raises(at.PreconditionError):
+        field.pow(0, -1)
+    with pytest.raises(at.PreconditionError):
+        field.div(1, 0)
+
+
+def test_log_tables_of_gf_2_16_on_a_sample():
+    field = make_field(2, 16)
+    q = field.q
+    # gamma has order q - 1 = 3 * 5 * 17 * 257
+    assert naive_pow(field, field.gamma, q - 1) == 1
+    for r in (3, 5, 17, 257):
+        assert naive_pow(field, field.gamma, (q - 1) // r) != 1
+    rng = random.Random(16)
+    for _ in range(300):
+        a, b = rng.randrange(q), rng.randrange(1, q)
+        assert field.mul(a, b) == naive_field_mul(field, a, b)
+        assert naive_field_mul(field, b, field.inv(b)) == 1
+        assert field.pow(b, -5) == naive_pow(field, field.inv(b), 5)
+
+
+@pytest.mark.parametrize("p,modulus", [(2, (0, 0, 1)), (2, (1, 0, 1)),
+                                       (3, (2, 0, 1)), (2, (1, 1, 1, 1))])
+def test_reducible_modulus_raises(p, modulus):
+    with pytest.raises(at.ConsistencyError):
+        FiniteField(p, len(modulus) - 1, modulus)
+
+
+def test_degree_guard_fires_before_the_group_is_built(tmp_path):
+    path = tmp_path / "cycle3001.txt"
+    path.write_text(" ".join(str((i + 1) % 3001) for i in range(3001)) + "\n",
+                    encoding="utf-8")
+    cycle = f"file:{path}"
+    calls = [(289, at.asl2_group, 17), (289, at.agl2_group, 17),
+             (3001, at.agl1_group, 3001), (65536, at.agl1_group, 65536),
+             (3001, at.group_from_spec, cycle)]
+    fields = make_field.cache_info()
+    tracemalloc.start()
+    try:
+        for degree, build, arg in calls:
+            tracemalloc.reset_peak()
+            with pytest.raises(at.SizeGuardError, match="degree <= 256"):
+                build(arg)
+            assert tracemalloc.get_traced_memory()[1] < degree * degree
+    finally:
+        tracemalloc.stop()
+    # no field was asked for
+    assert make_field.cache_info()[:2] == fields[:2]

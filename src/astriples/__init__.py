@@ -16,8 +16,7 @@ SCHEME_FORMAT_VERSION = "1"
 _EXPORTS = {
     "core": (
         "AstScheme", "GroundSet", "IntersectionTensor", "TriplePartition",
-        "ValencyTable", "ViolationReport", "coordinate_class_action",
-        "ensure_ast", "intersection_numbers", "is_symmetric_ast",
+        "ValencyTable", "ViolationReport", "is_symmetric_ast",
         "partition_from_json", "scheme_to_json", "verify_ast"),
     "designs": (
         "TwoDesign", "TwoGraph", "complement_two_graph",
@@ -53,9 +52,8 @@ _EXPORTS = {
         "two_graph_from_ast", "two_graph_fusion", "vanishing_report",
         "verify_fusion_theorem"),
     "asl2": (
-        "Asl2Labeling", "check_asl2_nontrivial_products",
-        "check_asl2_trivial_products", "check_asl2_valencies",
-        "label_asl2_ast", "run_asl2_oracle"),
+        "check_asl2_nontrivial_products", "check_asl2_trivial_products",
+        "check_asl2_valencies", "run_asl2_oracle"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

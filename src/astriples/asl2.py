@@ -14,16 +14,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
+from math import isqrt
 
 from .constructions import ast_from_group
-from .core import AstScheme
 from .errors import ConsistencyError, PreconditionError
 from .finfield import FiniteField, asl2_group, field_from_order, point_index
-from .hypermatrix import (AlgebraElement, adjacency, class_product_mismatch,
-                          is_commutative_subalgebra, ternary_product)
+from .hypermatrix import (DENSE_LIMIT, AlgebraElement, adjacency,
+                          class_product_mismatch, is_commutative_subalgebra,
+                          ternary_product)
 from .record import Record
-
-ORACLE_Q_CAP = 8
 
 
 class Asl2Labeling(Record):
@@ -37,9 +36,9 @@ class Asl2Labeling(Record):
 
 @lru_cache(maxsize=None)
 def _context(q: int):
-    if not 2 <= q <= ORACLE_Q_CAP:
+    if not (2 <= q and q * q <= DENSE_LIMIT):
         raise PreconditionError(
-            f"oracle is guarded to 2 <= q <= {ORACLE_Q_CAP}")
+            f"oracle is guarded to 2 <= q <= {isqrt(DENSE_LIMIT)}")
     field = field_from_order(q)
     scheme = ast_from_group(asl2_group(q))
     zero = point_index(field, 0, 0)
@@ -64,11 +63,6 @@ def _context(q: int):
     return scheme, Asl2Labeling(q=q, field=field,
                                 point_labels=point_labels,
                                 line_labels=line_labels)
-
-
-def label_asl2_ast(q: int) -> tuple[AstScheme, Asl2Labeling]:
-    """The orbit scheme together with its point/line class labeling."""
-    return _context(q)
 
 
 class OracleCheck(Record):

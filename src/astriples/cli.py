@@ -70,7 +70,7 @@ def _one_chunk(to_text):
     return lambda obj: (to_text(obj),)
 
 
-def _load_scheme(path, full_check=None):
+def _load_scheme(path, full_check=False):
     """The scheme in the file at ``path``, refused unless it verifies
     (``full_check`` as :func:`verify_ast` takes it)."""
     from .core import ViolationReport, read_text
@@ -107,7 +107,7 @@ def _cmd_construct(args):
 def _cmd_verify(args):
     from .core import ViolationReport, read_text
     partition = partition_from_json(read_text(args.scheme))
-    result = verify_ast(partition, full_check=args.full_check or None)
+    result = verify_ast(partition, full_check=args.full_check)
     if isinstance(result, ViolationReport):
         print(f"INVALID: condition {result.condition}: {result.message}")
         return REFUSAL_EXIT
@@ -118,7 +118,7 @@ def _cmd_verify(args):
 
 def _cmd_params(args):
     import json
-    tensor = _load_scheme(args.scheme, args.full_check or None).tensor
+    tensor = _load_scheme(args.scheme, args.full_check).tensor
     entries = [[i, j, k, l, p] for (i, j, k, l, p) in tensor.nonzero()]
     print(f"classes={tensor.classes} nonzero_entries={len(entries)}")
     if args.tensor:

@@ -97,7 +97,7 @@ def _symmetric_subsets(scheme: AstScheme, labels) -> list:
 def design_from_symmetric_relation(scheme: AstScheme, i: int) -> TwoDesign:
     """The 3-subsets underlying a symmetric nontrivial relation, verified
     as a 2-design (its lambda equals the relation's third valency)."""
-    if i < 4 or i > scheme.m:
+    if scheme.check_label(i) < 4:
         raise PreconditionError(f"label {i} is not a nontrivial relation")
     from .designs import verify_design
     blocks = _symmetric_subsets(scheme, {i})
@@ -338,7 +338,7 @@ def two_graph_fusion(scheme: AstScheme, j_labels) -> TwoGraphFusionResult:
     in the index set has a nonzero intersection number, returns the
     quadruple instead of a two-graph.
     """
-    j_set = frozenset(j_labels)
+    j_set = frozenset(map(scheme.check_label, j_labels))
     nontrivial = set(scheme.nontrivial_labels)
     if len(nontrivial) <= 2:
         raise PreconditionError(

@@ -46,7 +46,7 @@ from functools import cached_property
 from itertools import chain, permutations, product, repeat
 from types import MappingProxyType
 
-from .errors import ConsistencyError, PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError
 from .record import Record
 
 Triple = tuple[int, int, int]
@@ -55,8 +55,8 @@ Triple = tuple[int, int, int]
 #: sigma sends (x_0, x_1, x_2) to (x_sigma[0], x_sigma[1], x_sigma[2]).
 COORD_PERMS: tuple[Triple, ...] = tuple(permutations(range(3)))
 
-#: Largest ground set for which intersection-number constancy is verified
-#: on every cell by default: nu points are counted at each cell x <= y <= z,
+#: Largest ground set for which intersection-number constancy is always
+#: verified on every cell: nu points are counted at each cell x <= y <= z,
 #: about nu^4 / 6 steps, and at all nu^3 cells only when that check fails.
 FULL_CHECK_LIMIT = 30
 
@@ -350,6 +350,10 @@ class AstScheme(Record):
     """A verified scheme on triples.
 
     Construct through :func:`verify_ast`; the fields are trusted downstream.
+    It also stores, beside the fields, ``action``: the read-only map from
+    each coordinate permutation sigma (in COORD_PERMS) to the tuple whose
+    entry i is the class that sigma maps R_i onto; and ``tensor``: the
+    :class:`IntersectionTensor` that condition 2 counted.
     """
 
     partition: TriplePartition
@@ -395,16 +399,6 @@ class AstScheme(Record):
         one nu^3-bit int, ``[l, slot]`` its nu product broadcasts."""
         return {}
 
-    @cached_property
-    def action(self) -> MappingProxyType:
-        """Stored by :func:`verify_ast`; see :func:`coordinate_class_action`."""
-        return _coordinate_action(self.labels, self.nu)
-
-    @cached_property
-    def tensor(self) -> IntersectionTensor:
-        """Intersection numbers under the default constancy policy."""
-        return intersection_numbers(self, self.nu <= FULL_CHECK_LIMIT)
-
     def serialized(self) -> tuple:
         """Hashable canonical form: (nu, per-class ascending flat indices),
         ordered as the per-class sorted triple lists are."""
@@ -430,15 +424,6 @@ def is_symmetric_ast(scheme: AstScheme) -> bool:
     """True iff every nontrivial relation is symmetric."""
     nontrivial = tuple(scheme.nontrivial_labels)
     return all(image[4:] == nontrivial for image in scheme.action.values())
-
-
-def coordinate_class_action(scheme: AstScheme) -> dict:
-    """The action of coordinate permutations on class labels.
-
-    Returns {sigma: label_map} where label_map[i] is the class that the
-    sigma-image of class i equals.  Well-defined on any verified scheme.
-    """
-    return dict(scheme.action)
 
 
 def _permuted(labels, nu, sigma):
@@ -566,44 +551,39 @@ def _orbit_signatures(labels, nu, n, action):
 def _class_signatures(labels, nu, n, full_check, action):
     """(sigs, bad) as :func:`_signatures` gives them for every cell with
     ``full_check``, else for the first cell of each class.  The full check
-    reads the sorted cells (:func:`_orbit_signatures`) when ``action`` is
-    the coordinate action, not the ``(sigma, i)`` of a failed condition 3,
-    and scans every cell only when that fails, so a failure names the
-    first bad cell in flat order."""
+    reads the sorted cells (:func:`_orbit_signatures`) through the
+    coordinate action ``action`` and scans every cell only when that
+    fails, so a failure names the first bad cell in flat order."""
     if not full_check:      # condition 1 puts each class in the first rows
         return _signatures(labels, nu, n, map(labels.index, range(n)))
-    if not isinstance(action, tuple):
-        sigs = _orbit_signatures(labels, nu, n, action)
-        if sigs is not None:
-            return sigs, None
+    sigs = _orbit_signatures(labels, nu, n, action)
+    if sigs is not None:
+        return sigs, None
     return _signatures(labels, nu, n, range(nu**3))
 
 
-def verify_ast(partition: TriplePartition, full_check=None):
+def verify_ast(partition: TriplePartition, full_check=False):
     """Check the four defining conditions.
 
     Returns a validated :class:`AstScheme` on success and a
     :class:`ViolationReport` naming the violated condition otherwise.
     Fewer than five classes raise :class:`StructuralError`; a partition
     of the cube into nonempty classes is guaranteed by
-    :class:`TriplePartition`.  The scheme keeps the condition-2 counts of
-    each class as its :class:`IntersectionTensor`.
+    :class:`TriplePartition`.  The scheme stores the coordinate action
+    that condition 3 found and, as its :class:`IntersectionTensor`, the
+    condition-2 counts of each class; nothing else computes either.
 
-    ``full_check`` controls condition 2: ``True`` verifies the constancy of
-    every intersection number on every cell, ``False`` computes from one
-    representative per class, ``None`` picks ``True`` for
-    nu <= FULL_CHECK_LIMIT.  The full check counts on the cells
-    x <= y <= z and carries those counts to the other cells through the
-    coordinate action (:func:`_orbit_signatures`); when that finds a
-    difference, every cell is counted in flat order and the report names
-    the first bad cell.
+    Condition 2 is checked on every cell when ``full_check`` is true or
+    nu <= FULL_CHECK_LIMIT, and otherwise counted on one representative
+    cell per class.  The full check counts on the cells x <= y <= z and
+    carries those counts to the other cells through the coordinate action
+    (:func:`_orbit_signatures`); when that finds a difference, every cell
+    is counted in flat order and the report names the first bad cell.
     """
     ground = partition.ground
     nu = ground.nu
     labels = partition.labels
     n = partition.m + 1
-    if full_check is None:
-        full_check = nu <= FULL_CHECK_LIMIT
     if n < 5:
         raise StructuralError(
             "a scheme needs the four trivial relations plus at least one "
@@ -646,7 +626,8 @@ def verify_ast(partition: TriplePartition, full_check=None):
                     f"permutation {sigma} is not a class")
 
     # Condition 2: intersection numbers, constant per class.
-    sigs, bad = _class_signatures(labels, nu, n, full_check, action)
+    sigs, bad = _class_signatures(labels, nu, n,
+                                  full_check or nu <= FULL_CHECK_LIMIT, action)
     if bad:
         idx, sig = bad
         l = labels[idx]
@@ -669,37 +650,9 @@ def verify_ast(partition: TriplePartition, full_check=None):
     return scheme
 
 
-def ensure_ast(partition: TriplePartition, full_check=None) -> AstScheme:
-    """Like :func:`verify_ast` but raises on a condition violation."""
-    result = verify_ast(partition, full_check=full_check)
-    if isinstance(result, ViolationReport):
-        raise PreconditionError(f"not a valid scheme: {result.message}")
-    return result
-
-
 def _tensor_from_sigs(sigs) -> IntersectionTensor:
     return IntersectionTensor(tuple(MappingProxyType(Counter(sig))
                                     for sig in sigs))
-
-
-def intersection_numbers(scheme: AstScheme, full_check=None) -> IntersectionTensor:
-    """The tensor of structure constants p_ijk^l.
-
-    With ``full_check`` (default on for nu <= FULL_CHECK_LIMIT) the counts
-    are checked on every cell, as :func:`verify_ast` checks them; a
-    mismatch raises :class:`ConsistencyError` since verified schemes
-    cannot produce one.
-    """
-    if full_check is None:
-        return scheme.tensor
-    nu, labels, n = scheme.nu, scheme.labels, scheme.m + 1
-    sigs, bad = _class_signatures(labels, nu, n, full_check,
-                                  scheme.action if full_check else None)
-    if bad:
-        raise ConsistencyError(
-            f"intersection numbers not constant on relation "
-            f"{labels[bad[0]]}; the scheme was not verified")
-    return _tensor_from_sigs(sigs)
 
 
 # ---------------------------------------------------------------------------

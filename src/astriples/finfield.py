@@ -25,7 +25,6 @@ from .permgroup import (PermutationGroup, check_orbit_degree,
                         group_from_elements)
 
 FIELD_SIZE_CAP = 2**16
-PSL_Q_CAP = 32
 
 
 def _is_prime(n: int) -> bool:
@@ -298,8 +297,7 @@ def psl2_group(q: int) -> PermutationGroup:
     Points 0..q-1 are the affine values, point q is infinity.  Order
     q (q^2 - 1) / gcd(2, q - 1).
     """
-    if q > PSL_Q_CAP:
-        raise SizeGuardError(f"psl2 construction is guarded to q <= {PSL_Q_CAP}")
+    check_orbit_degree(q + 1)
     field = field_from_order(q)
     expected = q * (q * q - 1) // (2 if q % 2 else 1)
     infinity = q

@@ -53,10 +53,6 @@ class CubicHypermatrix:
         self.nu = nu
         self.entries = entries
 
-    @classmethod
-    def zeros(cls, nu):
-        return cls(nu, (0,) * nu**3)
-
     def __getitem__(self, xyz):
         x, y, z = xyz
         return self.entries[(x * self.nu + y) * self.nu + z]
@@ -75,9 +71,6 @@ class CubicHypermatrix:
     def is_zero(self):
         return not any(self.entries)
 
-    def is_zero_one(self):
-        return _zero_one_bits(self.entries) is not None
-
     def scaled(self, c):
         return CubicHypermatrix(self.nu, tuple(c * v for v in self.entries))
 
@@ -86,15 +79,6 @@ class CubicHypermatrix:
             return NotImplemented
         return CubicHypermatrix(
             self.nu, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def entry_sum(self):
-        return sum(self.entries)
-
-    def dump_nonzero(self) -> str:
-        """Diagnostic dump: one "x y z value" line per nonzero entry."""
-        cells = product(range(self.nu), repeat=3)
-        return "".join(f"{x} {y} {z} {v}\n"
-                       for (x, y, z), v in zip(cells, self.entries) if v)
 
 
 def adjacency(scheme: AstScheme, i: int) -> CubicHypermatrix:
@@ -448,12 +432,6 @@ class TernaryFieldCertificate(Record):
     p444: int
     identity_scaling: Fraction
     verified_products: tuple
-
-    def inverse_scaling(self, c) -> Fraction:
-        from fractions import Fraction
-        if c == 0:
-            raise PreconditionError("zero has no inverse")
-        return Fraction(1, 1) / (c * self.p444)
 
 
 def ternary_field_certificate(scheme: AstScheme, sample_scalars=None):

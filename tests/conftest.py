@@ -47,11 +47,19 @@ def ag23_blocks():
     return sorted(blocks)
 
 
+def verified(partition):
+    """The scheme :func:`verify_ast` makes of ``partition``, which must
+    verify."""
+    result = at.verify_ast(partition)
+    assert isinstance(result, at.AstScheme), result
+    return result
+
+
 @pytest.fixture(scope="session")
 def three_point():
     ground = at.GroundSet(3)
     partition = at.TriplePartition(ground, THREE_POINT_RELATIONS)
-    return at.ensure_ast(partition)
+    return verified(partition)
 
 
 @pytest.fixture(scope="session")
@@ -77,8 +85,8 @@ def psl11_scheme(psl11_group):
 
 @pytest.fixture(scope="session")
 def asl2_schemes():
-    from astriples.asl2 import label_asl2_ast
-    return {q: label_asl2_ast(q) for q in (2, 3, 4, 5)}
+    from astriples.asl2 import _context
+    return {q: _context(q) for q in (2, 3, 4, 5)}
 
 
 @pytest.fixture(scope="session")

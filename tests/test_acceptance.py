@@ -19,7 +19,7 @@ from itertools import product
 import pytest
 
 import astriples as at
-from astriples.asl2 import run_asl2_oracle
+from astriples.asl2 import _context, run_asl2_oracle
 from astriples.constructions import vanishing_report
 from astriples.enumeration import EnumerationTask, enumerate_asts, enumerate_circulant
 
@@ -68,7 +68,7 @@ def test_criterion_3_asl2_oracle():
     for q in (2, 3, 4, 5):
         report = run_asl2_oracle(q)
         assert report.nontrivial_relations == 2 * q - 3
-        scheme, _ = at.label_asl2_ast(q)
+        scheme, _ = _context(q)
         thirds = sorted(scheme.valencies.third(i)
                         for i in scheme.nontrivial_labels)
         assert thirds == [1] * (q - 2) + [q] * (q - 1)
@@ -84,7 +84,7 @@ def test_criterion_3_asl2_oracle():
 
 def test_criterion_4_fusion_theorem(constructed_schemes):
     for q in (2, 3):
-        fine = at.label_asl2_ast(q)[0]
+        fine = _context(q)[0]
         coarse = at.ast_from_group(at.agl2_group(q))
         grouping = at.is_fission_of(fine, coarse)
         assert grouping is not None

@@ -3,9 +3,9 @@ import json
 import pytest
 
 import astriples as at
-from astriples.asl2 import (check_asl2_nontrivial_products,
+from astriples.asl2 import (_context, check_asl2_nontrivial_products,
                             check_asl2_trivial_products, check_asl2_valencies,
-                            label_asl2_ast, run_asl2_oracle)
+                            run_asl2_oracle)
 from astriples.finfield import field_from_order
 
 
@@ -25,10 +25,10 @@ def test_labeling_q3_field_elements(asl2_schemes):
 
 
 def test_labeling_guard():
+    with pytest.raises(at.PreconditionError, match="2 <= q <= 8"):
+        _context(9)
     with pytest.raises(at.PreconditionError):
-        label_asl2_ast(9)
-    with pytest.raises(at.PreconditionError):
-        label_asl2_ast(1)
+        _context(1)
 
 
 def test_point_classes_follow_affine_ratio(asl2_schemes):
@@ -160,7 +160,7 @@ def test_oracle_drops_its_class_broadcasts(monkeypatch):
     # a second run, which builds them again, gives the same report
     from astriples import asl2
     first = run_asl2_oracle(4)
-    scheme, _ = label_asl2_ast(4)
+    scheme, _ = _context(4)
     assert scheme.bit_cache == {}
     assert run_asl2_oracle(4) == first
     assert scheme.bit_cache == {}

@@ -21,6 +21,7 @@ from astriples.enumeration import (EnumerationTask, are_isomorphic,
                                    enumerate_circulant)
 from astriples.finfield import field_from_order, point_index
 
+from conftest import verified
 from naive import (naive_canonical_key, naive_class_map_search,
                    naive_find_regular_two_graphs,
                    naive_gray_code_find_regular_two_graphs,
@@ -228,7 +229,7 @@ def _relabeled(scheme, rng):
     for idx, label in enumerate(scheme.labels):
         x, y, z = idx // (nu * nu), idx // nu % nu, idx % nu
         labels[(perm[x] * nu + perm[y]) * nu + perm[z]] = rename[label]
-    return at.ensure_ast(at.TriplePartition.from_labels(scheme.ground, labels))
+    return verified(at.TriplePartition.from_labels(scheme.ground, labels))
 
 
 def test_canonical_keys_match_reference():

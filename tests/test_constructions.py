@@ -291,7 +291,7 @@ def test_fused_adjacency_is_sum_of_fine(asl2_schemes):
     coarse = at.ast_from_group(at.agl2_group(3))
     grouping = at.is_fission_of(fine, coarse)
     for alpha in range(coarse.m + 1):
-        total = at.CubicHypermatrix.zeros(fine.nu)
+        total = at.CubicHypermatrix(fine.nu, (0,) * fine.nu**3)
         for i in grouping.fine_of(alpha):
             total = total + at.adjacency(fine, i)
         assert total == at.adjacency(coarse, alpha)
@@ -311,7 +311,7 @@ def test_fused_product_expansion(asl2_schemes):
                 lhs = at.ternary_product(at.adjacency(coarse, alpha),
                                          at.adjacency(coarse, beta),
                                          at.adjacency(coarse, gamma))
-                acc = at.CubicHypermatrix.zeros(fine.nu)
+                acc = at.CubicHypermatrix(fine.nu, (0,) * fine.nu**3)
                 for delta in range(coarse.m + 1):
                     p = coarse_t.get(alpha, beta, gamma, delta)
                     if p:
@@ -378,6 +378,16 @@ def test_two_graph_fusion_preconditions(fano_scheme, asl2_schemes):
         at.two_graph_fusion(scheme, [labeling.line_labels[1]])  # not symmetric
     with pytest.raises(at.PreconditionError):
         at.two_graph_fusion(scheme, [1])
+
+
+@pytest.mark.parametrize("label", [4.0, "4"])
+def test_symmetric_class_constructions_refuse_non_int_labels(asl2_schemes,
+                                                             label):
+    scheme, _ = asl2_schemes[4]
+    with pytest.raises(at.PreconditionError, match="outside 0.."):
+        at.two_graph_fusion(scheme, [label])
+    with pytest.raises(at.PreconditionError, match="outside 0.."):
+        at.design_from_symmetric_relation(scheme, label)
 
 
 def test_two_graph_fusion_search_is_empty_at_desk_scale(asl2_schemes):

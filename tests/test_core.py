@@ -10,7 +10,7 @@ import astriples as at
 from astriples import core
 from astriples.core import COORD_PERMS, cube_typecode, trivial_cube
 
-from conftest import THREE_POINT_RELATIONS
+from conftest import THREE_POINT_RELATIONS, verified
 from naive import (is_symmetric_relation, naive_classes, naive_full_tensor,
                    naive_is_ast, naive_label_map, naive_trivial_relations,
                    naive_valencies, permute_relation)
@@ -118,11 +118,14 @@ def _two_fano_planes_partition():
 
 
 def test_verify_ast_exact_condition_two_failure():
-    # the two-plane split isolates the condition-2 report path
-    report = at.verify_ast(_two_fano_planes_partition())
-    assert isinstance(report, at.ViolationReport)
-    assert report.condition == 2
-    assert report.witness
+    # the two-plane split isolates the condition-2 report path; its
+    # representative cells agree, and at nu = 7 <= FULL_CHECK_LIMIT no
+    # value of full_check skips the check of every cell
+    for full_check in (False, True):
+        report = at.verify_ast(_two_fano_planes_partition(), full_check)
+        assert isinstance(report, at.ViolationReport)
+        assert report.condition == 2
+        assert report.witness
 
 
 def test_trivial_group_orbit_partition_rejected_as_decided_by_oracle():
@@ -193,7 +196,7 @@ def test_intersection_sum_identity(constructed_schemes):
 def test_fano_tensor_matches_naive_oracle(fano_scheme):
     classes = naive_classes(fano_scheme)
     want = naive_full_tensor(7, classes)
-    tensor = at.intersection_numbers(fano_scheme, full_check=True)
+    tensor = at.verify_ast(fano_scheme.partition, full_check=True).tensor
     c = fano_scheme.m + 1
     for i in range(c):
         for j in range(c):
@@ -242,7 +245,7 @@ def test_symmetry_predicates(three_point, fano_scheme):
 
 def test_coordinate_class_action_is_an_action(three_point, fano_scheme, asl2_schemes):
     for scheme in (three_point, fano_scheme, asl2_schemes[3][0]):
-        action = at.coordinate_class_action(scheme)
+        action = dict(scheme.action)
         ident = action[(0, 1, 2)]
         assert ident == tuple(range(scheme.m + 1))
         for s1 in COORD_PERMS:
@@ -254,7 +257,7 @@ def test_coordinate_class_action_is_an_action(three_point, fano_scheme, asl2_sch
 
 
 def test_condition_three_closure_on_labels(three_point):
-    action = at.coordinate_class_action(three_point)
+    action = dict(three_point.action)
     swap_first_last = action[(2, 1, 0)]
     assert swap_first_last[1] == 3 and swap_first_last[3] == 1
     assert swap_first_last[4] == 4
@@ -280,7 +283,7 @@ def test_json_round_trip(three_point, fano_scheme):
     for scheme in (three_point, fano_scheme):
         text = at.scheme_to_json(scheme)
         partition = at.partition_from_json(text)
-        again = at.ensure_ast(partition)
+        again = verified(partition)
         assert again.serialized() == scheme.serialized()
         assert at.scheme_to_json(again) == text
 
@@ -292,22 +295,6 @@ def test_json_rejects_malformed():
         at.partition_from_json('{"nu": 3}')
     with pytest.raises(at.StructuralError):
         at.partition_from_json('{"nu": 3, "relations": [[[0, 1]]]}')
-
-
-def test_intersection_numbers_detect_bypassed_verification():
-    # hand-build a scheme object around a partition that is NOT regular;
-    # the full-check tensor computation must flag the inconsistency
-    ground = at.GroundSet(4)
-    trivial = naive_trivial_relations(4)
-    distinct = [t for t in product(range(4), repeat=3) if len(set(t)) == 3]
-    part_a = tuple(t for t in distinct if t[2] == (t[0] + 1) % 4)
-    part_b = tuple(t for t in distinct if t not in set(part_a))
-    partition = at.TriplePartition(ground, tuple(trivial) + (part_a, part_b))
-    assert isinstance(at.verify_ast(partition), at.ViolationReport)
-    bogus = at.AstScheme(partition=partition,
-                         valencies=at.ValencyTable(((0, 0, 0),) * 6))
-    with pytest.raises(at.ConsistencyError):
-        at.intersection_numbers(bogus, full_check=True)
 
 
 def _report_meets_the_definition(nu, classes, report):
@@ -406,9 +393,7 @@ def test_verify_ast_agrees_with_naive_checker_on_random_partitions():
 
 
 def test_full_check_default_matches_explicit(three_point):
-    assert at.intersection_numbers(three_point) == \
-        at.intersection_numbers(three_point, full_check=True)
-    assert at.intersection_numbers(three_point, full_check=False) == \
+    assert at.verify_ast(three_point.partition, full_check=True).tensor == \
         three_point.tensor
 
 
@@ -436,7 +421,7 @@ def test_condition_two_reads_one_cell_per_coordinate_orbit(
         del scans[:]
         fresh = at.verify_ast(at.TriplePartition.from_labels(scheme.ground,
                                                              scheme.labels))
-        full = at.intersection_numbers(fresh, full_check=True)
+        full = at.verify_ast(fresh.partition, full_check=True).tensor
         assert scans and not any(isinstance(cells, range)
                                  for cells in scans), name
         for tensor in (fresh.tensor, full):
@@ -626,7 +611,7 @@ def test_class_action_matches_relation_images(constructed_schemes):
     for name, scheme in constructed_schemes.items():
         classes = scheme.partition.classes
         index = {rel: i for i, rel in enumerate(classes)}
-        action = at.coordinate_class_action(scheme)
+        action = dict(scheme.action)
         for sigma in COORD_PERMS:
             assert action[sigma] == tuple(
                 index[permute_relation(rel, sigma)]
@@ -726,14 +711,13 @@ def test_verified_schemes_are_read_not_rechecked(monkeypatch, asl2_schemes,
     monkeypatch.setattr(core.TriplePartition, "classes", property(
         lambda self: relations.append(self)))
     scheme, labeling = asl2_schemes[3]
-    fresh = at.ensure_ast(at.TriplePartition.from_labels(scheme.ground,
-                                                         scheme.labels))
-    two_graph = at.ensure_ast(at.TriplePartition.from_labels(
+    fresh = verified(at.TriplePartition.from_labels(scheme.ground,
+                                                    scheme.labels))
+    two_graph = verified(at.TriplePartition.from_labels(
         at.GroundSet(6), at.ast_from_two_graph(six_point_two_graph).labels))
     assert copies == [(0, 2, 1), (1, 0, 2)] * 3
     del copies[:]
     assert not at.is_symmetric_ast(fresh)
-    assert at.coordinate_class_action(fresh) == fresh.action
     j_label = labeling.point_labels[2]
     assert at.two_graph_fusion(fresh, [j_label]).failing_quadruple
     with pytest.raises(at.PreconditionError, match="not symmetric"):

@@ -8,6 +8,7 @@ from astriples.enumeration import (EnumerationTask, are_isomorphic,
                                    canonical_key, enumerate_asts,
                                    enumerate_circulant)
 
+from conftest import verified
 from naive import all_set_partitions, naive_is_ast, naive_trivial_relations
 
 
@@ -184,7 +185,7 @@ def test_enumerated_schemes_verify_and_are_pairwise_distinct():
     for nu in (4, 5):
         result = census(nu)
         for scheme in result:
-            again = at.ensure_ast(scheme.partition)
+            again = verified(scheme.partition)
             assert again.valencies == scheme.valencies
         for i, a in enumerate(result):
             for b in result[i + 1:]:
@@ -244,7 +245,7 @@ def test_are_isomorphic_relabeled_copy(three_point, fano_scheme):
         # may land in any order, so rebuild a valid partition first
         trivial = naive_trivial_relations(nu)
         nontrivial = sorted(classes[4:])
-        relabeled = at.ensure_ast(at.TriplePartition(
+        relabeled = verified(at.TriplePartition(
             ground, tuple(trivial) + tuple(nontrivial)))
         witness = are_isomorphic(scheme, relabeled)
         assert witness is not None
@@ -277,7 +278,7 @@ def test_canonical_key_is_relabeling_invariant(three_point):
         nontrivial = sorted(
             tuple(sorted((perm[x], perm[y], perm[z]) for x, y, z in rel))
             for rel in scheme.partition.classes[4:])
-        relabeled = at.ensure_ast(at.TriplePartition(
+        relabeled = verified(at.TriplePartition(
             ground, tuple(trivial) + tuple(nontrivial)))
         assert canonical_key(relabeled) == key
 

@@ -265,7 +265,7 @@ def test_degree_guard_fires_before_the_group_is_built(tmp_path):
     cycle = f"file:{path}"
     calls = [(289, at.asl2_group, 17), (289, at.agl2_group, 17),
              (3001, at.agl1_group, 3001), (65536, at.agl1_group, 65536),
-             (3001, at.group_from_spec, cycle)]
+             (3001, at.group_from_spec, cycle), (258, at.psl2_group, 257)]
     fields = make_field.cache_info()
     tracemalloc.start()
     try:
@@ -278,3 +278,11 @@ def test_degree_guard_fires_before_the_group_is_built(tmp_path):
         tracemalloc.stop()
     # no field was asked for
     assert make_field.cache_info()[:2] == fields[:2]
+
+
+@pytest.mark.parametrize("q, classes", [(49, 6), (64, 5)])
+def test_psl2_is_guarded_by_degree_only(q, classes):
+    # no cap on q besides the degree guard: PSL(2, q) on q + 1 points is
+    # three-transitive for even q, with one more class for odd q
+    scheme = at.ast_from_group(at.psl2_group(q))
+    assert (scheme.nu, scheme.m + 1) == (q + 1, classes)

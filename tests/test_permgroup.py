@@ -10,7 +10,7 @@ from astriples.permgroup import (CYCLE_SEARCH_LIMIT, ORBIT_DEGREE_LIMIT,
                                  identity_perm, inverse_perm,
                                  parse_permutation_line)
 
-from conftest import PSL11_CYCLE
+from conftest import PSL11_CYCLE, verified
 from naive import (naive_chain_elements, naive_classes, naive_close,
                    naive_closure, naive_cycle_orbits_on_relation,
                    naive_is_invariant, naive_is_thin, naive_orbits_on_triples,
@@ -72,7 +72,7 @@ def test_orbits_on_triples_full_symmetric_group():
     for n in (3, 4, 5):
         partition = at.orbits_on_triples(symmetric_group(n))
         assert len(partition.classes) == 5
-        scheme = at.ensure_ast(partition)
+        scheme = verified(partition)
         assert scheme.valencies.third(4) == n - 2
 
 
@@ -88,7 +88,7 @@ def test_orbit_sizes_sum_to_cube(psl11_group):
 
 
 def test_two_transitive_orbit_partition_verifies(psl11_group):
-    scheme = at.ensure_ast(at.orbits_on_triples(psl11_group))
+    scheme = verified(at.orbits_on_triples(psl11_group))
     assert scheme.m - 3 == 2
 
 

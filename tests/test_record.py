@@ -131,8 +131,6 @@ def test_library_records_behave_as_their_dataclass_twins(three_point):
     twin = dataclass_twin(hypermatrix.AlgebraElement)(three_point, coeffs)
     assert element.coeffs == twin.coeffs == (0, 0, 0, 0, 1)
     scheme = core.AstScheme(three_point.partition, three_point.valencies)
-    assert not {"action", "tensor", "bit_cache"} & set(scheme.__dict__)
-    assert scheme.action == three_point.action
-    assert scheme.tensor == three_point.tensor and scheme.bit_cache == {}
-    assert scheme.__dict__["tensor"] is scheme.tensor
+    assert "bit_cache" not in scheme.__dict__
+    assert scheme.bit_cache == {}
     assert scheme.__dict__["bit_cache"] is scheme.bit_cache

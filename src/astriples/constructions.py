@@ -202,11 +202,6 @@ class FusionGrouping(Record):
     def all_nontrivial_into_one(cls, m: int):
         return cls(((0,), (1,), (2,), (3,), tuple(range(4, m + 1))))
 
-    @property
-    def n(self) -> int:
-        """Largest coarse label."""
-        return len(self.groups) - 1
-
     def validate(self, m: int):
         flat = [i for g in self.groups for i in g]
         if sorted(flat) != list(range(m + 1)):

@@ -374,7 +374,9 @@ class AstScheme(Record):
     def check_label(self, i) -> int:
         """``i`` when it is a class label 0..m, else
         :class:`PreconditionError`."""
-        if type(i) is not int or not 0 <= i <= self.m:
+        if type(i) is not int:
+            raise PreconditionError(f"label {i!r} is not an int")
+        if not 0 <= i <= self.m:
             raise PreconditionError(f"label {i!r} outside 0..{self.m}")
         return i
 
@@ -448,11 +450,7 @@ def label_map(labels, images):
     image = tuple(images[c] for c in _first_cells(labels))
     if relabel(labels, image) == images:
         return image
-    pairs = set(zip(labels, images))
-    image = dict(pairs)
-    if len(image) == len(pairs):
-        return tuple(image[i] for i in range(len(image)))
-    return min(i for i, j in pairs if image[i] != j)
+    return min(i for i, j in set(zip(labels, images)) if image[i] != j)
 
 
 def _coordinate_action(labels, nu):
@@ -662,12 +660,13 @@ def _tensor_from_sigs(sigs) -> IntersectionTensor:
 # R_0..R_m, triples lexicographic, all integers 0-based.
 
 def scheme_json_chunks(obj):
-    """The JSON text of a scheme or partition, one class at a time, each
-    class in cube order: joined, the bytes of ``json.dumps``.
+    """The JSON text of a scheme or partition, one slab of one class at a
+    time, each class in cube order: joined, the bytes of ``json.dumps``.
 
     One pass groups the cells of each slab x by class, as indices into the
-    ``"y, z]"`` texts; a class's text is joined from them when it is
-    asked for, so a writer holds one class's text at a time."""
+    ``"y, z]"`` texts; a slab's piece of a class is joined from them when
+    it is asked for, so a writer holds at most ν² triples' text at a
+    time."""
     partition = obj.partition if isinstance(obj, AstScheme) else obj
     nu, labels, n = partition.ground.nu, partition.labels, partition.m + 1
     nu2 = nu * nu
@@ -687,11 +686,16 @@ def scheme_json_chunks(obj):
     yield f'{{"nu": {nu}, "relations": ['
     for label in range(n):
         # ", [x, ".join(["", "y, z]", ..]) puts ", [x, " before each cell
-        # of the slab, so the slabs concatenate; the first ", " is cut.
-        cells = "".join([lead.join(chain(("",), map(
-            texts.__getitem__, order[ends[label]:ends[label + 1]])))
-            for lead, order, ends in slabs])
-        yield ("[" if label == 0 else ", [") + cells[2:] + "]"
+        # of the slab, so the slabs concatenate; a class's first ", " is cut.
+        cut = 2
+        yield "[" if label == 0 else ", ["
+        for lead, order, ends in slabs:
+            piece = lead.join(chain(("",), map(
+                texts.__getitem__, order[ends[label]:ends[label + 1]])))
+            if piece:
+                yield piece[cut:]
+                cut = 0
+        yield "]"
     yield "]}\n"
 
 

@@ -7,7 +7,8 @@ identities.  The modulus is the first monic irreducible of degree k in
 that encoding order, making every construction reproducible.
 
 Products, inverses, quotients and powers read log tables, which the
-polynomial product ``_mul_raw`` fills once per field.
+polynomial product ``_mul_raw`` fills once per field.  Fields stop at
+q = ``ORBIT_DEGREE_LIMIT`` (256), the largest any group family asks for.
 
 Group constructors build only a few generators (translations, elementary
 transvections and, for the general groups, a primitive-element scaling)
@@ -21,10 +22,8 @@ from functools import lru_cache
 
 from .errors import (ConsistencyError, PreconditionError, SizeGuardError,
                      StructuralError)
-from .permgroup import (PermutationGroup, check_orbit_degree,
-                        group_from_elements)
-
-FIELD_SIZE_CAP = 2**16
+from .permgroup import (ORBIT_DEGREE_LIMIT, PermutationGroup,
+                        check_orbit_degree, group_from_elements)
 
 
 def _is_prime(n: int) -> bool:
@@ -174,49 +173,27 @@ class FiniteField:
         return "(" + ",".join(str(c) for c in self.coeffs(a)) + ")"
 
 
-def _verify_field(field: FiniteField):
-    q = field.q
-    if q > 64:
-        return
-    for a in range(1, q):
-        if field.mul(a, field.inv(a)) != 1:
-            raise ConsistencyError(f"inverse failure at element {a}")
-    sample = range(q) if q <= 16 else range(0, q, max(1, q // 16))
-    for a in sample:
-        for b in sample:
-            for c in sample:
-                lhs = field.mul(field.mul(a, b), c)
-                if lhs != field.mul(a, field.mul(b, c)):
-                    raise ConsistencyError("multiplication not associative")
-                if field.mul(a, field.add(b, c)) != field.add(
-                        field.mul(a, b), field.mul(a, c)):
-                    raise ConsistencyError("distributivity failure")
-
-
 @lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FiniteField:
     """GF(p^k) with the first monic irreducible modulus of degree k.
 
     Deterministic across runs: moduli are scanned in integer-encoding
-    order of their non-leading coefficients.
+    order of their non-leading coefficients.  A field past
+    ``ORBIT_DEGREE_LIMIT`` elements raises :class:`SizeGuardError` before
+    p is tested for primality or any table is filled.
     """
-    if not _is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
     if k < 1:
         raise PreconditionError("extension degree must be positive")
-    if p**k > FIELD_SIZE_CAP:
-        raise SizeGuardError(f"field size {p**k} exceeds cap {FIELD_SIZE_CAP}")
-    modulus = None
+    if p**k > ORBIT_DEGREE_LIMIT:
+        raise SizeGuardError(
+            f"field size {p**k} exceeds cap {ORBIT_DEGREE_LIMIT}")
+    if not _is_prime(p):
+        raise PreconditionError(f"{p} is not prime")
     for enc in range(p**k):
-        cand = _digits(enc, p, k) + [1]
-        if _is_irreducible(cand, p):
-            modulus = cand
+        modulus = _digits(enc, p, k) + [1]
+        if _is_irreducible(modulus, p):
             break
-    if modulus is None:
-        raise ConsistencyError(f"no irreducible of degree {k} over GF({p})")
-    field = FiniteField(p, k, modulus)
-    _verify_field(field)
-    return field
+    return FiniteField(p, k, modulus)
 
 
 def field_from_order(q: int) -> FiniteField:

@@ -434,19 +434,16 @@ class TernaryFieldCertificate(Record):
     verified_products: tuple
 
 
-def ternary_field_certificate(scheme: AstScheme, sample_scalars=None):
+def ternary_field_certificate(scheme: AstScheme):
     """Certificate for single-nontrivial-relation schemes, or None.
 
     None is returned when p_444^4 = 0, where no identity-like scaling
-    exists.  Each sample scalar c is checked in coefficient space:
-    (e, A_4, c A_4) reproduces c A_4 and (c A_4, inv(c) A_4, x) fixes x.
-    ``sample_scalars`` defaults to (1, 2, 3, 5/7).  ``fractions`` is
-    imported here, so the commands that never ask for a certificate do
-    not load it.
+    exists.  Each of the scalars c = 1, 2, 3 and 5/7 is checked in
+    coefficient space: (e, A_4, c A_4) reproduces c A_4 and
+    (c A_4, inv(c) A_4, x) fixes x.  ``fractions`` is imported here, so
+    the commands that never ask for a certificate do not load it.
     """
     from fractions import Fraction
-    if sample_scalars is None:
-        sample_scalars = (1, 2, 3, Fraction(5, 7))
     if scheme.m != 4:
         raise PreconditionError(
             "certificate requires exactly one nontrivial relation, "
@@ -458,7 +455,7 @@ def ternary_field_certificate(scheme: AstScheme, sample_scalars=None):
     e = AlgebraElement.basis(scheme, 4).scaled(ident)
     a4 = AlgebraElement.basis(scheme, 4)
     checks = []
-    for c in sample_scalars:
+    for c in (1, 2, 3, Fraction(5, 7)):
         target = a4.scaled(c)
         repro = product_in_coefficients(e, a4, target)
         inv = a4.scaled(Fraction(1, 1) / (c * p))

@@ -377,8 +377,6 @@ def orbits_on_triples(group: PermutationGroup) -> TriplePartition:
         # R_0..R_3 first, keyed by their least cells (0, 0, 0), (0, 1, 1),
         # (0, 1, 0) and (0, 0, 1), in the rows of the roots 0 and 1
         lead = [keys[0][0], keys[1][1], keys[1][0], keys[0][1]]
-        if len(set(lead)) != 4:
-            raise ConsistencyError("trivial orbits collide")
         order = lead + [key for key in order if key not in lead]
     rank = {key: label for label, key in enumerate(order)}
     typecode = cube_typecode(len(order))

@@ -384,10 +384,16 @@ def test_two_graph_fusion_preconditions(fano_scheme, asl2_schemes):
 def test_symmetric_class_constructions_refuse_non_int_labels(asl2_schemes,
                                                              label):
     scheme, _ = asl2_schemes[4]
-    with pytest.raises(at.PreconditionError, match="outside 0.."):
+    with pytest.raises(at.PreconditionError, match="is not an int"):
         at.two_graph_fusion(scheme, [label])
-    with pytest.raises(at.PreconditionError, match="outside 0.."):
+    with pytest.raises(at.PreconditionError, match="is not an int"):
         at.design_from_symmetric_relation(scheme, label)
+
+
+def test_check_label_names_an_int_out_of_range(asl2_schemes):
+    scheme, _ = asl2_schemes[4]
+    with pytest.raises(at.PreconditionError, match="label 9 outside 0..8"):
+        scheme.check_label(9)
 
 
 def test_two_graph_fusion_search_is_empty_at_desk_scale(asl2_schemes):

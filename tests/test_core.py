@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from array import array
@@ -286,6 +287,17 @@ def test_json_round_trip(three_point, fano_scheme):
         again = verified(partition)
         assert again.serialized() == scheme.serialized()
         assert at.scheme_to_json(again) == text
+
+
+def test_json_chunks_hold_at_most_one_slab(constructed_schemes):
+    # the writer yields one slab of one class at a time: at most nu^2
+    # triples of text, however large a class is
+    scheme = constructed_schemes["agl2_3"]
+    chunks = list(core.scheme_json_chunks(scheme))
+    relations = [list(map(list, rel)) for rel in scheme.partition.classes]
+    assert "".join(chunks) == json.dumps(
+        {"nu": scheme.nu, "relations": relations}) + "\n"
+    assert max(map(len, chunks)) <= scheme.nu**2 * len(", [8, 8, 8]") == 891
 
 
 def test_json_rejects_malformed():

@@ -267,6 +267,28 @@ def test_are_isomorphic_distinguishes(three_point):
     assert are_isomorphic(three_point, result[0]) is None
 
 
+def test_are_isomorphic_exhausts_its_search_on_equal_profiles():
+    # the cyclic STS(13) and its Pasch switch: equal class profiles pass
+    # the profile filter, and the backtracking finds no point bijection
+    cyclic = [tuple(sorted((b + t) % 13 for b in base))
+              for base in ((0, 1, 4), (0, 2, 7)) for t in range(13)]
+    pasch = [(0, 6, 8), (1, 6, 12), (0, 3, 12), (1, 3, 8)]
+    switched = [b for b in cyclic if b not in pasch] + [
+        (0, 6, 12), (1, 6, 8), (0, 3, 8), (1, 3, 12)]
+    assert len(switched) == len(cyclic) == 26
+    s, t = (at.ast_from_design(at.verify_design(13, blocks))
+            for blocks in (cyclic, switched))
+    assert are_isomorphic(s, t) is None
+    assert are_isomorphic(s, s) is not None
+
+
+def test_enumeration_guard_of_a_non_transitive_group():
+    swap = at.close([at.perm_from_cycles(7, [(0, 1)])])
+    with pytest.raises(at.SizeGuardError, match=r"guard \(6\)"):
+        enumerate_asts(EnumerationTask(ground=at.GroundSet(7),
+                                       invariance=swap))
+
+
 def test_canonical_key_is_relabeling_invariant(three_point):
     result = census(4)
     for scheme in result:

@@ -185,15 +185,34 @@ def test_group_from_spec(tmp_path):
         at.group_from_spec("file:/nonexistent/path.txt")
 
 
-@pytest.mark.parametrize("q", [4, 8, 16, 32])
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 256])
 def test_characteristic_two_addition_matches_the_digits(q):
+    # every pair up to q = 64, 24 sampled rows of pairs above
     field = field_from_order(q)
-    for a in range(q):
+    rng = random.Random(q)
+    rows = range(q) if q <= 64 else rng.sample(range(q), 24)
+    for a in rows:
         assert field.neg(a) == naive_field_neg(field, a)
         for b in range(q):
             total = naive_field_add(field, a, b)
             assert field.add(a, b) == total
             assert field.sub(total, b) == a
+
+
+@pytest.mark.parametrize("q", [25, 27, 49])
+def test_associativity_and_distributivity_on_a_sample(q):
+    # every (q // 16)-th element, beyond the exhaustive axioms at q <= 9
+    field = field_from_order(q)
+    sample = range(0, q, q // 16)
+    for a in sample:
+        for b in sample:
+            for c in sample:
+                assert field.mul(field.mul(a, b), c) == \
+                    field.mul(a, field.mul(b, c))
+                assert field.add(field.add(a, b), c) == \
+                    field.add(a, field.add(b, c))
+                assert field.mul(a, field.add(b, c)) == \
+                    field.add(field.mul(a, b), field.mul(a, c))
 
 
 def naive_pow(field, a, n):
@@ -236,19 +255,18 @@ def test_log_tables_match_the_schoolbook_product(q):
         field.div(1, 0)
 
 
-def test_log_tables_of_gf_2_16_on_a_sample():
-    field = make_field(2, 16)
-    q = field.q
-    # gamma has order q - 1 = 3 * 5 * 17 * 257
-    assert naive_pow(field, field.gamma, q - 1) == 1
-    for r in (3, 5, 17, 257):
-        assert naive_pow(field, field.gamma, (q - 1) // r) != 1
-    rng = random.Random(16)
-    for _ in range(300):
-        a, b = rng.randrange(q), rng.randrange(1, q)
-        assert field.mul(a, b) == naive_field_mul(field, a, b)
-        assert naive_field_mul(field, b, field.inv(b)) == 1
-        assert field.pow(b, -5) == naive_pow(field, field.inv(b), 5)
+def test_fields_stop_at_the_degree_guard():
+    # refused before any table is filled; q = 256 is the largest field
+    tracemalloc.start()
+    try:
+        for p, k in ((2, 9), (257, 1), (3, 6), (2**61 - 1, 1)):
+            tracemalloc.reset_peak()
+            with pytest.raises(at.SizeGuardError, match="exceeds cap 256"):
+                make_field(p, k)
+            assert tracemalloc.get_traced_memory()[1] < 10_000
+    finally:
+        tracemalloc.stop()
+    assert field_from_order(256).q == 256
 
 
 @pytest.mark.parametrize("p,modulus", [(2, (0, 0, 1)), (2, (1, 0, 1)),

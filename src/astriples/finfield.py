@@ -173,7 +173,22 @@ class FiniteField:
         return "(" + ",".join(str(c) for c in self.coeffs(a)) + ")"
 
 
-@lru_cache(maxsize=None)
+def _check_field_size(p, k):
+    """Refuse p^k unless p >= 2 and k >= 1 are ints (not bools or floats)
+    and p^k <= ``ORBIT_DEGREE_LIMIT``, before any loop; p^k is formed only
+    once p and 2^k are within the limit, so it is small."""
+    if not (type(p) is int and type(k) is int):
+        raise PreconditionError("field characteristic, degree and order "
+                                "must be ints")
+    if p < 2 or k < 1:
+        raise PreconditionError("a field order p^k needs p >= 2 and k >= 1")
+    if (p > ORBIT_DEGREE_LIMIT or k >= ORBIT_DEGREE_LIMIT.bit_length()
+            or p**k > ORBIT_DEGREE_LIMIT):
+        raise SizeGuardError(f"field size exceeds cap {ORBIT_DEGREE_LIMIT}")
+
+
+# typed: make_field(2.0, 3) reaches the checks, not the cached GF(8)
+@lru_cache(maxsize=None, typed=True)
 def make_field(p: int, k: int = 1) -> FiniteField:
     """GF(p^k) with the first monic irreducible modulus of degree k.
 
@@ -182,11 +197,7 @@ def make_field(p: int, k: int = 1) -> FiniteField:
     ``ORBIT_DEGREE_LIMIT`` elements raises :class:`SizeGuardError` before
     p is tested for primality or any table is filled.
     """
-    if k < 1:
-        raise PreconditionError("extension degree must be positive")
-    if p**k > ORBIT_DEGREE_LIMIT:
-        raise SizeGuardError(
-            f"field size {p**k} exceeds cap {ORBIT_DEGREE_LIMIT}")
+    _check_field_size(p, k)
     if not _is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     for enc in range(p**k):
@@ -198,8 +209,7 @@ def make_field(p: int, k: int = 1) -> FiniteField:
 
 def field_from_order(q: int) -> FiniteField:
     """GF(q) for a prime power q."""
-    if q < 2:
-        raise PreconditionError(f"{q} is not a prime power")
+    _check_field_size(q, 1)
     p = 2
     while q % p:
         p += 1

@@ -33,7 +33,7 @@ from .record import Record
 
 Perm = tuple[int, ...]
 
-DEFAULT_MAX_ELEMENTS = 10**7
+CLOSE_WORK_BUDGET = 10**8
 
 #: Orbits on pairs and triples are computed up to this degree, checked
 #: before anything of size degree^2 or degree^3 is allocated; 256 is the
@@ -228,14 +228,12 @@ def _tree_elements(parent, via, gens, degree):
     return u
 
 
-def close(generators, degree=None,
-          max_elements=DEFAULT_MAX_ELEMENTS) -> PermutationGroup:
+def close(generators, degree=None) -> PermutationGroup:
     """The group generated by a generator list, as a stabilizer chain.
 
     An empty generator list needs an explicit ``degree`` and yields the
-    trivial group.  :class:`SizeGuardError` is raised as soon as the
-    product of the transversal sizes, a lower bound on the order, passes
-    ``max_elements``.
+    trivial group.  :class:`SizeGuardError` is raised once the work,
+    (base length + 1) * degree per sift, passes :data:`CLOSE_WORK_BUDGET`.
     """
     gens = [check_perm(g) for g in generators]
     if gens:
@@ -245,13 +243,20 @@ def close(generators, degree=None,
         degree = degs.pop()
     elif degree is None:
         raise PreconditionError("empty generator list needs a degree")
+    if type(degree) is not int or degree < 1:
+        raise PreconditionError("degree must be a positive int")
     ident = identity_perm(degree)
-    base, strong, trans = [], [], []
+    base, strong, trans, work = [], [], [], 0
 
     def join(g, top):
         # A residue h that fixes base[:level] joins the strong generators
         # of levels top..level; the base grows when h fixes every base
         # point.  Returns the level, or None when g sifts to the identity.
+        nonlocal work
+        work += (len(base) + 1) * degree
+        if work > CLOSE_WORK_BUDGET:
+            raise SizeGuardError(f"group closure exceeds the work budget "
+                                 f"{CLOSE_WORK_BUDGET}")
         h, level = _sift(g, base, trans, top)
         if h == ident:
             return None
@@ -264,8 +269,6 @@ def close(generators, degree=None,
             (orbit,), parent, via = _forest([base[i]], strong[i], degree)
             u = _tree_elements(parent, via, strong[i], degree)
             trans[i] = {x: inverse_perm(u(x)) for x in orbit}
-        if math.prod(map(len, trans)) > max_elements:
-            raise SizeGuardError(f"group exceeds {max_elements} elements")
         return level
 
     for g in gens:
@@ -283,10 +286,9 @@ def close(generators, degree=None,
 
 
 def group_from_elements(degree, seed_generators, order) -> PermutationGroup:
-    """The group generated by seeds whose order is known: a smaller group
-    raises :class:`ConsistencyError`, a larger one stops at the size
-    guard.  No element is listed."""
-    group = close(seed_generators, degree=degree, max_elements=order)
+    """The group generated by seeds whose order is known; any other order
+    raises :class:`ConsistencyError`.  No element is listed."""
+    group = close(seed_generators, degree=degree)
     if group.order != order:
         raise ConsistencyError(
             f"seed generators give a group of order {group.order}, "
@@ -336,8 +338,7 @@ def _row_keys(group: PermutationGroup, orbit, u) -> list[int]:
             h, ud = compose(u(c), g), u(g[c // n] * n + g[c % n])
             if h != ud:
                 stab.add(compose(h, inverse_perm(ud)))
-        if i & (i - 1) == 0 and close(
-                stab, degree=n, max_elements=size).order == size:
+        if i & (i - 1) == 0 and close(stab, degree=n).order == size:
             break
     points = _forest(range(n), list(stab), n)[0]
     key = {x: r * n + p[0] for p in points for x in p}

@@ -30,10 +30,9 @@ from astriples.enumeration import (CANONICAL_NU_LIMIT, _check_guards,
                                    canonical_key)
 from astriples.errors import (ConsistencyError, PreconditionError, RefusalError,
                               SizeGuardError, StructuralError)
-from astriples.permgroup import (DEFAULT_MAX_ELEMENTS, ORBIT_DEGREE_LIMIT,
-                                 PermutationGroup, ThinDecomposition, _sift,
-                                 check_perm, compose, identity_perm,
-                                 inverse_perm)
+from astriples.permgroup import (ORBIT_DEGREE_LIMIT, PermutationGroup,
+                                 ThinDecomposition, _sift, check_perm,
+                                 compose, identity_perm, inverse_perm)
 
 
 def naive_trivial_relations(nu):
@@ -894,7 +893,7 @@ def naive_transversals(starts, gens, act, degree):
 
 
 def naive_close(generators, degree=None,
-                max_elements=DEFAULT_MAX_ELEMENTS) -> PermutationGroup:
+                max_elements=10**7) -> PermutationGroup:
     """The group generated by a generator list, as a stabilizer chain.
 
     An empty generator list needs an explicit ``degree`` and yields the

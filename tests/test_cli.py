@@ -72,6 +72,56 @@ def test_construct_refuses_non_two_transitive(tmp_path, capsys):
     assert "refused" in err
 
 
+def _m24_generators():
+    """Conway's generators of M24 on the projective line over GF(23),
+    with infinity as point 23: x -> x + 1, x -> 2x, x -> -1/x, and the map
+    that swaps 0 and infinity and sends a square x to -(x/2)^2 and a
+    non-square x to (2x)^2."""
+    q = inf = 23
+    squares = {x * x % q for x in range(1, q)}
+    half = pow(2, -1, q)
+    return [[(x + 1) % q for x in range(q)] + [inf],
+            [2 * x % q for x in range(q)] + [inf],
+            [inf] + [-pow(x, -1, q) % q for x in range(1, q)] + [0],
+            [inf] + [-(x * half) ** 2 % q if x in squares else (2 * x) ** 2 % q
+                     for x in range(1, q)] + [0]]
+
+
+def _symmetric_generators(n):
+    return [[1, 0, *range(2, n)], [*range(1, n), 0]]
+
+
+def _generator_file(path, generators):
+    path.write_text("".join(" ".join(map(str, g)) + "\n" for g in generators),
+                    encoding="utf-8")
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("name, generators, order", [
+    ("m24", _m24_generators(), 244823040),
+    ("s12", _symmetric_generators(12), 479001600)], ids=["m24", "s12"])
+def test_construct_file_groups_past_ten_million_elements(tmp_path, capsys,
+                                                         name, generators,
+                                                         order):
+    # both are four-transitive: R_0..R_3 and one class of distinct triples
+    spec = _generator_file(tmp_path / f"{name}.txt", generators)
+    assert run(["construct", "--group", spec]) == 0
+    out = capsys.readouterr().out
+    degree = len(generators[0])
+    assert f"group order {order} on {degree} points" in out
+    assert f"nu={degree} classes=5 " in out
+
+
+def test_construct_refuses_a_group_past_the_work_budget(tmp_path, capsys,
+                                                        monkeypatch):
+    import astriples.permgroup as permgroup
+    monkeypatch.setattr(permgroup, "CLOSE_WORK_BUDGET", 1000)
+    spec = _generator_file(tmp_path / "s8.txt", _symmetric_generators(8))
+    assert run(["construct", "--group", spec]) == 1
+    err = capsys.readouterr().err
+    assert err == "refused: group closure exceeds the work budget 1000\n"
+
+
 def test_verify_broken_scheme_exits_one(tmp_path, capsys):
     scheme_path = tmp_path / "s.json"
     assert run(["construct", "--group", "asl2:2",

@@ -269,6 +269,31 @@ def test_fields_stop_at_the_degree_guard():
     assert field_from_order(256).q == 256
 
 
+@pytest.mark.parametrize("error, call", [
+    (at.PreconditionError, lambda: field_from_order(2.5)),
+    (at.PreconditionError, lambda: at.agl1_group(2.5)),
+    (at.PreconditionError, lambda: at.asl2_group(2.0)),
+    (at.SizeGuardError, lambda: field_from_order(10**9 + 7)),
+    (at.PreconditionError, lambda: make_field(2.0, 3)),
+    (at.SizeGuardError, lambda: make_field(3, 10**7)),
+    (at.SizeGuardError, lambda: make_field(2, 10**9)),
+    (at.PreconditionError, lambda: make_field(-3, 10**7)),
+], ids=["field_from_order(2.5)", "agl1_group(2.5)", "asl2_group(2.0)",
+        "field_from_order(10**9+7)", "make_field(2.0,3)", "make_field(3,10**7)",
+        "make_field(2,10**9)", "make_field(-3,10**7)"])
+def test_field_input_is_checked_before_any_loop(error, call):
+    # the type and the size are checked first: no trial division on a
+    # float or a large order, and p^k is never formed for a large k
+    make_field(2, 3)  # a cached GF(8) must not answer for make_field(2.0, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            call()
+        assert tracemalloc.get_traced_memory()[1] < 10_000
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("p,modulus", [(2, (0, 0, 1)), (2, (1, 0, 1)),
                                        (3, (2, 0, 1)), (2, (1, 1, 1, 1))])
 def test_reducible_modulus_raises(p, modulus):

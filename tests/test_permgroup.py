@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 import astriples as at
+from astriples import permgroup
 from astriples.permgroup import (CYCLE_SEARCH_LIMIT, ORBIT_DEGREE_LIMIT,
                                  check_perm, compose, cycle_type,
                                  generators_from_text, group_from_elements,
@@ -61,11 +62,21 @@ def test_close_single_eleven_cycle():
     assert at.close([cyc]).order == 11
 
 
-def test_close_cap():
-    with pytest.raises(at.SizeGuardError):
-        symmetric = [at.perm_from_cycles(8, [(0, 1)]),
-                     at.perm_from_cycles(8, [tuple(range(8))])]
-        at.close(symmetric, max_elements=1000)
+def test_close_cap(monkeypatch):
+    # S8 takes 8,936 units of work (a sift counts (base length + 1) * 8),
+    # the 8-cycle alone 136
+    monkeypatch.setattr(permgroup, "CLOSE_WORK_BUDGET", 1000)
+    with pytest.raises(at.SizeGuardError, match="work budget 1000"):
+        at.close(_symmetric_gens(8))
+    assert at.close(_symmetric_gens(8)[1:]).order == 8
+
+
+def test_close_refuses_degrees_below_one():
+    for generators, degree in (([], -1), ([], 0), ([()], None), ([], 2.0),
+                               ([], True)):
+        with pytest.raises(at.PreconditionError, match="positive int"):
+            at.close(generators, degree=degree)
+    assert at.close([], degree=1).order == 1
 
 
 def test_orbits_on_triples_full_symmetric_group():
@@ -348,7 +359,8 @@ def test_group_from_elements_rejects_unclosed():
     # one transposition generates a proper subgroup of S3
     with pytest.raises(at.ConsistencyError):
         group_from_elements(3, [(1, 0, 2)], 6)
-    with pytest.raises(at.SizeGuardError):
+    # and so does a larger one: S3 is not a group of order 3
+    with pytest.raises(at.ConsistencyError):
         group_from_elements(3, [(1, 0, 2), (1, 2, 0)], 3)
     assert group_from_elements(3, [(1, 0, 2), (1, 2, 0)], 6).order == 6
 

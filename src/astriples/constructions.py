@@ -13,8 +13,8 @@ import json
 from itertools import combinations, permutations, product
 
 from .core import (AstScheme, GroundSet, TriplePartition, ViolationReport,
-                   json_object, label_map, relabel, trivial_cube,
-                   verify_ast)
+                   _orbit_scheme, json_object, label_map, relabel,
+                   trivial_cube, verify_ast)
 from .errors import (ConsistencyError, PreconditionError, RefusalError,
                      StructuralError)
 from .permgroup import PermutationGroup, is_two_transitive, orbits_on_triples, pair_orbits
@@ -41,7 +41,9 @@ def _scheme_or_bug(partition: TriplePartition, context: str) -> AstScheme:
 def ast_from_group(group: PermutationGroup) -> AstScheme:
     """Orbit scheme of a two-transitive group on at least 3 points.
 
-    Refuses non-two-transitive input, citing a proper pair orbit.
+    Refuses non-two-transitive input, citing a proper pair orbit.  The
+    group proves every condition, so each is read at one cell per class
+    (:func:`core._orbit_scheme`), not on the whole cube.
     """
     if group.degree < 3:
         raise PreconditionError("need at least 3 points")
@@ -50,8 +52,7 @@ def ast_from_group(group: PermutationGroup) -> AstScheme:
         raise RefusalError(
             f"group of order {group.order} is not two-transitive on "
             f"{group.degree} points", witness=witness)
-    partition = orbits_on_triples(group)
-    return _scheme_or_bug(partition, "orbit partition of a two-transitive group")
+    return _orbit_scheme(orbits_on_triples(group))
 
 
 def _two_class_partition(nu, triples) -> TriplePartition:

@@ -46,7 +46,7 @@ from functools import cached_property
 from itertools import chain, permutations, product, repeat
 from types import MappingProxyType
 
-from .errors import PreconditionError, StructuralError
+from .errors import ConsistencyError, PreconditionError, StructuralError
 from .record import Record
 
 Triple = tuple[int, int, int]
@@ -186,17 +186,17 @@ class TriplePartition:
         if 0 in sizes:
             raise StructuralError(f"class {sizes.index(0)} is empty")
         typecode = cube_typecode(len(sizes))
-        part = cls._of(ground, cube if cube.typecode == typecode
-                       else array(typecode, cube))
-        part.__dict__["sizes"] = sizes
-        return part
+        return cls._of(ground, cube if cube.typecode == typecode
+                       else array(typecode, cube), sizes)
 
     @classmethod
-    def _of(cls, ground: GroundSet, labels: array) -> TriplePartition:
-        """The partition with the cube ``labels``, taken as it is."""
+    def _of(cls, ground, labels, sizes=None) -> TriplePartition:
+        """The partition of the cube ``labels`` (and ``sizes``), as given."""
         part = object.__new__(cls)
         part.ground = ground
         part.labels = labels
+        if sizes is not None:
+            part.__dict__["sizes"] = sizes
         return part
 
     @cached_property
@@ -638,19 +638,40 @@ def verify_ast(partition: TriplePartition, full_check=False):
             message=f"count for pattern {key} at {t} in relation {l} is "
                     f"{sig[key]}, expected {want[key]}")
 
+    return _scheme(partition, thirds, action, sigs)
+
+
+def _scheme(partition, thirds, action, sigs) -> AstScheme:
+    """A checked partition's scheme: valencies, action and signatures."""
     # (w, y, z) lies in R_i iff (y, z, w) lies in its (1, 2, 0)-image, and
     # (y, w, z) iff (y, z, w) lies in its (0, 2, 1)-image.
     rows = tuple((thirds[r], thirds[s], thirds[i]) for i, (r, s) in
                  enumerate(zip(action[(1, 2, 0)], action[(0, 2, 1)])))
     scheme = AstScheme(partition=partition, valencies=ValencyTable(rows))
     scheme.__dict__["action"] = action
-    scheme.__dict__["tensor"] = _tensor_from_sigs(sigs)
+    scheme.__dict__["tensor"] = IntersectionTensor(tuple(
+        MappingProxyType(Counter(sig)) for sig in sigs))
     return scheme
 
 
-def _tensor_from_sigs(sigs) -> IntersectionTensor:
-    return IntersectionTensor(tuple(MappingProxyType(Counter(sig))
-                                    for sig in sigs))
+def _orbit_scheme(partition: TriplePartition) -> AstScheme:
+    """The scheme of the orbits on triples of a two-transitive group G, as
+    :func:`permgroup.orbits_on_triples` labels them (which only a caller
+    that built them from G can vouch for).  G keeps each class and
+    commutes with each sigma, so condition 4 is read at the lead cells, 1
+    on the fiber (0, 1), 3 at each sigma of each class's first cell and 2
+    at that cell, all in the rows (0, 0) and (0, 1)."""
+    nu, labels, n = partition.ground.nu, partition.labels, partition.m + 1
+    head = labels[:2 * nu]
+    if (head[0], head[nu + 1], head[nu], head[1]) != (0, 1, 2, 3):
+        raise ConsistencyError("orbit partition lead cells are not R_0..R_3")
+    cells = _first_cells(head)
+    triples = [(0,) + divmod(cell, nu) for cell in cells]
+    action = MappingProxyType({sigma: tuple(
+        labels[(t[sigma[0]] * nu + t[sigma[1]]) * nu + t[sigma[2]]]
+        for t in triples) for sigma in COORD_PERMS})
+    return _scheme(partition, tuple(map(head[nu:].count, range(n))), action,
+                   _signatures(labels, nu, n, cells)[0])
 
 
 # ---------------------------------------------------------------------------

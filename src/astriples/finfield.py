@@ -238,9 +238,17 @@ def _affine_image(field, mat, tx=0, ty=0):
         for x in range(q) for y in range(q))
 
 
-def _affine_group(q, general, expected_order):
-    check_orbit_degree(q * q)
-    field = field_from_order(q)
+def _family_field(q, degree) -> FiniteField:
+    """GF(q) for a group on ``degree(q)`` points: the type of q is checked
+    first, then that degree is guarded, and only then is the field built."""
+    if type(q) is not int:
+        raise PreconditionError("a field order must be an int")
+    check_orbit_degree(degree(q))
+    return field_from_order(q)
+
+
+def _affine_group(q, general):
+    field = _family_field(q, lambda q: q * q)
     seeds = []
     for i in range(field.k):
         u = field.p**i
@@ -251,7 +259,8 @@ def _affine_group(q, general, expected_order):
     if general and q > 2:
         # a non-unimodular generator for the general linear case
         seeds.append(_affine_image(field, (field.gamma, 0, 0, 1)))
-    return group_from_elements(q * q, seeds, expected_order)
+    return group_from_elements(q * q, seeds, q**3 * (q * q - 1)
+                               * (q - 1 if general else 1))
 
 
 def asl2_group(q: int) -> PermutationGroup:
@@ -259,18 +268,17 @@ def asl2_group(q: int) -> PermutationGroup:
 
     Order q^3 (q^2 - 1); two-transitive on the q^2 plane points.
     """
-    return _affine_group(q, False, q**3 * (q * q - 1))
+    return _affine_group(q, False)
 
 
 def agl2_group(q: int) -> PermutationGroup:
-    """All invertible affine maps on GF(q)^2."""
-    return _affine_group(q, True, q * q * (q * q - 1) * (q * q - q))
+    """All invertible affine maps on GF(q)^2; order q^3 (q^2 - 1)(q - 1)."""
+    return _affine_group(q, True)
 
 
 def agl1_group(q: int) -> PermutationGroup:
     """The maps x -> a x + b with a != 0 on GF(q); order q(q-1)."""
-    check_orbit_degree(q)
-    field = field_from_order(q)
+    field = _family_field(q, lambda q: q)
     seeds = [tuple(field.add(x, field.p**i) for x in range(q))
              for i in range(field.k)]
     if q > 2:
@@ -284,8 +292,7 @@ def psl2_group(q: int) -> PermutationGroup:
     Points 0..q-1 are the affine values, point q is infinity.  Order
     q (q^2 - 1) / gcd(2, q - 1).
     """
-    check_orbit_degree(q + 1)
-    field = field_from_order(q)
+    field = _family_field(q, lambda q: q + 1)
     expected = q * (q * q - 1) // (2 if q % 2 else 1)
     infinity = q
 

@@ -228,23 +228,28 @@ def _tree_elements(parent, via, gens, degree):
     return u
 
 
-def close(generators, degree=None) -> PermutationGroup:
+def close(generators, degree=None, order=None) -> PermutationGroup:
     """The group generated by a generator list, as a stabilizer chain.
 
     An empty generator list needs an explicit ``degree`` and yields the
-    trivial group.  :class:`SizeGuardError` is raised once the work,
-    (base length + 1) * degree per sift, passes :data:`CLOSE_WORK_BUDGET`.
+    trivial group.  Given the ``order`` of a group the caller proves holds
+    every generator, the Sims check stops once the basic orbit lengths
+    multiply to it, and at once raises :class:`ConsistencyError` on a
+    product above it (the known-order stop of Seress 2003).
+    :class:`SizeGuardError` is raised once the work, (base length + 1) *
+    degree per sift, passes :data:`CLOSE_WORK_BUDGET`.
     """
     gens = [check_perm(g) for g in generators]
-    if gens:
-        degs = {len(g) for g in gens}
-        if len(degs) != 1:
-            raise PreconditionError(f"mixed generator degrees: {sorted(degs)}")
-        degree = degs.pop()
-    elif degree is None:
-        raise PreconditionError("empty generator list needs a degree")
+    if degree is None:
+        if not gens:
+            raise PreconditionError("empty generator list needs a degree")
+        degree = len(gens[0])
     if type(degree) is not int or degree < 1:
         raise PreconditionError("degree must be a positive int")
+    if any(len(g) != degree for g in gens):
+        raise PreconditionError(f"a generator's degree is not {degree}")
+    if order is not None and (type(order) is not int or order < 1):
+        raise PreconditionError("order must be a positive int")
     ident = identity_perm(degree)
     base, strong, trans, work = [], [], [], 0
 
@@ -269,6 +274,9 @@ def close(generators, degree=None) -> PermutationGroup:
             (orbit,), parent, via = _forest([base[i]], strong[i], degree)
             u = _tree_elements(parent, via, strong[i], degree)
             trans[i] = {x: inverse_perm(u(x)) for x in orbit}
+        if order and math.prod(map(len, trans)) > order:
+            raise ConsistencyError(f"the generators give a group of order "
+                                   f"more than {order}")
         return level
 
     for g in gens:
@@ -276,7 +284,7 @@ def close(generators, degree=None) -> PermutationGroup:
     # Sims: once the levels below i are complete, every Schreier generator
     # u_x s u_{s(x)}^-1 of level i must sift through them to the identity.
     i = len(base) - 1
-    while i >= 0:
+    while i >= 0 and math.prod(map(len, trans)) != order:
         schreier = (compose(compose(inverse_perm(w), s), trans[i][s[x]])
                     for x, w in trans[i].items() for s in strong[i])
         level = next(filter(None, (join(g, i + 1) for g in schreier)), None)
@@ -286,9 +294,10 @@ def close(generators, degree=None) -> PermutationGroup:
 
 
 def group_from_elements(degree, seed_generators, order) -> PermutationGroup:
-    """The group generated by seeds whose order is known; any other order
-    raises :class:`ConsistencyError`.  No element is listed."""
-    group = close(seed_generators, degree=degree)
+    """The group generated by seeds that lie in a group of the known
+    order, which :func:`close` stops at; any other order raises
+    :class:`ConsistencyError`.  No element is listed."""
+    group = close(seed_generators, degree=degree, order=order)
     if group.order != order:
         raise ConsistencyError(
             f"seed generators give a group of order {group.order}, "
@@ -338,7 +347,7 @@ def _row_keys(group: PermutationGroup, orbit, u) -> list[int]:
             h, ud = compose(u(c), g), u(g[c // n] * n + g[c % n])
             if h != ud:
                 stab.add(compose(h, inverse_perm(ud)))
-        if i & (i - 1) == 0 and close(stab, degree=n).order == size:
+        if i & (i - 1) == 0 and close(stab, n, order=size).order == size:
             break
     points = _forest(range(n), list(stab), n)[0]
     key = {x: r * n + p[0] for p in points for x in p}
@@ -383,13 +392,15 @@ def orbits_on_triples(group: PermutationGroup) -> TriplePartition:
     typecode = cube_typecode(len(order))
     make = bytes if typecode == "B" else partial(array, typecode)
     gathers = [itemgetter(*inverse_perm(g)) for g in group.generators]
-    rows = [b""] * (n * n)
+    rows, sizes = [b""] * (n * n), [0] * len(order)
     for orbit, row in zip(orbits, keys):
         rows[orbit[0]] = make(map(rank.__getitem__, row))
+        for label in rows[orbit[0]]:    # each row of the orbit permutes it
+            sizes[label] += len(orbit)
         for d in islice(orbit, 1, None):
             rows[d] = make(gathers[via[d]](rows[parent[d]]))
-    return TriplePartition.from_labels(ground,
-                                       array(typecode, b"".join(rows)))
+    return TriplePartition._of(ground, array(typecode, b"".join(rows)),
+                               tuple(sizes))
 
 
 def two_point_stabilizer_orbits(group: PermutationGroup, x: int, y: int):

@@ -47,6 +47,21 @@ def ag23_blocks():
     return sorted(blocks)
 
 
+def m24_generators():
+    """Conway's generators of M24 on the projective line over GF(23),
+    with infinity as point 23: x -> x + 1, x -> 2x, x -> -1/x, and the map
+    that swaps 0 and infinity and sends a square x to -(x/2)^2 and a
+    non-square x to (2x)^2."""
+    q = inf = 23
+    squares = {x * x % q for x in range(1, q)}
+    half = pow(2, -1, q)
+    return [[(x + 1) % q for x in range(q)] + [inf],
+            [2 * x % q for x in range(q)] + [inf],
+            [inf] + [-pow(x, -1, q) % q for x in range(1, q)] + [0],
+            [inf] + [-(x * half) ** 2 % q if x in squares else (2 * x) ** 2 % q
+                     for x in range(1, q)] + [0]]
+
+
 def verified(partition):
     """The scheme :func:`verify_ast` makes of ``partition``, which must
     verify."""

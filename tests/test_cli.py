@@ -10,7 +10,7 @@ import astriples as at
 from astriples.cli import run
 from astriples.constructions import grouping_from_json, grouping_to_json
 
-from conftest import fano_blocks, verified
+from conftest import fano_blocks, m24_generators, verified
 
 
 def test_version(capsys):
@@ -72,21 +72,6 @@ def test_construct_refuses_non_two_transitive(tmp_path, capsys):
     assert "refused" in err
 
 
-def _m24_generators():
-    """Conway's generators of M24 on the projective line over GF(23),
-    with infinity as point 23: x -> x + 1, x -> 2x, x -> -1/x, and the map
-    that swaps 0 and infinity and sends a square x to -(x/2)^2 and a
-    non-square x to (2x)^2."""
-    q = inf = 23
-    squares = {x * x % q for x in range(1, q)}
-    half = pow(2, -1, q)
-    return [[(x + 1) % q for x in range(q)] + [inf],
-            [2 * x % q for x in range(q)] + [inf],
-            [inf] + [-pow(x, -1, q) % q for x in range(1, q)] + [0],
-            [inf] + [-(x * half) ** 2 % q if x in squares else (2 * x) ** 2 % q
-                     for x in range(1, q)] + [0]]
-
-
 def _symmetric_generators(n):
     return [[1, 0, *range(2, n)], [*range(1, n), 0]]
 
@@ -98,7 +83,7 @@ def _generator_file(path, generators):
 
 
 @pytest.mark.parametrize("name, generators, order", [
-    ("m24", _m24_generators(), 244823040),
+    ("m24", m24_generators(), 244823040),
     ("s12", _symmetric_generators(12), 479001600)], ids=["m24", "s12"])
 def test_construct_file_groups_past_ten_million_elements(tmp_path, capsys,
                                                          name, generators,

@@ -8,7 +8,7 @@ from astriples.constructions import (VANISHING_LENIENT, VANISHING_STRICT,
                                      vanishing_report)
 from astriples.enumeration import EnumerationTask, enumerate_asts
 
-from conftest import THREE_POINT_RELATIONS
+from conftest import THREE_POINT_RELATIONS, m24_generators
 from naive import is_symmetric_relation, naive_classes
 
 
@@ -38,6 +38,39 @@ def test_ast_from_group_orbit_schemes_verify(psl11_group):
                   at.agl2_group(2), at.psl2_group(4)):
         scheme = at.ast_from_group(group)
         assert isinstance(scheme, at.AstScheme)
+
+
+def _prime_powers(lo, hi):
+    def is_prime_power(q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        while q % p == 0:
+            q //= p
+        return q == 1
+    return [q for q in range(lo, hi + 1) if is_prime_power(q)]
+
+
+# every built-in group with 3 <= nu <= 64, and M24 from a generator file
+ORBIT_SPECS = ([f"{family}:{q}" for family in ("asl2", "agl2")
+                for q in _prime_powers(2, 8)]
+               + [f"agl1:{q}" for q in _prime_powers(3, 64)]
+               + [f"psl2:{q}" for q in _prime_powers(2, 63)] + ["m24"])
+
+
+@pytest.mark.parametrize("spec", ORBIT_SPECS)
+def test_orbit_scheme_read_from_its_group_equals_the_full_check(spec):
+    # ast_from_group reads each condition at one cell per class; the full
+    # check reads the whole cube
+    group = (at.close(m24_generators()) if spec == "m24"
+             else at.group_from_spec(spec))
+    scheme = at.ast_from_group(group)
+    full = at.verify_ast(at.orbits_on_triples(group), full_check=True)
+    assert scheme.partition == full.partition
+    assert scheme.partition.sizes == at.TriplePartition.from_labels(
+        scheme.ground, scheme.labels).sizes
+    assert scheme.valencies == full.valencies
+    assert dict(scheme.action) == dict(full.action)
+    assert [list(counts.items()) for counts in scheme.tensor.counts] == \
+        [list(counts.items()) for counts in full.tensor.counts]
 
 
 def test_ast_from_design_fano(fano_scheme):

@@ -157,6 +157,13 @@ def test_constructors_list_no_elements():
     assert not hasattr(g, "elements")
 
 
+@pytest.mark.parametrize("build", [at.asl2_group, at.agl1_group,
+                                   at.agl2_group, at.psl2_group])
+def test_family_builders_refuse_a_string_order(build):
+    with pytest.raises(at.PreconditionError, match="must be an int"):
+        build("3")
+
+
 def test_asl2_subset_of_agl2():
     for q in (2, 3):
         small = at.asl2_group(q)

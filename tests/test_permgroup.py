@@ -79,6 +79,40 @@ def test_close_refuses_degrees_below_one():
     assert at.close([], degree=1).order == 1
 
 
+def test_close_checks_degree_and_order_before_any_sift(monkeypatch):
+    monkeypatch.setattr(permgroup, "_sift", None)   # a sift would fail
+    for kwargs, message in (({"degree": 5}, "degree is not 5"),
+                            ({"degree": "3"}, "degree must be"),
+                            ({"degree": True}, "degree must be"),
+                            ({"order": "3"}, "order must be"),
+                            ({"order": 0}, "order must be"),
+                            ({"order": 6.0}, "order must be"),
+                            ({"order": True}, "order must be")):
+        with pytest.raises(at.PreconditionError, match=message):
+            at.close([(1, 0, 2)], **kwargs)
+
+
+@pytest.mark.parametrize("build, q", [(at.asl2_group, 8), (at.agl2_group, 4),
+                                      (at.agl1_group, 64),
+                                      (at.psl2_group, 27)])
+def test_known_order_stop_gives_the_full_chain(monkeypatch, build, q):
+    # the chain that reaches the known order is the one the full Sims
+    # check ends with, after fewer sifts
+    group = build(q)
+    seeds, order = group.generators, group.order
+    sifts, sift = [], permgroup._sift
+    monkeypatch.setattr(permgroup, "_sift",
+                        lambda *args: sifts.append(1) or sift(*args))
+    stopped = at.close(seeds, order=order)
+    stopped_sifts = len(sifts)
+    full = at.close(seeds)
+    assert stopped.base == full.base
+    assert list(map(len, stopped.transversals)) == \
+        list(map(len, full.transversals))
+    assert stopped.order == order
+    assert stopped_sifts < len(sifts) - stopped_sifts
+
+
 def test_orbits_on_triples_full_symmetric_group():
     for n in (3, 4, 5):
         partition = at.orbits_on_triples(symmetric_group(n))

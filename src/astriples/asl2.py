@@ -17,7 +17,7 @@ from itertools import repeat
 from math import isqrt
 
 from .constructions import ast_from_group
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, check_int
 from .finfield import FiniteField, asl2_group, field_from_order, point_index
 from .hypermatrix import (DENSE_LIMIT, AlgebraElement, adjacency,
                           class_product_mismatch, is_commutative_subalgebra,
@@ -34,11 +34,13 @@ class Asl2Labeling(Record):
     line_labels: dict      # a (a != 0)    -> class label of aR
 
 
-@lru_cache(maxsize=None)
 def _context(q: int):
-    if not (2 <= q and q * q <= DENSE_LIMIT):
-        raise PreconditionError(
-            f"oracle is guarded to 2 <= q <= {isqrt(DENSE_LIMIT)}")
+    """The labeled orbit scheme, q checked before the cache is read."""
+    return _labeled_scheme(check_int("q", q, 2, isqrt(DENSE_LIMIT)))
+
+
+@lru_cache(maxsize=None)
+def _labeled_scheme(q: int):
     field = field_from_order(q)
     scheme = ast_from_group(asl2_group(q))
     zero = point_index(field, 0, 0)

@@ -10,13 +10,15 @@ and fine structure constants.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import combinations, permutations, product
 
-from .core import (AstScheme, GroundSet, TriplePartition, ViolationReport,
-                   _orbit_scheme, json_object, label_map, relabel,
+from .core import (LABEL_LIMIT, AstScheme, GroundSet, TriplePartition,
+                   ViolationReport, _count_report, _image_report,
+                   _orbit_scheme, _scheme, json_object, label_map, relabel,
                    trivial_cube, verify_ast)
 from .errors import (ConsistencyError, PreconditionError, RefusalError,
-                     StructuralError)
+                     StructuralError, check_int)
 from .permgroup import PermutationGroup, is_two_transitive, orbits_on_triples, pair_orbits
 from .record import Record
 
@@ -45,8 +47,7 @@ def ast_from_group(group: PermutationGroup) -> AstScheme:
     group proves every condition, so each is read at one cell per class
     (:func:`core._orbit_scheme`), not on the whole cube.
     """
-    if group.degree < 3:
-        raise PreconditionError("need at least 3 points")
+    check_int("degree", group.degree, 3)
     if not is_two_transitive(group):
         witness = min(pair_orbits(group), key=len)
         raise RefusalError(
@@ -190,22 +191,26 @@ class FusionGrouping(Record):
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        groups = tuple(tuple(sorted(g)) for g in self.groups)
+        groups = tuple(tuple(sorted(check_int("label", i, 0) for i in g))
+                       for g in self.groups)
         head = groups[:4]
         tail = sorted(groups[4:], key=lambda g: min(g, default=-1))
         object.__setattr__(self, "groups", head + tuple(tail))
 
     @classmethod
     def identity(cls, m: int):
+        check_int("m", m, 4, LABEL_LIMIT - 1)
         return cls(tuple((i,) for i in range(m + 1)))
 
     @classmethod
     def all_nontrivial_into_one(cls, m: int):
+        check_int("m", m, 4, LABEL_LIMIT - 1)
         return cls(((0,), (1,), (2,), (3,), tuple(range(4, m + 1))))
 
     def validate(self, m: int):
+        check_int("m", m, 4, LABEL_LIMIT - 1)
         flat = [i for g in self.groups for i in g]
-        if sorted(flat) != list(range(m + 1)):
+        if sorted(flat) != list(range(m + 1)) or not all(self.groups):
             raise StructuralError(
                 f"groups do not partition the labels 0..{m}")
         if self.groups[:4] != ((0,), (1,), (2,), (3,)):
@@ -237,19 +242,40 @@ def grouping_from_json(text: str) -> FusionGrouping:
 
 
 def fuse(scheme: AstScheme, grouping: FusionGrouping):
-    """Union the fine classes per coarse label and re-verify.
-
-    Arbitrary groupings can break the defining conditions; that outcome is
-    reported as the :class:`ViolationReport` of the failed verification,
-    not raised.
-    """
+    """The scheme of the unions of fine classes per coarse label, or the
+    :class:`ViolationReport` of the condition they break, decided exactly
+    on the fine action and tensor.  Conditions 4 and 1 hold.  Condition 3
+    holds iff each class map sends every coarse class into one (so onto
+    it); condition 2 iff the fine classes l of each coarse class have one
+    signature, the sums of p_ijk^l keyed by the coarse labels of (i, j,
+    k), and a refusal names the first cell of the first that differs."""
     grouping.validate(scheme.m)
-    coarse = [0] * (scheme.m + 1)
-    for alpha, group in enumerate(grouping.groups):
-        for i in group:
-            coarse[i] = alpha
-    labels = relabel(scheme.labels, coarse)
-    return verify_ast(TriplePartition.from_labels(scheme.ground, labels))
+    groups = grouping.groups
+    coarse_of = {i: alpha for alpha, group in enumerate(groups) for i in group}
+    coarse = [coarse_of[i] for i in range(scheme.m + 1)]
+    action = {}
+    for sigma, image in scheme.action.items():
+        targets = [{coarse[image[i]] for i in group} for group in groups]
+        wide = [alpha for alpha, found in enumerate(targets) if len(found) > 1]
+        if wide:
+            return _image_report(sigma, wide[0])
+        action[sigma] = tuple(found.pop() for found in targets)
+    sigs = []
+    for alpha, group in enumerate(groups):
+        for l in group:
+            sig = Counter()
+            for (i, j, k), p in scheme.tensor.counts[l].items():
+                sig[coarse[i], coarse[j], coarse[k]] += p
+            if l == group[0]:
+                sigs.append(sig)
+            elif sig != sigs[alpha]:
+                return _count_report(alpha, scheme.ground.triple(
+                    scheme.labels.index(l)), sig, sigs[alpha])
+    return _scheme(
+        TriplePartition.from_labels(scheme.ground,
+                                    relabel(scheme.labels, coarse)),
+        [sum(map(scheme.valencies.third, group)) for group in groups],
+        action, [dict(sorted(sig.items())) for sig in sigs])
 
 
 def is_fission_of(fine: AstScheme, coarse: AstScheme):
@@ -287,15 +313,17 @@ def verify_fusion_theorem(scheme: AstScheme,
 
     For every coarse index tuple the sum of fine intersection numbers over
     the grouped labels must be independent of the fine representative of
-    the superscript class and equal the directly computed coarse constant;
+    the superscript class and equal the coarse constant counted on the
+    fused cube (fuse's tensor holds the sums);
     coarse third valencies must be the sums of their fine third valencies.
     """
     fused = fuse(scheme, grouping)
     if isinstance(fused, ViolationReport):
         raise PreconditionError(
             f"grouping does not produce a scheme: {fused.message}")
+    counted = _scheme_or_bug(fused.partition, "a fusion that fuse accepted")
     fine_t = scheme.tensor
-    coarse_t = fused.tensor
+    coarse_t = counted.tensor
     n = fused.m
     mismatches = []
     checked = 0
@@ -310,7 +338,7 @@ def verify_fusion_theorem(scheme: AstScheme,
     valency_failures = []
     for eps in range(n + 1):
         want = sum(scheme.valencies.third(i) for i in grouping.fine_of(eps))
-        got = fused.valencies.third(eps)
+        got = counted.valencies.third(eps)
         if want != got:
             valency_failures.append((eps, got, want))
     return FusionTheoremReport(checked_cells=checked,

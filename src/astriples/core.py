@@ -46,7 +46,8 @@ from functools import cached_property
 from itertools import chain, permutations, product, repeat
 from types import MappingProxyType
 
-from .errors import ConsistencyError, PreconditionError, StructuralError
+from .errors import (ConsistencyError, PreconditionError, StructuralError,
+                     check_int)
 from .record import Record
 
 Triple = tuple[int, int, int]
@@ -124,9 +125,7 @@ class GroundSet(Record):
     nu: int
 
     def __post_init__(self):
-        if not isinstance(self.nu, int) or self.nu < 3:
-            raise PreconditionError(
-                f"ground set needs at least 3 points, got {self.nu!r}")
+        check_int("nu", self.nu, 3)
 
     def index(self, t: Triple) -> int:
         """Flat index x*nu^2 + y*nu + z of a triple in range(nu)^3; any
@@ -374,10 +373,8 @@ class AstScheme(Record):
     def check_label(self, i) -> int:
         """``i`` when it is a class label 0..m, else
         :class:`PreconditionError`."""
-        if type(i) is not int:
-            raise PreconditionError(f"label {i!r} is not an int")
-        if not 0 <= i <= self.m:
-            raise PreconditionError(f"label {i!r} outside 0..{self.m}")
+        if check_int("label", i, 0) > self.m:
+            raise PreconditionError(f"label {i} outside 0..{self.m}")
         return i
 
     @property
@@ -470,7 +467,7 @@ def _coordinate_action(labels, nu):
                                                    repeat=2):
             action.setdefault(tuple(tau[k] for k in sigma),
                               tuple(then[i] for i in first))
-    return MappingProxyType({sigma: action[sigma] for sigma in COORD_PERMS})
+    return {sigma: action[sigma] for sigma in COORD_PERMS}
 
 
 def _constant_valencies(labels, nu, n):
@@ -617,38 +614,46 @@ def verify_ast(partition: TriplePartition, full_check=False):
     # failure shows under one of the two generating transpositions.
     action = _coordinate_action(labels, nu)
     if isinstance(action, tuple):
-        sigma, i = action
-        return ViolationReport(
-            condition=3, relations=(i,), witness=(sigma,),
-            message=f"image of relation {i} under coordinate "
-                    f"permutation {sigma} is not a class")
+        return _image_report(*action)
 
     # Condition 2: intersection numbers, constant per class.
     sigs, bad = _class_signatures(labels, nu, n,
                                   full_check or nu <= FULL_CHECK_LIMIT, action)
     if bad:
         idx, sig = bad
-        l = labels[idx]
-        sig, want = Counter(sig), Counter(sigs[l])
-        key = min(k for k in sig.keys() | want.keys() if sig[k] != want[k])
-        t = ground.triple(idx)
-        return ViolationReport(
-            condition=2, relations=(l,) + key,
-            witness=(t, key, sig[key], want[key]),
-            message=f"count for pattern {key} at {t} in relation {l} is "
-                    f"{sig[key]}, expected {want[key]}")
+        return _count_report(labels[idx], ground.triple(idx), Counter(sig),
+                             Counter(sigs[labels[idx]]))
 
     return _scheme(partition, thirds, action, sigs)
 
 
+def _image_report(sigma, i) -> ViolationReport:
+    """Condition 3 broken: sigma maps class i onto no class."""
+    return ViolationReport(
+        condition=3, relations=(i,), witness=(sigma,),
+        message=f"image of relation {i} under coordinate "
+                f"permutation {sigma} is not a class")
+
+
+def _count_report(l, t, got, want) -> ViolationReport:
+    """Condition 2 broken at cell t of class l: label triple counts."""
+    key = min(k for k in got.keys() | want.keys() if got[k] != want[k])
+    return ViolationReport(
+        condition=2, relations=(l,) + key,
+        witness=(t, key, got[key], want[key]),
+        message=f"count for pattern {key} at {t} in relation {l} is "
+                f"{got[key]}, expected {want[key]}")
+
+
 def _scheme(partition, thirds, action, sigs) -> AstScheme:
-    """A checked partition's scheme: valencies, action and signatures."""
+    """A checked partition's scheme: valencies, action and signatures (each
+    a sequence or a count of label triples)."""
     # (w, y, z) lies in R_i iff (y, z, w) lies in its (1, 2, 0)-image, and
     # (y, w, z) iff (y, z, w) lies in its (0, 2, 1)-image.
     rows = tuple((thirds[r], thirds[s], thirds[i]) for i, (r, s) in
                  enumerate(zip(action[(1, 2, 0)], action[(0, 2, 1)])))
     scheme = AstScheme(partition=partition, valencies=ValencyTable(rows))
-    scheme.__dict__["action"] = action
+    scheme.__dict__["action"] = MappingProxyType(action)
     scheme.__dict__["tensor"] = IntersectionTensor(tuple(
         MappingProxyType(Counter(sig)) for sig in sigs))
     return scheme
@@ -667,9 +672,9 @@ def _orbit_scheme(partition: TriplePartition) -> AstScheme:
         raise ConsistencyError("orbit partition lead cells are not R_0..R_3")
     cells = _first_cells(head)
     triples = [(0,) + divmod(cell, nu) for cell in cells]
-    action = MappingProxyType({sigma: tuple(
+    action = {sigma: tuple(
         labels[(t[sigma[0]] * nu + t[sigma[1]]) * nu + t[sigma[2]]]
-        for t in triples) for sigma in COORD_PERMS})
+        for t in triples) for sigma in COORD_PERMS}
     return _scheme(partition, tuple(map(head[nu:].count, range(n))), action,
                    _signatures(labels, nu, n, cells)[0])
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
-from .errors import PreconditionError, RefusalError, SizeGuardError, StructuralError
+from .errors import RefusalError, StructuralError, check_int
 from .record import Record
 
 #: Bounds on the exhaustive regular-two-graph search and on the points of
@@ -39,10 +39,6 @@ class TwoGraph(Record):
 
 
 def _clean_subsets(v, raw, size, what):
-    # The checks scan all point pairs or 3-subsets: refuse before that.
-    if v > POINT_LIMIT:
-        raise SizeGuardError(f"{what}s are checked on at most "
-                             f"{POINT_LIMIT} points, got {v}")
     cleaned = []
     try:
         entries = list(raw)
@@ -71,8 +67,7 @@ def verify_design(v: int, blocks) -> TwoDesign:
     Raises :class:`RefusalError` naming an uneven pair when the input is
     not a 2-design.
     """
-    if v < 2:
-        raise PreconditionError("a design needs at least two points")
+    check_int("v", v, 2, POINT_LIMIT)
     cleaned = _clean_subsets(v, blocks, None, "block")
     if not cleaned:
         raise RefusalError("no blocks given")
@@ -115,8 +110,7 @@ def verify_two_graph(v: int, triples) -> TwoGraph:
     the family must be the odd triples of the graph {ab : 0ab in it}.  As
     {0, a, b, c} is odd exactly when abc lies in one of the two sets only,
     the least odd 4-subset is 0 followed by the least such abc."""
-    if v < 4:
-        raise PreconditionError("a two-graph needs at least four points")
+    check_int("v", v, 4, POINT_LIMIT)
     cleaned = _clean_subsets(v, triples, 3, "triple")
     if len(set(cleaned)) != len(cleaned):
         raise StructuralError("duplicate triples")
@@ -152,6 +146,7 @@ def complement_two_graph(tg: TwoGraph) -> TwoGraph:
 
 def two_graph_from_graph(v: int, edges) -> TwoGraph:
     """The two-graph of a graph: 3-subsets spanning an odd number of edges."""
+    check_int("v", v, 4, POINT_LIMIT)
     edge_set = set(_clean_subsets(v, edges, 2, "edge"))
     return verify_two_graph(v, _odd_triples(
         v, (e for e in combinations(range(v), 2) if e in edge_set)))
@@ -170,11 +165,7 @@ def find_regular_two_graphs(nu: int, proper: bool = True) -> list[TwoGraph]:
     nu - 2 minus that when a ~ b; hits on that count are confirmed by
     :func:`is_regular`.  ``proper`` drops d = 0 and d = nu - 2.
     """
-    if nu < 4:
-        raise PreconditionError("search needs at least four points")
-    if nu > TWO_GRAPH_SEARCH_LIMIT:
-        raise SizeGuardError(
-            f"two-graph search is guarded to nu <= {TWO_GRAPH_SEARCH_LIMIT}")
+    check_int("nu", nu, 4, TWO_GRAPH_SEARCH_LIMIT)
     n, cap = nu - 1, nu - 2
     pairs = [(a, b, 1 << a | 1 << b) for a, b in combinations(range(n), 2)]
     nbr = [0] * n

@@ -44,7 +44,7 @@ from itertools import product
 
 from .core import (COORD_PERMS, AstScheme, GroundSet, TriplePartition,
                    ViolationReport, cube_typecode, trivial_cube, verify_ast)
-from .errors import PreconditionError, SizeGuardError
+from .errors import PreconditionError, SizeGuardError, check_int
 from .permgroup import PermutationGroup, _forest, close, is_transitive
 from .record import Record
 
@@ -65,6 +65,11 @@ class EnumerationTask(Record):
     max_nontrivial_classes: int | None = None
     allow_large: bool = False
     node_limit: int | None = None
+
+    def __post_init__(self):
+        for name in ("max_nontrivial_classes", "node_limit"):
+            if getattr(self, name) is not None:
+                check_int(name, getattr(self, name), 1)
 
 
 class AstIsomorphism(Record):
@@ -93,21 +98,10 @@ def _orbit_blocks(ground, group, cells, symmetric):
 
 
 def _check_guards(task: EnumerationTask):
-    bound = task.max_nontrivial_classes
-    if bound is not None and bound < 1:
-        raise PreconditionError(
-            f"max_nontrivial_classes must be at least 1, got {bound}")
-    nu = task.ground.nu
-    if task.allow_large:
-        return
-    group = task.invariance
-    if group is None or group.order == 1:
-        limit = TRIVIAL_GROUP_NU_LIMIT
-    elif is_transitive(group):
-        limit = GROUP_NU_LIMIT
-    else:
-        limit = TRIVIAL_GROUP_NU_LIMIT
-    if nu > limit:
+    group, nu = task.invariance, task.ground.nu
+    limit = (GROUP_NU_LIMIT if group is not None and is_transitive(group)
+             else TRIVIAL_GROUP_NU_LIMIT)
+    if nu > limit and not task.allow_large:
         raise SizeGuardError(
             f"enumeration at nu={nu} exceeds the guard ({limit}) for this "
             "invariance group; pass allow_large to override")
@@ -336,11 +330,8 @@ def enumerate_circulant(nu: int, allow_large: bool = False
     invariant under the standard cycle, so enumerating with that one
     cycle is complete.  ``allow_large`` skips the guards.
     """
-    if nu > GROUP_NU_LIMIT and not allow_large:
-        raise SizeGuardError(f"circulant enumeration is guarded to "
-                             f"nu <= {GROUP_NU_LIMIT}; pass allow_large "
-                             "to override")
-    ground = GroundSet(nu)
+    ground = GroundSet(check_int(
+        "nu", nu, 3, None if allow_large else GROUP_NU_LIMIT))
     cycle = tuple((i + 1) % nu for i in range(nu))
     group = close([cycle])
     return enumerate_asts(EnumerationTask(ground=ground, invariance=group,
@@ -431,10 +422,7 @@ def canonical_key(scheme: AstScheme) -> tuple:
     once its prefix exceeds the best.  Exact but factorial in nu; guarded
     to nu <= CANONICAL_NU_LIMIT.
     """
-    nu = scheme.nu
-    if nu > CANONICAL_NU_LIMIT:
-        raise SizeGuardError(
-            f"canonical forms are exact only up to nu={CANONICAL_NU_LIMIT}")
+    nu = check_int("nu", scheme.nu, 3, CANONICAL_NU_LIMIT)
     labels = scheme.labels
     tables, best = _permuted_indices(nu), None
     for src in tables:

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one check of a
+numeric parameter."""
+
+import reprlib
 
 
 class AstriplesError(Exception):
@@ -30,3 +33,19 @@ class SizeGuardError(AstriplesError, RuntimeError):
 
 class ConsistencyError(AstriplesError, RuntimeError):
     """An internal invariant failed; signals a bug or a falsified theorem."""
+
+
+def check_int(name, value, lo, hi=None):
+    """``value`` when it is an int, not a bool, with lo <= value (<= the
+    guard ``hi``); else :class:`PreconditionError`, or
+    :class:`SizeGuardError` for a value above ``hi``."""
+    if type(value) is not int:
+        raise PreconditionError(
+            f"{name} must be an int, got {reprlib.repr(value)}")
+    if lo <= value and (hi is None or value <= hi):
+        return value
+    # past 4,300 digits the interpreter refuses an int's decimal form
+    got = value if abs(value) < 2**64 else f"a {value.bit_length()}-bit int"
+    if value < lo:
+        raise PreconditionError(f"{name} must be at least {lo}, got {got}")
+    raise SizeGuardError(f"{name} is guarded to at most {hi}, got {got}")

@@ -21,9 +21,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import (ConsistencyError, PreconditionError, SizeGuardError,
-                     StructuralError)
+                     StructuralError, check_int)
 from .permgroup import (ORBIT_DEGREE_LIMIT, PermutationGroup,
-                        check_orbit_degree, group_from_elements)
+                        group_from_elements)
 
 
 def _is_prime(n: int) -> bool:
@@ -83,6 +83,7 @@ class FiniteField:
     __slots__ = ("p", "k", "q", "modulus", "gamma", "exp", "log")
 
     def __init__(self, p, k, modulus):
+        _check_field_size(p, k)
         self.p = p
         self.k = k
         self.q = q = p**k
@@ -174,30 +175,28 @@ class FiniteField:
 
 
 def _check_field_size(p, k):
-    """Refuse p^k unless p >= 2 and k >= 1 are ints (not bools or floats)
-    and p^k <= ``ORBIT_DEGREE_LIMIT``, before any loop; p^k is formed only
-    once p and 2^k are within the limit, so it is small."""
-    if not (type(p) is int and type(k) is int):
-        raise PreconditionError("field characteristic, degree and order "
-                                "must be ints")
-    if p < 2 or k < 1:
-        raise PreconditionError("a field order p^k needs p >= 2 and k >= 1")
-    if (p > ORBIT_DEGREE_LIMIT or k >= ORBIT_DEGREE_LIMIT.bit_length()
-            or p**k > ORBIT_DEGREE_LIMIT):
+    """Refuse p^k past ``ORBIT_DEGREE_LIMIT`` before any loop; p^k is
+    formed only once p and 2^k are within the limit, so it is small."""
+    check_int("p", p, 2, ORBIT_DEGREE_LIMIT)
+    check_int("k", k, 1, ORBIT_DEGREE_LIMIT.bit_length() - 1)
+    if p**k > ORBIT_DEGREE_LIMIT:
         raise SizeGuardError(f"field size exceeds cap {ORBIT_DEGREE_LIMIT}")
 
 
-# typed: make_field(2.0, 3) reaches the checks, not the cached GF(8)
-@lru_cache(maxsize=None, typed=True)
 def make_field(p: int, k: int = 1) -> FiniteField:
     """GF(p^k) with the first monic irreducible modulus of degree k.
 
     Deterministic across runs: moduli are scanned in integer-encoding
-    order of their non-leading coefficients.  A field past
-    ``ORBIT_DEGREE_LIMIT`` elements raises :class:`SizeGuardError` before
-    p is tested for primality or any table is filled.
+    order of their non-leading coefficients.  p and k are checked before
+    the cache is read: a field past ``ORBIT_DEGREE_LIMIT`` elements raises
+    :class:`SizeGuardError` before p is tested for primality.
     """
     _check_field_size(p, k)
+    return _field(p, k)
+
+
+@lru_cache(maxsize=None)
+def _field(p, k) -> FiniteField:
     if not _is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     for enc in range(p**k):
@@ -209,7 +208,7 @@ def make_field(p: int, k: int = 1) -> FiniteField:
 
 def field_from_order(q: int) -> FiniteField:
     """GF(q) for a prime power q."""
-    _check_field_size(q, 1)
+    check_int("q", q, 2, ORBIT_DEGREE_LIMIT)
     p = 2
     while q % p:
         p += 1
@@ -225,6 +224,8 @@ def field_from_order(q: int) -> FiniteField:
 
 def point_index(field: FiniteField, x: int, y: int) -> int:
     """Index of the plane point (x, y) in 0..q^2-1."""
+    if max(check_int("x", x, 0), check_int("y", y, 0)) >= field.q:
+        raise PreconditionError(f"point ({x}, {y}) outside GF({field.q})^2")
     return x * field.q + y
 
 
@@ -239,11 +240,9 @@ def _affine_image(field, mat, tx=0, ty=0):
 
 
 def _family_field(q, degree) -> FiniteField:
-    """GF(q) for a group on ``degree(q)`` points: the type of q is checked
-    first, then that degree is guarded, and only then is the field built."""
-    if type(q) is not int:
-        raise PreconditionError("a field order must be an int")
-    check_orbit_degree(degree(q))
+    """GF(q) for a group on ``degree(q)`` points: q is checked first, then
+    that degree is guarded, and only then is the field built."""
+    check_int("degree", degree(check_int("q", q, 2)), 1, ORBIT_DEGREE_LIMIT)
     return field_from_order(q)
 
 
@@ -320,7 +319,7 @@ def group_from_spec(spec: str) -> PermutationGroup:
         from .core import read_text
         from .permgroup import close, generators_from_text
         generators = generators_from_text(read_text(arg))
-        check_orbit_degree(len(generators[0]))
+        check_int("degree", len(generators[0]), 1, ORBIT_DEGREE_LIMIT)
         return close(generators)
     builders = {"asl2": asl2_group, "agl1": agl1_group,
                 "agl2": agl2_group, "psl2": psl2_group}

@@ -27,7 +27,7 @@ from array import array
 from itertools import product, zip_longest
 
 from .core import COORD_PERMS, AstScheme, is_symmetric_ast, relabel
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, PreconditionError, check_int
 from .record import Record
 
 #: Dense storage bound; products and class products above it are refused.
@@ -43,9 +43,7 @@ class CubicHypermatrix:
     __slots__ = ("nu", "entries")
 
     def __init__(self, nu, entries):
-        if nu < 1 or nu > DENSE_LIMIT:
-            raise PreconditionError(
-                f"dense hypermatrices support 1 <= nu <= {DENSE_LIMIT}, got {nu}")
+        check_int("nu", nu, 1, DENSE_LIMIT)
         entries = tuple(entries)
         if len(entries) != nu**3:
             raise PreconditionError(
@@ -205,10 +203,7 @@ def class_product_mismatch(scheme: AstScheme, i: int, j: int, k: int,
     if len(expected) != m + 1:
         raise PreconditionError(
             f"need {m + 1} coefficients, got {len(expected)}")
-    nu = scheme.nu
-    if nu > DENSE_LIMIT:
-        raise PreconditionError(
-            f"class products support nu <= {DENSE_LIMIT}, got {nu}")
+    nu = check_int("nu", scheme.nu, 3, DENSE_LIMIT)
     cache = scheme.bit_cache
 
     def bits(label):    # class ``label`` as one nu^3-bit int
@@ -258,7 +253,7 @@ class AlgebraElement(Record):
     @classmethod
     def basis(cls, scheme, i):
         coeffs = [0] * (scheme.m + 1)
-        coeffs[i] = 1
+        coeffs[scheme.check_label(i)] = 1
         return cls(scheme, tuple(coeffs))
 
     @property

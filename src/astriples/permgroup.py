@@ -28,7 +28,7 @@ from operator import itemgetter
 from .core import (AstScheme, GroundSet, TriplePartition, cube_typecode,
                    relabel)
 from .errors import (ConsistencyError, PreconditionError, SizeGuardError,
-                     StructuralError)
+                     StructuralError, check_int)
 from .record import Record
 
 Perm = tuple[int, ...]
@@ -81,8 +81,9 @@ def inverse_perm(p: Perm) -> Perm:
 
 
 def perm_from_cycles(n: int, cycles) -> Perm:
-    """Build a permutation on 0..n-1 from disjoint 0-based cycles."""
-    images = list(range(n))
+    """Build a permutation on 0..n-1 from disjoint 0-based cycles; n is at
+    most CLOSE_WORK_BUDGET, as one sift costs the degree in :func:`close`."""
+    images = list(range(check_int("n", n, 1, CLOSE_WORK_BUDGET)))
     seen = set()
     try:
         listed = [tuple(cycle) for cycle in cycles]
@@ -244,12 +245,11 @@ def close(generators, degree=None, order=None) -> PermutationGroup:
         if not gens:
             raise PreconditionError("empty generator list needs a degree")
         degree = len(gens[0])
-    if type(degree) is not int or degree < 1:
-        raise PreconditionError("degree must be a positive int")
+    check_int("degree", degree, 1, CLOSE_WORK_BUDGET)
     if any(len(g) != degree for g in gens):
         raise PreconditionError(f"a generator's degree is not {degree}")
-    if order is not None and (type(order) is not int or order < 1):
-        raise PreconditionError("order must be a positive int")
+    if order is not None:
+        check_int("order", order, 1)
     ident = identity_perm(degree)
     base, strong, trans, work = [], [], [], 0
 
@@ -310,20 +310,11 @@ def is_transitive(group: PermutationGroup) -> bool:
     return len(_forest(range(n), group.generators, n)[0]) == 1
 
 
-def check_orbit_degree(degree: int) -> None:
-    """Refuse a degree past :data:`ORBIT_DEGREE_LIMIT`, checked before
-    anything whose size grows with the degree is built."""
-    if degree > ORBIT_DEGREE_LIMIT:
-        raise SizeGuardError(f"orbits on pairs and triples are guarded to "
-                             f"degree <= {ORBIT_DEGREE_LIMIT}, got {degree}")
-
-
 def _pair_transversal(group: PermutationGroup):
     """Orbits on ordered pairs, flat indices x * degree + y, with their
     breadth-first forest under the generators (see :func:`_forest`); each
     orbit's root is its least pair."""
-    n = group.degree
-    check_orbit_degree(n)
+    n = check_int("degree", group.degree, 1, ORBIT_DEGREE_LIMIT)
     acts = [[a + b for a in [x * n for x in g] for b in g]
             for g in group.generators]
     return _forest(range(n * n), acts, n * n)
@@ -410,9 +401,9 @@ def two_point_stabilizer_orbits(group: PermutationGroup, x: int, y: int):
     relations of its orbit scheme, with sizes the third valencies.
     """
     n = group.degree
-    if x == y:
+    if check_int("x", x, 0) == check_int("y", y, 0):
         raise PreconditionError("stabilizer points must be distinct")
-    if not (0 <= x < n and 0 <= y < n):
+    if max(x, y) >= n:
         raise PreconditionError(f"points ({x}, {y}) out of range")
     if not is_two_transitive(group):
         raise PreconditionError("two-point stabilizer orbits are only "
@@ -472,10 +463,7 @@ def find_invariant_cycle(scheme: AstScheme):
     Off the default paths: cost grows as (nu-1)!, so it is guarded to
     nu <= CYCLE_SEARCH_LIMIT.
     """
-    nu = scheme.nu
-    if nu > CYCLE_SEARCH_LIMIT:
-        raise SizeGuardError(
-            f"cycle search is limited to nu <= {CYCLE_SEARCH_LIMIT}")
+    nu = check_int("nu", scheme.nu, 3, CYCLE_SEARCH_LIMIT)
     for rest in permutations(range(1, nu)):
         cycle = [0] * nu
         for x, y in zip((0,) + rest, rest + (0,)):

@@ -25,7 +25,7 @@ def test_labeling_q3_field_elements(asl2_schemes):
 
 
 def test_labeling_guard():
-    with pytest.raises(at.PreconditionError, match="2 <= q <= 8"):
+    with pytest.raises(at.SizeGuardError, match="q is guarded to at most 8"):
         _context(9)
     with pytest.raises(at.PreconditionError):
         _context(1)

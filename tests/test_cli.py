@@ -156,6 +156,27 @@ def test_fuse_and_fission_flow(tmp_path, capsys):
     assert fused_path.read_text() == coarse_path.read_text()
 
 
+def test_fuse_refuses_a_non_fusion_past_nu_30(tmp_path, capsys):
+    # asl2:7 (nu = 49): {4, 6, 8} keeps condition 3 and breaks condition 2,
+    # which a count at one cell per class does not see
+    scheme_path = tmp_path / "S7.json"
+    assert run(["construct", "--group", "asl2:7",
+                "--out", str(scheme_path)]) == 0
+    grouping_path = tmp_path / "g.json"
+    groups = [[0], [1], [2], [3], [4, 6, 8]] + [
+        [i] for i in range(5, 15) if i not in (6, 8)]
+    grouping_path.write_text(json.dumps({"groups": groups}),
+                             encoding="utf-8")
+    fused_path = tmp_path / "F.json"
+    capsys.readouterr()
+    assert run(["fuse", str(scheme_path), "--grouping", str(grouping_path),
+                "--out", str(fused_path)]) == 1
+    assert capsys.readouterr().out == (
+        "NOT A FUSION: condition 2: count for pattern (4, 4, 6) at "
+        "(0, 1, 4) in relation 4 is 0, expected 1\n")
+    assert not fused_path.exists()
+
+
 def test_fission_check_refusal(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -210,7 +231,7 @@ def test_enumerate_circulant_allow_large(monkeypatch, capsys):
     from astriples import enumeration
     monkeypatch.setattr(enumeration, "GROUP_NU_LIMIT", 6)
     assert run(["enumerate", "--nu", "7", "--circulant"]) == 1
-    assert "guarded to nu <= 6" in capsys.readouterr().err
+    assert "nu is guarded to at most 6" in capsys.readouterr().err
     assert run(["enumerate", "--nu", "7", "--circulant", "--allow-large"]) == 0
     assert capsys.readouterr().out.startswith("nu=7 schemes=3 ")
 
@@ -483,7 +504,7 @@ def test_construct_refuses_degree_over_orbit_guard(tmp_path, capsys):
     for spec in ("agl1:257", "agl1:3001", f"file:{cycle}"):
         assert run(["construct", "--group", spec]) == 1
         err = capsys.readouterr().err
-        assert "refused" in err and "degree <= 256" in err
+        assert "refused" in err and "degree is guarded to at most 256" in err
 
 
 def test_construct_asl2_9(capsys):

@@ -332,7 +332,7 @@ def test_class_kernel_refuses_large_nu_before_allocating():
         at.GroundSet(nu), trivial_cube(nu, 4)))
     tracemalloc.start()
     try:
-        with pytest.raises(at.PreconditionError):
+        with pytest.raises(at.SizeGuardError):
             at.class_product_mismatch(scheme, 4, 4, 4, (0,) * 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

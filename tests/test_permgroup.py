@@ -74,7 +74,7 @@ def test_close_cap(monkeypatch):
 def test_close_refuses_degrees_below_one():
     for generators, degree in (([], -1), ([], 0), ([()], None), ([], 2.0),
                                ([], True)):
-        with pytest.raises(at.PreconditionError, match="positive int"):
+        with pytest.raises(at.PreconditionError, match="degree must be"):
             at.close(generators, degree=degree)
     assert at.close([], degree=1).order == 1
 

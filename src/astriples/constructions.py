@@ -235,7 +235,7 @@ def grouping_from_json(text: str) -> FusionGrouping:
     if not isinstance(groups, list):
         raise StructuralError("'groups' must be a list of label lists")
     for group in groups:
-        if not isinstance(group, list) or any(type(i) is not int
+        if not isinstance(group, list) or any(type(i) is not int or i < 0
                                               for i in group):
             raise StructuralError(f"bad 'groups' entry: {group!r}")
     return FusionGrouping(tuple(map(tuple, groups)))

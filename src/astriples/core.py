@@ -47,7 +47,7 @@ from itertools import chain, permutations, product, repeat
 from types import MappingProxyType
 
 from .errors import (ConsistencyError, PreconditionError, StructuralError,
-                     check_int)
+                     brief, check_int)
 from .record import Record
 
 Triple = tuple[int, int, int]
@@ -141,7 +141,8 @@ class GroundSet(Record):
         range(nu^3), else :class:`PreconditionError`."""
         nu = self.nu
         if type(idx) is not int or not 0 <= idx < nu**3:
-            raise PreconditionError(f"index {idx!r} outside range({nu**3})")
+            raise PreconditionError(
+                f"index {brief(idx)} outside range({brief(nu**3)})")
         xy, z = divmod(idx, nu)
         x, y = divmod(xy, nu)
         return (x, y, z)
@@ -177,8 +178,8 @@ class TriplePartition:
                 raise StructuralError(
                     f"labels must lie in 0..{LABEL_LIMIT - 1}") from exc
         if len(cube) != ground.nu**3:
-            raise StructuralError(
-                f"{len(cube)} labels for a cube of {ground.nu**3} cells")
+            raise StructuralError(f"{len(cube)} labels for a cube of "
+                                  f"{brief(ground.nu**3)} cells")
         sizes = _class_sizes(cube)
         if len(sizes) > LABEL_LIMIT:
             raise StructuralError(f"labels must lie in 0..{LABEL_LIMIT - 1}")
@@ -248,7 +249,7 @@ def _cube_from_relations(ground: GroundSet, classes) -> array:
     # nothing.
     if total < nu**3:
         raise StructuralError(
-            f"the classes hold {total} triples, the cube has {nu**3}")
+            f"the classes hold {total} triples, the cube has {brief(nu**3)}")
     # Then, with at least nu^3 triples and none placed twice, every cell is
     # covered.
     labels = _unfilled_cube(nu, cube_typecode(len(rels)))

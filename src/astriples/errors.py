@@ -35,17 +35,22 @@ class ConsistencyError(AstriplesError, RuntimeError):
     """An internal invariant failed; signals a bug or a falsified theorem."""
 
 
+def brief(value) -> str:
+    """``value`` for a message: an int past 2**64 by its bit length, as
+    the interpreter refuses the decimal form past 4,300 digits."""
+    big = type(value) is int and abs(value) >= 2**64
+    return f"a {value.bit_length()}-bit int" if big else reprlib.repr(value)
+
+
 def check_int(name, value, lo, hi=None):
     """``value`` when it is an int, not a bool, with lo <= value (<= the
     guard ``hi``); else :class:`PreconditionError`, or
     :class:`SizeGuardError` for a value above ``hi``."""
     if type(value) is not int:
-        raise PreconditionError(
-            f"{name} must be an int, got {reprlib.repr(value)}")
+        raise PreconditionError(f"{name} must be an int, got {brief(value)}")
     if lo <= value and (hi is None or value <= hi):
         return value
-    # past 4,300 digits the interpreter refuses an int's decimal form
-    got = value if abs(value) < 2**64 else f"a {value.bit_length()}-bit int"
+    got = brief(value)
     if value < lo:
         raise PreconditionError(f"{name} must be at least {lo}, got {got}")
     raise SizeGuardError(f"{name} is guarded to at most {hi}, got {got}")

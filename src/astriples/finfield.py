@@ -12,8 +12,8 @@ q = ``ORBIT_DEGREE_LIMIT`` (256), the largest any group family asks for.
 
 Group constructors build only a few generators (translations, elementary
 transvections and, for the general groups, a primitive-element scaling)
-and hand them to the stabilizer-chain builder, which checks that they
-generate a group of exactly the order given by the classical formula.
+and hand them to the stabilizer-chain builder, which reads them until
+they generate a group of the order given by the classical formula.
 """
 
 from __future__ import annotations

@@ -6,15 +6,16 @@ built from its generators by a deterministic Schreier-Sims algorithm
 base b_0, b_1, .. and, for each level i, a transversal of the orbit of b_i
 under the pointwise stabilizer of b_0..b_{i-1}.  The order is the product
 of the transversal sizes and membership is decided by sifting, so no
-element is listed.
+element is listed.  Given the order of a group holding every generator,
+:func:`close` stops there and reads no more of them (Seress 2003).
 
 Orbits come from one breadth-first routine, :func:`_forest`, which
 records for each point the point and generator it was reached from; group
 elements are composed along that forest only where they are needed (the
 transversals of the chain, and Schreier's lemma for the stabilizer of
-each pair orbit's least pair).  The label cube of the orbits on triples
-is carried down the pair forest a row at a time, as bytes (as a 16-bit
-array past 255 classes).
+each pair orbit's least pair, closed once).  The label cube of the orbits
+on triples is carried down the pair forest a row at a time, as bytes (as
+a 16-bit array past 255 classes).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from array import array
 from functools import cached_property, partial
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 from operator import itemgetter
 
 from .core import (AstScheme, GroundSet, TriplePartition, cube_typecode,
@@ -230,28 +231,28 @@ def _tree_elements(parent, via, gens, degree):
 
 
 def close(generators, degree=None, order=None) -> PermutationGroup:
-    """The group generated by a generator list, as a stabilizer chain.
+    """The group generated by an iterable of generators (an empty one
+    needs a ``degree``), as a stabilizer chain.
 
-    An empty generator list needs an explicit ``degree`` and yields the
-    trivial group.  Given the ``order`` of a group the caller proves holds
-    every generator, the Sims check stops once the basic orbit lengths
-    multiply to it, and at once raises :class:`ConsistencyError` on a
-    product above it (the known-order stop of Seress 2003).
-    :class:`SizeGuardError` is raised once the work, (base length + 1) *
-    degree per sift, passes :data:`CLOSE_WORK_BUDGET`.
+    Given the ``order`` of a group the caller proves holds every
+    generator, it stops once the basic orbit lengths multiply to it,
+    reading no more generators (the known-order stop of Seress 2003), and
+    keeps as ``generators`` those read.  A chain above or below the order
+    raises :class:`ConsistencyError`, and work past the guard
+    :data:`CLOSE_WORK_BUDGET`, (base length + 1) * degree per sift,
+    raises :class:`SizeGuardError`.
     """
-    gens = [check_perm(g) for g in generators]
+    gens = map(check_perm, generators)
     if degree is None:
-        if not gens:
+        first = next(gens, None)
+        if first is None:
             raise PreconditionError("empty generator list needs a degree")
-        degree = len(gens[0])
+        degree, gens = len(first), chain([first], gens)
     check_int("degree", degree, 1, CLOSE_WORK_BUDGET)
-    if any(len(g) != degree for g in gens):
-        raise PreconditionError(f"a generator's degree is not {degree}")
     if order is not None:
         check_int("order", order, 1)
     ident = identity_perm(degree)
-    base, strong, trans, work = [], [], [], 0
+    base, strong, trans, work, read = [], [], [], 0, []
 
     def join(g, top):
         # A residue h that fixes base[:level] joins the strong generators
@@ -279,7 +280,12 @@ def close(generators, degree=None, order=None) -> PermutationGroup:
                                    f"more than {order}")
         return level
 
-    for g in gens:
+    # the order is tested before a generator is pulled: a stream may be long
+    while (math.prod(map(len, trans)) != order
+           and (g := next(gens, None)) is not None):
+        if len(g) != degree:
+            raise PreconditionError(f"a generator's degree is not {degree}")
+        read.append(g)
         join(g, 0)
     # Sims: once the levels below i are complete, every Schreier generator
     # u_x s u_{s(x)}^-1 of level i must sift through them to the identity.
@@ -289,20 +295,15 @@ def close(generators, degree=None, order=None) -> PermutationGroup:
                     for x, w in trans[i].items() for s in strong[i])
         level = next(filter(None, (join(g, i + 1) for g in schreier)), None)
         i = i - 1 if level is None else level
-    return PermutationGroup(degree=degree, generators=tuple(gens),
+    if order and math.prod(map(len, trans)) != order:
+        raise ConsistencyError(f"the generators give an order below {order}")
+    return PermutationGroup(degree=degree, generators=tuple(read),
                             base=tuple(base), transversals=tuple(trans))
 
 
 def group_from_elements(degree, seed_generators, order) -> PermutationGroup:
-    """The group generated by seeds that lie in a group of the known
-    order, which :func:`close` stops at; any other order raises
-    :class:`ConsistencyError`.  No element is listed."""
-    group = close(seed_generators, degree=degree, order=order)
-    if group.order != order:
-        raise ConsistencyError(
-            f"seed generators give a group of order {group.order}, "
-            f"expected {order}")
-    return group
+    """:func:`close` of the seeds of a group of the known ``order``."""
+    return close(seed_generators, degree=degree, order=order)
 
 
 def is_transitive(group: PermutationGroup) -> bool:
@@ -326,21 +327,16 @@ def _row_keys(group: PermutationGroup, orbit, u) -> list[int]:
     orbit of z under the stabilizer of r.
 
     By Schreier's lemma the products u(c) g u(g(c))^-1 over the pairs c of
-    the orbit and the generators g generate that stabilizer; ``u`` is the
-    pair forest's :func:`_tree_elements`.
+    the orbit and the generators g generate that stabilizer, which has
+    order |G| / |orbit|: :func:`close` reads them only until it reaches
+    that order.  ``u`` is the pair forest's :func:`_tree_elements`.
     """
     n, r = group.degree, orbit[0]
-    # The stabilizer has |G| / |orbit| elements: stop as soon as the
-    # Schreier generators found so far generate that many.
-    size, stab = group.order // len(orbit), set()
-    for i, c in enumerate(orbit, 1):
-        for g in group.generators:
-            h, ud = compose(u(c), g), u(g[c // n] * n + g[c % n])
-            if h != ud:
-                stab.add(compose(h, inverse_perm(ud)))
-        if i & (i - 1) == 0 and close(stab, n, order=size).order == size:
-            break
-    points = _forest(range(n), list(stab), n)[0]
+    sides = ((compose(u(c), g), u(g[c // n] * n + g[c % n]))
+             for c in orbit for g in group.generators)
+    stab = close((compose(h, inverse_perm(ud)) for h, ud in sides if h != ud),
+                 n, order=group.order // len(orbit))
+    points = _forest(range(n), stab.generators, n)[0]
     key = {x: r * n + p[0] for p in points for x in p}
     return [key[x] for x in range(n)]
 

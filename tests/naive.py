@@ -29,7 +29,7 @@ from astriples.enumeration import (CANONICAL_NU_LIMIT, _check_guards,
                                    _orbit_blocks, are_isomorphic,
                                    canonical_key)
 from astriples.errors import (ConsistencyError, PreconditionError, RefusalError,
-                              SizeGuardError, StructuralError)
+                              SizeGuardError, StructuralError, brief)
 from astriples.permgroup import (ORBIT_DEGREE_LIMIT, PermutationGroup,
                                  ThinDecomposition, _sift, check_perm,
                                  compose, identity_perm, inverse_perm)
@@ -547,7 +547,7 @@ def naive_cube_from_relations(ground, classes):
     # nothing.
     if total < nu**3:
         raise StructuralError(
-            f"the classes hold {total} triples, the cube has {nu**3}")
+            f"the classes hold {total} triples, the cube has {brief(nu**3)}")
     # Then, with at least nu^3 triples and none placed twice, every cell is
     # covered.
     typecode = cube_typecode(len(rels))

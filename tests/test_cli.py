@@ -409,7 +409,8 @@ def test_loaders_refuse_non_integer_entries(tmp_path, capsys):
             with pytest.raises(at.StructuralError, match=f"bad {what} entry"):
                 load(entries)
     for bad, entry in (([[0], [1], [2], [3], [4.9], ["5"]], [4.9]),
-                       ([[0], [True], [2], [3], [4], [5]], [True])):
+                       ([[0], [True], [2], [3], [4], [5]], [True]),
+                       ([[0], [1], [2], [3], [-1, 4]], [-1, 4])):
         text = json.dumps({"groups": bad})
         path.write_text(text, encoding="utf-8")
         capsys.readouterr()
@@ -541,7 +542,10 @@ def _reader_cases():
             ("too_many_labels", {"nu": 41, "relations": singletons},
              "at most 65535"),
             ("huge_nu", {"nu": 10**6, "relations": [[[0, 0, 0]]]},
-             "the cube has")]
+             "the cube has"),
+            # nu^3 is past the interpreter's digit limit for int to str
+            ("nu_past_digit_limit", {"nu": 10**1500, "relations": []},
+             "the cube has a 14949-bit int")]
 
 
 @pytest.mark.parametrize("name, payload, message", _reader_cases(),

@@ -23,6 +23,18 @@ def test_ground_set_requires_three_points():
     assert at.GroundSet(3).nu == 3
 
 
+def test_messages_name_a_huge_cube_by_its_bit_length():
+    # nu^3 has 4,501 digits, past the interpreter's limit for its decimal
+    # form; the messages give its 14,949 bits instead
+    ground = at.GroundSet(10**1500)
+    with pytest.raises(at.PreconditionError,
+                       match=r"index -1 outside range\(a 14949-bit int\)"):
+        ground.triple(-1)
+    with pytest.raises(at.StructuralError,
+                       match="1 labels for a cube of a 14949-bit int"):
+        at.TriplePartition.from_labels(ground, [0])
+
+
 def _trivial_classes(nu):
     # R_0..R_3 as the library lays them out in the trivial cube
     return at.TriplePartition.from_labels(at.GroundSet(nu),

@@ -154,7 +154,8 @@ def test_constructor_orders_match_formulas():
 def test_constructors_list_no_elements():
     g = at.asl2_group(8)
     assert g.order == 32256
-    assert len(g.generators) == 12
+    # close reads the 12 seeds only until they reach the order
+    assert len(g.generators) == 10
     assert not hasattr(g, "elements")
 
 

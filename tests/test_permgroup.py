@@ -113,6 +113,34 @@ def test_known_order_stop_gives_the_full_chain(monkeypatch, build, q):
     assert stopped_sifts < len(sifts) - stopped_sifts
 
 
+def test_close_reads_no_generator_past_the_known_order():
+    def stream(*gens):
+        yield from gens
+        pytest.fail("read a generator past the known order")
+    s3 = at.close(stream((1, 0, 2), (1, 2, 0)), order=6)
+    assert s3.generators == ((1, 0, 2), (1, 2, 0)) and s3.order == 6
+    # the order of the trivial group is reached before any generator
+    trivial = at.close(stream(), degree=3, order=1)
+    assert trivial.generators == () and trivial.order == 1
+
+
+def test_close_refuses_a_chain_below_the_known_order():
+    with pytest.raises(at.ConsistencyError, match="order below 6"):
+        at.close([(1, 0, 2)], order=6)
+
+
+def test_orbits_on_triples_closes_each_stabilizer_once(monkeypatch):
+    # S24 has two orbits on pairs, the diagonal and the distinct pairs
+    group, closes = symmetric_group(24), []
+    close = permgroup.close
+    monkeypatch.setattr(permgroup, "close",
+                        lambda *args, **kw: closes.append(1)
+                        or close(*args, **kw))
+    partition = at.orbits_on_triples(group)
+    assert len(closes) == 2
+    assert partition.sizes == (24, 552, 552, 552, 12144)
+
+
 def test_orbits_on_triples_full_symmetric_group():
     for n in (3, 4, 5):
         partition = at.orbits_on_triples(symmetric_group(n))
